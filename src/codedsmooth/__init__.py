@@ -14,14 +14,14 @@ from .autodiff import (Parameter, Tensor, add, add_bias, apply_linear_operator,
                        sgd_momentum_step, softmax_cross_entropy, sub, tanh, tsum)
 from .coded import (CodedSmoothingModule, DecodingPoints, EncodingPoints,
                     chebyshev_first, chebyshev_second, get_module)
-from .codedsim import (SimReport, StragglerScenario, WorkerResult,
-                       fit_scaling_exponent, run_coded_job, sweep)
+from .codedsim import (SimReport, StragglerScenario, fit_scaling_exponent,
+                       run_coded_job, sweep)
 from .datasets import Dataset, DatasetSpec, make_dataset, one_hot, task_of
 from .errors import NumericError, ShapeError, ValidationError
 from .models import MLP, MLPSpec
 from .spline import Knots, NaturalCubicSpline, SplineOperator, build_operator, fit, fit_eval
 from .train import (Coded, ERM, Metrics, Mixup, TrainPlan, boundary_smoothness,
-                    dual_path_loss, mixup_batch, schedule_n, train)
+                    mixup_batch, schedule_n, train)
 from .attack import (FGSMSpec, PGDSpec, Permutation, RCI, Standard, fgsm, pgd,
                      rci_forward, robust_eval)
 

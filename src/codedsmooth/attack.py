@@ -77,10 +77,6 @@ class Permutation:
     def random(cls, k: int, rng) -> "Permutation":
         return cls(rng.permutation(k))
 
-    @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(np.arange(k))
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return x[self.order]
 

@@ -19,10 +19,9 @@ import numpy as np
 
 from .attack import FGSMSpec, PGDSpec, RCI, Standard, robust_eval
 from .coded import chebyshev_first, chebyshev_second, get_module
-from .codedsim import (BENCH_FUNCTIONS, POLICIES, fit_scaling_exponent,
-                       sample_inputs, sweep)
-from .config import Config, dump_config, load_config
-from .datasets import DatasetSpec, KINDS, make_dataset, task_of
+from .codedsim import BENCH_FUNCTIONS, fit_scaling_exponent, sample_inputs, sweep
+from .config import KEYS, Config, dump_config, load_config
+from .datasets import DatasetSpec, make_dataset, task_of
 from .errors import NumericError, ValidationError
 from .models import MLPSpec
 from .modelio import load_model, save_model
@@ -31,15 +30,19 @@ from .train import Coded, ERM, Mixup, TrainPlan, train
 
 _EXACT_FLOOR = 1e-18
 
+# command: (key prefixes it reads, the key --seed overrides)
+_COMMANDS = {
+    "lemma1": (("lemma1.",), "lemma1.seed"),
+    "train": (("data.", "model.", "train."), "train.seed"),
+    "attack": (("data.", "attack."), "attack.seed"),
+    "simulate": (("sim.",), "sim.input_seed"),
+    "sweep": (("data.", "model.", "train.", "sweep."), "train.seed"),
+}
+
 
 def _ensure_out(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
-
-
-def _echo_config(out_dir, resolved: dict) -> None:
-    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.write(dump_config(resolved))
 
 
 def _write(out_dir, name, text):
@@ -51,6 +54,21 @@ def _write(out_dir, name, text):
 
 def _load_cfg(path) -> Config:
     return Config(load_config(path) if path else {})
+
+
+def _resolve(cfg: Config, command: str, seed_override=None) -> dict:
+    """The value of every key ``command`` reads; also its ``config.resolved``.
+
+    Keys of another train.method are left out, so an echo holds only what
+    the run used.
+    """
+    prefixes, seed_key = _COMMANDS[command]
+    resolved = {key: cfg.get(key) for key, spec in KEYS.items()
+                if key.startswith(prefixes)
+                and (spec.method is None or spec.method == cfg.get("train.method"))}
+    if seed_override is not None:
+        resolved[seed_key] = seed_override
+    return resolved
 
 
 # ---------------------------------------------------------------- points
@@ -70,19 +88,13 @@ def cmd_points(k: int, n: int, stream=None) -> None:
 # ---------------------------------------------------------------- lemma1
 
 def cmd_lemma1(cfg: Config, out_dir, seed_override=None) -> dict:
-    k = cfg.get_int("lemma1.K", 16)
-    n_list = cfg.get_int_list("lemma1.N_list", [32, 64, 128, 256, 512])
-    fn_name = cfg.get_str("lemma1.fn", "sin")
-    seed = seed_override if seed_override is not None else cfg.get_int("lemma1.seed", 0)
-    if fn_name not in BENCH_FUNCTIONS:
-        raise ValidationError(f"unknown function {fn_name!r}; have {sorted(BENCH_FUNCTIONS)}")
-    if not n_list:
-        raise ValidationError("lemma1.N_list must not be empty")
+    r = _resolve(cfg, "lemma1", seed_override)
+    k, n_list, fn_name = r["lemma1.K"], r["lemma1.N_list"], r["lemma1.fn"]
     if k < 4 or min(n_list) < 4:
         raise ValidationError("K and every N must be >= 4")
 
     f = BENCH_FUNCTIONS[fn_name]
-    x = sample_inputs(k, seed)
+    x = sample_inputs(k, r["lemma1.seed"])
     mses = [get_module(k, n).estimate_mse(x, f) for n in n_list]
 
     _ensure_out(out_dir)
@@ -98,48 +110,26 @@ def cmd_lemma1(cfg: Config, out_dir, seed_override=None) -> dict:
                             xlabel="coded samples N", ylabel="MSE",
                             title="estimate error vs N", loglog=True)
         _write(out_dir, "lemma1.svg", svg)
-    _echo_config(out_dir, {
-        "lemma1.K": k, "lemma1.N_list": ",".join(str(n) for n in n_list),
-        "lemma1.fn": fn_name, "lemma1.seed": seed,
-    })
+    _write(out_dir, "config.resolved", dump_config(r))
     return {"mses": mses, "slope": slope}
 
 
 # ---------------------------------------------------------------- train
 
-def _dataset_spec(cfg: Config) -> DatasetSpec:
-    kind = cfg.get_str("data.kind")
-    if kind is None:
-        raise ValidationError("missing required config key 'data.kind'")
-    if kind not in KINDS:
-        raise ValidationError(f"unknown dataset kind {kind!r}; have {KINDS}")
-    return DatasetSpec(
-        kind=kind,
-        n_train=cfg.get_int("data.n_train", 1000),
-        n_test=cfg.get_int("data.n_test", 1000),
-        noise=cfg.get_float("data.noise", 0.0),
-        seed=cfg.get_int("data.seed", 0),
-    )
+def _dataset_spec(r: dict) -> DatasetSpec:
+    return DatasetSpec(kind=r["data.kind"], n_train=r["data.n_train"],
+                       n_test=r["data.n_test"], noise=r["data.noise"],
+                       seed=r["data.seed"])
 
 
-def _model_spec(cfg: Config) -> MLPSpec:
-    widths = cfg.get_int_list("model.widths")
-    if widths is None:
-        raise ValidationError("missing required config key 'model.widths'")
-    return MLPSpec(widths=tuple(widths), activation=cfg.get_str("model.activation", "relu"))
-
-
-def _method(cfg: Config):
-    name = cfg.get_str("train.method", "erm").lower()
-    if name == "erm":
-        return ERM()
+def _method(r: dict):
+    name = r["train.method"]
     if name == "mixup":
-        return Mixup(alpha=cfg.get_float("train.mixup_alpha", 1.0))
+        return Mixup(alpha=r["train.mixup_alpha"])
     if name == "coded":
-        return Coded(mu=cfg.get_float("train.mu", 0.5),
-                     gamma=cfg.get_float("train.gamma", 1.5),
-                     n_schedule=cfg.get_str("train.n_schedule", "linear_ramp"))
-    raise ValidationError(f"unknown train.method {name!r}")
+        return Coded(mu=r["train.mu"], gamma=r["train.gamma"],
+                     n_schedule=r["train.n_schedule"])
+    return ERM()
 
 
 def _method_desc(method) -> str:
@@ -150,60 +140,29 @@ def _method_desc(method) -> str:
     return f"coded mu={method.mu:g} gamma={method.gamma:g} schedule={method.n_schedule}"
 
 
-def _train_plan(cfg: Config, seed_override=None) -> TrainPlan:
-    seed = seed_override if seed_override is not None else cfg.get_int("train.seed", 0)
-    decay = cfg.get_int_list("train.lr_decay_epochs", [])
+def _train_plan(r: dict) -> TrainPlan:
     return TrainPlan(
-        dataset=_dataset_spec(cfg),
-        model=_model_spec(cfg),
-        epochs=cfg.get_int("train.epochs", 100),
-        batch_size=cfg.get_int("train.batch_size", 128),
-        lr=cfg.get_float("train.lr", 0.05),
-        lr_decay_epochs=tuple(decay),
-        momentum=cfg.get_float("train.momentum", 0.9),
-        seed=seed,
-        method=_method(cfg),
+        dataset=_dataset_spec(r),
+        model=MLPSpec(widths=r["model.widths"], activation=r["model.activation"]),
+        epochs=r["train.epochs"],
+        batch_size=r["train.batch_size"],
+        lr=r["train.lr"],
+        lr_decay_epochs=r["train.lr_decay_epochs"],
+        momentum=r["train.momentum"],
+        seed=r["train.seed"],
+        method=_method(r),
     )
 
 
-def _plan_echo(plan: TrainPlan) -> dict:
-    echo = {
-        "data.kind": plan.dataset.kind,
-        "data.n_train": plan.dataset.n_train,
-        "data.n_test": plan.dataset.n_test,
-        "data.noise": repr(plan.dataset.noise),
-        "data.seed": plan.dataset.seed,
-        "model.widths": ",".join(str(w) for w in plan.model.widths),
-        "model.activation": plan.model.activation,
-        "train.epochs": plan.epochs,
-        "train.batch_size": plan.batch_size,
-        "train.lr": repr(plan.lr),
-        "train.lr_decay_epochs": ",".join(str(e) for e in plan.lr_decay_epochs),
-        "train.momentum": repr(plan.momentum),
-        "train.seed": plan.seed,
-    }
-    m = plan.method
-    if isinstance(m, ERM):
-        echo["train.method"] = "erm"
-    elif isinstance(m, Mixup):
-        echo["train.method"] = "mixup"
-        echo["train.mixup_alpha"] = repr(m.alpha)
-    else:
-        echo["train.method"] = "coded"
-        echo["train.mu"] = repr(m.mu)
-        echo["train.gamma"] = repr(m.gamma)
-        echo["train.n_schedule"] = m.n_schedule
-    return echo
-
-
 def cmd_train(cfg: Config, out_dir, seed_override=None) -> dict:
-    plan = _train_plan(cfg, seed_override)
+    r = _resolve(cfg, "train", seed_override)
+    plan = _train_plan(r)
     model, metrics = train(plan)
     _ensure_out(out_dir)
     _write(out_dir, "metrics.csv", metrics.to_csv())
     save_model(os.path.join(out_dir, "model.bin"), model, plan.seed,
                _method_desc(plan.method))
-    _echo_config(out_dir, _plan_echo(plan))
+    _write(out_dir, "config.resolved", dump_config(r))
     print(f"final test metric: {metrics.final_test_metric:.17g}")
     return {"model": model, "metrics": metrics, "plan": plan}
 
@@ -212,40 +171,29 @@ def cmd_train(cfg: Config, out_dir, seed_override=None) -> dict:
 
 def cmd_attack(cfg: Config, model_path, out_dir, seed_override=None) -> dict:
     model, header = load_model(model_path)
-    cfg_widths = cfg.get_int_list("model.widths")
-    if cfg_widths is not None and tuple(cfg_widths) != model.spec.widths:
-        raise ValidationError(f"model file widths {model.spec.widths} do not match "
-                              f"config model.widths {tuple(cfg_widths)}")
-    cfg_act = cfg.get_str("model.activation")
-    if cfg_act is not None and cfg_act != model.spec.activation:
-        raise ValidationError(f"model file activation {model.spec.activation!r} does not "
-                              f"match config {cfg_act!r}")
+    for key, have in (("model.widths", model.spec.widths),
+                      ("model.activation", model.spec.activation)):
+        if key in cfg.raw and cfg.get(key) != have:
+            raise ValidationError(f"model file has {key} = {have!r}, "
+                                  f"config has {cfg.get(key)!r}")
 
-    dspec = _dataset_spec(cfg)
+    r = _resolve(cfg, "attack", seed_override)
+    dspec = _dataset_spec(r)
     if task_of(dspec.kind) != "classification":
         raise ValidationError("attack evaluation needs a classification dataset")
     data = make_dataset(dspec)
 
-    seed = seed_override if seed_override is not None else cfg.get_int("attack.seed", 0)
-    epsilon = cfg.get_float("attack.epsilon", 0.1)
-    steps = cfg.get_int("attack.steps", 10)
-    step_size = cfg.get_float("attack.step_size", None)
-    random_start = cfg.get_bool("attack.random_start", True)
-    trials = cfg.get_int("attack.trials", 20)
-    k_prime = cfg.get_int("attack.k_prime", 128)
-    n_prime = cfg.get_int("attack.n_prime", int(round(1.5 * k_prime)))
-    kind = cfg.get_str("attack.kind", "all").lower()
-
+    seed, epsilon, steps = r["attack.seed"], r["attack.epsilon"], r["attack.steps"]
+    n_prime, kind = r["attack.n_prime"], r["attack.kind"]
     attacks = [("none", None),
                ("fgsm", FGSMSpec(epsilon=epsilon)),
                (f"pgd{steps}", PGDSpec(epsilon=epsilon, steps=steps,
-                                       step_size=step_size, random_start=random_start))]
+                                       step_size=r["attack.step_size"],
+                                       random_start=r["attack.random_start"]))]
     if kind != "all":
         attacks = [(nm, a) for nm, a in attacks if nm.startswith(kind)]
-        if not attacks:
-            raise ValidationError(f"unknown attack.kind {kind!r}")
     modes = [("standard", Standard()),
-             ("rci", RCI(n_prime=n_prime, k_prime=k_prime, seed=seed))]
+             ("rci", RCI(n_prime=n_prime, k_prime=r["attack.k_prime"], seed=seed))]
 
     method = header.get("method", "unknown")
     rows = ["method,inference_mode,attack,epsilon,steps,N_prime,seed,accuracy\n"]
@@ -253,7 +201,7 @@ def cmd_attack(cfg: Config, model_path, out_dir, seed_override=None) -> dict:
     for attack_name, attack in attacks:
         for mode_name, mode in modes:
             acc = robust_eval(model, data.test_x, data.test_y, attack, mode,
-                              trials=trials, seed=seed)
+                              trials=r["attack.trials"], seed=seed)
             results[(attack_name, mode_name)] = acc
             n_steps = steps if attack_name.startswith("pgd") else (1 if attack_name == "fgsm" else 0)
             eps_out = 0.0 if attack is None else epsilon
@@ -264,45 +212,20 @@ def cmd_attack(cfg: Config, model_path, out_dir, seed_override=None) -> dict:
 
     _ensure_out(out_dir)
     _write(out_dir, "results.csv", "".join(rows))
-    echo = {
-        "data.kind": dspec.kind, "data.n_train": dspec.n_train,
-        "data.n_test": dspec.n_test, "data.noise": repr(dspec.noise),
-        "data.seed": dspec.seed,
-        "attack.kind": kind, "attack.epsilon": repr(epsilon),
-        "attack.steps": steps,
-        "attack.random_start": str(random_start).lower(),
-        "attack.trials": trials, "attack.k_prime": k_prime,
-        "attack.n_prime": n_prime, "attack.seed": seed,
-    }
-    if step_size is not None:
-        echo["attack.step_size"] = repr(step_size)
-    _echo_config(out_dir, echo)
+    _write(out_dir, "config.resolved", dump_config(r))
     return {"results": results, "model": model}
 
 
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(cfg: Config, out_dir, seed_override=None) -> dict:
-    fn_name = cfg.get_str("sim.fn", "sin")
-    if fn_name not in BENCH_FUNCTIONS:
-        raise ValidationError(f"unknown function {fn_name!r}; have {sorted(BENCH_FUNCTIONS)}")
-    k = cfg.get_int("sim.K", 16)
-    n_list = cfg.get_int_list("sim.N_list", [32, 64, 128, 256])
-    s_list = cfg.get_int_list("sim.S_list", [0])
-    seeds = cfg.get_int_list("sim.seeds", [0])
-    policy = cfg.get_str("sim.policy", "uniform_random")
-    input_seed = (seed_override if seed_override is not None
-                  else cfg.get_int("sim.input_seed", 0))
-    if not n_list:
-        raise ValidationError("sim.N_list must not be empty")
-    if not s_list:
-        raise ValidationError("sim.S_list must not be empty")
-    if policy not in POLICIES:
-        raise ValidationError(f"unknown policy {policy!r}; have {POLICIES}")
+    r = _resolve(cfg, "simulate", seed_override)
+    fn_name, k, policy = r["sim.fn"], r["sim.K"], r["sim.policy"]
+    n_list, s_list = r["sim.N_list"], r["sim.S_list"]
 
     f = BENCH_FUNCTIONS[fn_name]
-    x = sample_inputs(k, input_seed)
-    report = sweep(f, x, n_list, s_list, seeds, policy)
+    x = sample_inputs(k, r["sim.input_seed"])
+    report = sweep(f, x, n_list, s_list, r["sim.seeds"], policy)
 
     _ensure_out(out_dir)
     _write(out_dir, "sim_sweep.csv", report.to_csv())
@@ -327,20 +250,11 @@ def cmd_simulate(cfg: Config, out_dir, seed_override=None) -> dict:
                "cells": len(means), "runs": len(report.rows),
                "exponent": exponent}
     _write(out_dir, "report.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _echo_config(out_dir, {
-        "sim.fn": fn_name, "sim.K": k,
-        "sim.N_list": ",".join(str(n) for n in n_list),
-        "sim.S_list": ",".join(str(s) for s in s_list),
-        "sim.seeds": ",".join(str(s) for s in seeds),
-        "sim.policy": policy, "sim.input_seed": input_seed,
-    })
+    _write(out_dir, "config.resolved", dump_config(r))
     return {"report": report, "exponent": exponent}
 
 
 # ---------------------------------------------------------------- sweep
-
-_SWEEP_PARAMS = ("mu", "N", "gamma", "batch_size")
-
 
 def _sweep_plan(base: TrainPlan, param: str, value: float) -> TrainPlan:
     method = base.method
@@ -360,9 +274,7 @@ def _sweep_plan(base: TrainPlan, param: str, value: float) -> TrainPlan:
         return replace(base, method=Coded(mu=method.mu,
                                           gamma=n_target / base.batch_size,
                                           n_schedule="linear_ramp"))
-    if param == "batch_size":
-        return replace(base, batch_size=int(round(value)))
-    raise ValidationError(f"unknown sweep param {param!r}; have {_SWEEP_PARAMS}")
+    return replace(base, batch_size=int(round(value)))  # param == "batch_size"
 
 
 def _sweep_cell(args):
@@ -375,16 +287,12 @@ def _sweep_cell(args):
 
 
 def cmd_sweep(cfg: Config, out_dir, threads: int = 1, seed_override=None) -> dict:
-    param = cfg.get_str("sweep.param")
-    if param not in _SWEEP_PARAMS:
-        raise ValidationError(f"sweep.param must be one of {_SWEEP_PARAMS}, got {param!r}")
-    values = cfg.get_float_list("sweep.values")
-    if not values:
-        raise ValidationError("sweep.values must not be empty")
-    seeds = cfg.get_int_list("sweep.seeds", [0, 1, 2, 3, 4])
-    base = _train_plan(cfg, seed_override)
+    r = _resolve(cfg, "sweep", seed_override)
+    param = r["sweep.param"]
+    base = _train_plan(r)
 
-    cells = [(_sweep_plan(base, param, v), param, v, s) for v in values for s in seeds]
+    cells = [(_sweep_plan(base, param, v), param, v, s)
+             for v in r["sweep.values"] for s in r["sweep.seeds"]]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_cell, cells))
@@ -398,11 +306,7 @@ def cmd_sweep(cfg: Config, out_dir, threads: int = 1, seed_override=None) -> dic
                    f"{lm:.17g},{lc:.17g},{nf}\n")
     _ensure_out(out_dir)
     _write(out_dir, "sweep.csv", "".join(out))
-    echo = _plan_echo(base)
-    echo.update({"sweep.param": param,
-                 "sweep.values": ",".join(repr(v) for v in values),
-                 "sweep.seeds": ",".join(str(s) for s in seeds)})
-    _echo_config(out_dir, echo)
+    _write(out_dir, "config.resolved", dump_config(r))
     print(f"sweep over {param}: {len(rows)} cells")
     return {"rows": rows}
 
@@ -440,8 +344,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_cfg(args.config)
         if args.command == "points":
-            k = args.K if args.K is not None else cfg.get_int("points.K")
-            n = args.N if args.N is not None else cfg.get_int("points.N")
+            k = args.K if args.K is not None else cfg.get("points.K")
+            n = args.N if args.N is not None else cfg.get("points.N")
             if k is None or n is None:
                 raise ValidationError("points: K and N required (args or config)")
             cmd_points(k, n)

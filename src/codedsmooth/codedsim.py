@@ -57,14 +57,6 @@ class StragglerScenario:
 
 
 @dataclass
-class WorkerResult:
-    index: int
-    point: float
-    output: np.ndarray
-    returned: bool
-
-
-@dataclass
 class SweepRow:
     n_workers: int
     stragglers: int
@@ -139,16 +131,6 @@ def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
     diff = estimates - f(x)
     mse = float(np.mean(np.sum(diff * diff, axis=1)))
     return estimates, mse
-
-
-def worker_table(f, x: np.ndarray, scenario: StragglerScenario) -> list:
-    """Per-worker view of one round (index, point, output, returned flag)."""
-    x = np.asarray(x, dtype=np.float64)
-    module = get_module(x.shape[0], scenario.n_workers)
-    outputs = f(module.encode(x))
-    keep = set(returned_indices(scenario, module.beta).tolist())
-    return [WorkerResult(j, float(module.beta[j]), outputs[j], j in keep)
-            for j in range(scenario.n_workers)]
 
 
 def sweep(f, x: np.ndarray, n_list, s_list, seeds, policy: str = "uniform_random") -> SimReport:

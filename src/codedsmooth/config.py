@@ -1,38 +1,99 @@
 """Flat key=value run-config files.
 
 One ``key = value`` pair per line, ``#`` starts a comment, keys are dotted
-(``train.lr``, ``attack.epsilon``, ``sim.N``). Unknown keys are rejected so
+(``train.lr``, ``attack.epsilon``, ``sim.N_list``). Unknown keys are rejected so
 a typo cannot silently fall back to a default. Every command echoes its
 fully-resolved configuration into the output directory; re-running from
 that echo reproduces the outputs exactly.
+
+``KEYS`` holds each key's parser, default and allowed values.
 """
 
+from collections import namedtuple
+from dataclasses import MISSING
+
+from .attack import PGDSpec, RCI
+from .codedsim import BENCH_FUNCTIONS, POLICIES, StragglerScenario
+from .datasets import DatasetSpec, KINDS
 from .errors import ValidationError
+from .models import ACTIVATIONS, MLPSpec
+from .train import Coded, Mixup, N_SCHEDULES, TrainPlan
+
+
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+def _bool(text):
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError("must be true or false")
+
+
+def _list(item, may_be_empty=False):
+    def parse(text):
+        values = tuple(item(p) for p in text.split(",") if p.strip())
+        if not values and not may_be_empty:
+            raise ValueError("must not be empty")
+        return values
+    return parse
+
+
+# default: MISSING marks a required key; a callable derives the default from
+# the config. method: the train.method the key belongs to (None: any).
+Key = namedtuple("Key", "parse default allowed method", defaults=((), None))
 
 # every key any subcommand understands; one config file may drive several
 # commands (e.g. a train followed by an attack on its model file)
-KNOWN_KEYS = {
-    # dataset
-    "data.kind", "data.n_train", "data.n_test", "data.noise", "data.seed",
-    # model
-    "model.widths", "model.activation",
-    # training
-    "train.method", "train.mu", "train.gamma", "train.n_schedule",
-    "train.mixup_alpha", "train.epochs", "train.batch_size", "train.lr",
-    "train.lr_decay_epochs", "train.momentum", "train.seed",
-    # attack / inference
-    "attack.kind", "attack.epsilon", "attack.steps", "attack.step_size",
-    "attack.random_start", "attack.trials", "attack.n_prime",
-    "attack.k_prime", "attack.seed",
-    # rate experiment
-    "lemma1.K", "lemma1.N_list", "lemma1.fn", "lemma1.seed",
-    # straggler simulation
-    "sim.fn", "sim.K", "sim.N_list", "sim.S_list", "sim.seeds",
-    "sim.policy", "sim.input_seed",
-    # parameter sweep
-    "sweep.param", "sweep.values", "sweep.seeds",
-    # point printing
-    "points.K", "points.N",
+KEYS = {
+    "data.kind": Key(str, MISSING, KINDS),
+    "data.n_train": Key(int, DatasetSpec.n_train),
+    "data.n_test": Key(int, DatasetSpec.n_test),
+    "data.noise": Key(float, DatasetSpec.noise),
+    "data.seed": Key(int, DatasetSpec.seed),
+    "model.widths": Key(_list(int), MISSING),
+    "model.activation": Key(str, MLPSpec.activation, ACTIVATIONS),
+    "train.method": Key(str.lower, "erm", ("erm", "mixup", "coded")),
+    "train.mu": Key(float, Coded.mu, method="coded"),
+    "train.gamma": Key(float, Coded.gamma, method="coded"),
+    "train.n_schedule": Key(str, Coded.n_schedule, N_SCHEDULES, method="coded"),
+    "train.mixup_alpha": Key(float, Mixup.alpha, method="mixup"),
+    "train.epochs": Key(int, TrainPlan.epochs),
+    "train.batch_size": Key(int, TrainPlan.batch_size),
+    "train.lr": Key(float, TrainPlan.lr),
+    "train.lr_decay_epochs": Key(_list(int, may_be_empty=True), TrainPlan.lr_decay_epochs),
+    "train.momentum": Key(float, TrainPlan.momentum),
+    "train.seed": Key(int, TrainPlan.seed),
+    "attack.kind": Key(str.lower, "all", ("all", "none", "fgsm", "pgd")),
+    "attack.epsilon": Key(float, 0.1),
+    "attack.steps": Key(int, PGDSpec.steps),
+    "attack.step_size": Key(float, PGDSpec.step_size),
+    "attack.random_start": Key(_bool, PGDSpec.random_start),
+    "attack.trials": Key(_count, 20),
+    "attack.k_prime": Key(int, 128),
+    "attack.n_prime": Key(int, lambda cfg: int(round(1.5 * cfg.get("attack.k_prime")))),
+    "attack.seed": Key(int, RCI.seed),
+    "lemma1.K": Key(int, 16),
+    "lemma1.N_list": Key(_list(int), (32, 64, 128, 256, 512)),
+    "lemma1.fn": Key(str, "sin", BENCH_FUNCTIONS),
+    "lemma1.seed": Key(int, 0),
+    "sim.fn": Key(str, "sin", BENCH_FUNCTIONS),
+    "sim.K": Key(int, 16),
+    "sim.N_list": Key(_list(int), (32, 64, 128, 256)),
+    "sim.S_list": Key(_list(int), (0,)),
+    "sim.seeds": Key(_list(int), (0,)),
+    "sim.policy": Key(str, StragglerScenario.policy, POLICIES),
+    "sim.input_seed": Key(int, 0),
+    "sweep.param": Key(str, MISSING, ("mu", "N", "gamma", "batch_size")),
+    "sweep.values": Key(_list(float), MISSING),
+    "sweep.seeds": Key(_list(int), (0, 1, 2, 3, 4)),
+    "points.K": Key(int, None),
+    "points.N": Key(int, None),
 }
 
 
@@ -46,7 +107,7 @@ def parse_config_text(text: str) -> dict:
             raise ValidationError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         if key in cfg:
             raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
@@ -59,78 +120,41 @@ def load_config(path) -> dict:
         return parse_config_text(fh.read())
 
 
+def _show(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(_show(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def dump_config(cfg: dict) -> str:
-    """Deterministic echo of a resolved configuration."""
-    return "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg))
+    """Deterministic echo of a resolved configuration; None values are unset."""
+    return "".join(f"{key} = {_show(cfg[key])}\n" for key in sorted(cfg)
+                   if cfg[key] is not None)
 
 
 class Config:
-    """Typed access with defaults over the flat key/value map."""
+    """Parsed, validated access with defaults over the flat key/value map."""
 
     def __init__(self, raw: dict):
         self.raw = dict(raw)
 
-    def _get(self, key, default):
-        if key in self.raw:
-            return self.raw[key]
-        if default is _REQUIRED:
-            raise ValidationError(f"missing required config key {key!r}")
-        return default
-
-    def get_str(self, key, default=None):
-        v = self._get(key, default)
-        return v if v is None else str(v)
-
-    def get_int(self, key, default=None):
-        v = self._get(key, default)
-        if v is None or isinstance(v, int):
-            return v
+    def get(self, key):
+        spec = KEYS[key]
+        if key not in self.raw:
+            if spec.default is MISSING:
+                raise ValidationError(f"missing required config key {key!r}")
+            return spec.default(self) if callable(spec.default) else spec.default
+        text = self.raw[key]
         try:
-            return int(v)
-        except ValueError:
-            raise ValidationError(f"config key {key!r}: {v!r} is not an integer") from None
+            value = spec.parse(text)
+        except ValueError as err:
+            raise ValidationError(f"config key {key!r}: bad value {text!r} ({err})") from None
+        if spec.allowed and value not in spec.allowed:
+            raise ValidationError(f"config key {key!r}: {value!r} is not one of "
+                                  f"{', '.join(spec.allowed)}")
+        return value
 
-    def get_float(self, key, default=None):
-        v = self._get(key, default)
-        if v is None or isinstance(v, float):
-            return v
-        try:
-            return float(v)
-        except ValueError:
-            raise ValidationError(f"config key {key!r}: {v!r} is not a number") from None
-
-    def get_bool(self, key, default=None):
-        v = self._get(key, default)
-        if v is None or isinstance(v, bool):
-            return v
-        if v.lower() in ("true", "1", "yes"):
-            return True
-        if v.lower() in ("false", "0", "no"):
-            return False
-        raise ValidationError(f"config key {key!r}: {v!r} is not a boolean")
-
-    def get_int_list(self, key, default=None):
-        v = self._get(key, default)
-        if v is None or isinstance(v, (list, tuple)):
-            return v
-        try:
-            return [int(p) for p in str(v).split(",") if p.strip()]
-        except ValueError:
-            raise ValidationError(f"config key {key!r}: {v!r} is not an integer list") from None
-
-    def get_float_list(self, key, default=None):
-        v = self._get(key, default)
-        if v is None or isinstance(v, (list, tuple)):
-            return v
-        try:
-            return [float(p) for p in str(v).split(",") if p.strip()]
-        except ValueError:
-            raise ValidationError(f"config key {key!r}: {v!r} is not a number list") from None
-
-
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
-REQUIRED = _REQUIRED
+    # the typed names older callers use; the key table already fixes the type
+    get_str = get_int = get_float = get

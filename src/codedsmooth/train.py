@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor
-from .coded import CodedSmoothingModule, get_module
+from .coded import get_module
 from .datasets import Dataset, DatasetSpec, make_dataset, n_classes, one_hot, task_of
 from .errors import NumericError, ShapeError, ValidationError
 from .models import MLP, MLPSpec
@@ -40,18 +40,21 @@ class Mixup:
             raise ValidationError("mixup alpha must be > 0")
 
 
+N_SCHEDULES = ("linear_ramp", "constant")  # "constant" pins N = K
+
+
 @dataclass(frozen=True)
 class Coded:
     mu: float = 0.5
     gamma: float = 1.5
-    n_schedule: str = "linear_ramp"  # or "constant" (pins N = K)
+    n_schedule: str = "linear_ramp"
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ValidationError("mu must be in [0, 1]")
         if self.gamma < 1.0:
             raise ValidationError("gamma must be >= 1")
-        if self.n_schedule not in ("constant", "linear_ramp"):
+        if self.n_schedule not in N_SCHEDULES:
             raise ValidationError(f"unknown n_schedule {self.n_schedule!r}")
 
 
@@ -159,13 +162,6 @@ def dual_path_terms(model: MLP, module, x: np.ndarray, target: np.ndarray,
     combined = autodiff.add(autodiff.scale(l_main, 1.0 - mu),
                             autodiff.scale(l_coded, mu))
     return combined, l_main, l_coded
-
-
-def dual_path_loss(model: MLP, module: CodedSmoothingModule, x: np.ndarray,
-                   target: np.ndarray, mu: float, task: str = "classification") -> Tensor:
-    """(1 - mu) * direct loss + mu * smoothed-path loss, as a scalar tensor."""
-    combined, _, _ = dual_path_terms(model, module, x, target, mu, task)
-    return combined
 
 
 def boundary_smoothness(model: MLP, grid: np.ndarray) -> float:

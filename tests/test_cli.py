@@ -1,11 +1,12 @@
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from codedsmooth.cli import main
-from codedsmooth.config import parse_config_text
+from codedsmooth.config import KEYS, parse_config_text
 from codedsmooth.errors import ValidationError
 from codedsmooth.modelio import load_model, save_model
 from codedsmooth.models import MLP, MLPSpec
@@ -92,16 +93,6 @@ def test_lemma1_unknown_function(tmp_path):
     assert main(["lemma1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_lemma1_rerun_from_echoed_config(tmp_path):
-    cfg = _write(tmp_path, "r.cfg", "lemma1.N_list = 32,64\nlemma1.seed = 3\n")
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["lemma1", "--config", cfg, "--out", out1]) == 0
-    echoed = os.path.join(out1, "config.resolved")
-    assert main(["lemma1", "--config", echoed, "--out", out2]) == 0
-    assert _read(out1, "lemma1.csv") == _read(out2, "lemma1.csv")
-    assert _read(out1, "lemma1.svg") == _read(out2, "lemma1.svg")
-
-
 # ---------------------------------------------------------------- train
 
 def test_train_artifacts_and_determinism(tmp_path):
@@ -124,15 +115,6 @@ def test_train_coded_mu_zero_matches_erm_csv(tmp_path):
     assert main(["train", "--config", cfg_e, "--out", out_e]) == 0
     assert main(["train", "--config", cfg_c, "--out", out_c]) == 0
     assert _read(out_e, "metrics.csv") == _read(out_c, "metrics.csv")
-
-
-def test_train_rerun_from_echoed_config(tmp_path):
-    cfg = _write(tmp_path, "t.cfg", TRAIN_CFG.format(method="coded", mu=0.5))
-    out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-    assert main(["train", "--config", cfg, "--out", out1]) == 0
-    echoed = os.path.join(out1, "config.resolved")
-    assert main(["train", "--config", echoed, "--out", out2]) == 0
-    assert _read(out1, "metrics.csv") == _read(out2, "metrics.csv")
 
 
 def test_train_seed_override_changes_run(tmp_path):
@@ -343,3 +325,76 @@ def test_sweep_n_param_requires_value_above_batch(tmp_path):
                  TRAIN_CFG.format(method="coded", mu=0.5) +
                  "sweep.param = N\nsweep.values = 8\nsweep.seeds = 0\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+# ---------------------------------------------------------------- config.resolved
+
+ATTACK_CFG = TRAIN_CFG.format(method="coded", mu=0.5) + """
+attack.epsilon = 0.1
+attack.k_prime = 16
+attack.n_prime = 24
+attack.trials = 5
+"""
+
+# command: (config text, contract files, the key --seed overrides)
+RERUN_CASES = {
+    "lemma1": ("lemma1.N_list = 32,64\n", ("lemma1.csv", "lemma1.svg"), "lemma1.seed"),
+    "train": (TRAIN_CFG.format(method="coded", mu=0.5), ("metrics.csv", "model.bin"),
+              "train.seed"),
+    "attack": (ATTACK_CFG, ("results.csv",), "attack.seed"),
+    "simulate": (SIM_CFG, ("sim_sweep.csv", "sim_sweep.svg", "report.json"),
+                 "sim.input_seed"),
+    "sweep": (SWEEP_CFG, ("sweep.csv",), "train.seed"),
+}
+
+
+def _model_file(tmp_path):
+    path = str(tmp_path / "m.bin")
+    save_model(path, MLP(MLPSpec(widths=(2, 8, 2)), np.random.default_rng(0)), 0, "erm")
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_CASES))
+def test_rerun_from_echoed_config(tmp_path, command):
+    text, contract, seed_key = RERUN_CASES[command]
+    extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main([command, "--config", _write(tmp_path, "c.cfg", text),
+                 "--out", out1, "--seed", "7"] + extra) == 0
+    echoed = os.path.join(out1, "config.resolved")
+    assert f"{seed_key} = 7\n" in _read(out1, "config.resolved")
+    assert main([command, "--config", echoed, "--out", out2] + extra) == 0
+    for name in contract + ("config.resolved",):
+        with open(os.path.join(out1, name), "rb") as a, open(os.path.join(out2, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+@pytest.mark.parametrize("command, text, key, value", [
+    ("simulate", SIM_CFG.replace("sim.seeds = 0", "sim.seeds ="), "sim.seeds", "''"),
+    ("sweep", SWEEP_CFG.replace("sweep.seeds = 0,1", "sweep.seeds ="), "sweep.seeds", "''"),
+    ("attack", ATTACK_CFG.replace("attack.trials = 5", "attack.trials = 0"),
+     "attack.trials", "'0'"),
+    ("attack", ATTACK_CFG + "attack.kind = p\n", "attack.kind", "'p'"),
+], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind"])
+def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
+    out = str(tmp_path / "o")
+    extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
+    assert main([command, "--config", _write(tmp_path, "d.cfg", text),
+                 "--out", out] + extra) == 2
+    err = capsys.readouterr().err
+    assert key in err and value in err
+    assert not os.path.exists(out)
+
+
+def test_readme_key_table_matches_config_table():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for prefix, names in re.findall(r"^\| `(\w+\.)` \| (.*) \|$", section, re.M):
+        for name, note in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", names):
+            listed[prefix + name] = note
+    assert sorted(listed) == sorted(KEYS)
+    for key, spec in KEYS.items():
+        if spec.allowed:
+            assert sorted(listed[key].split(", ")) == sorted(spec.allowed), key
