@@ -10,10 +10,9 @@ coded-computing simulator, all driven by a deterministic experiment CLI.
 """
 
 from .autodiff import (Parameter, Tensor, add, add_bias, apply_linear_operator,
-                       matmul, mse_loss, mul, relu, scale, set_checked,
-                       sgd_momentum_step, softmax_cross_entropy, sub, tanh, tsum)
-from .coded import (CodedSmoothingModule, DecodingPoints, EncodingPoints,
-                    chebyshev_first, chebyshev_second, get_module)
+                       matmul, mse_loss, relu, scale, sgd_momentum_step,
+                       softmax_cross_entropy, tanh, tsum)
+from .coded import CodedSmoothingModule, chebyshev_first, chebyshev_second, get_module
 from .codedsim import (SimReport, StragglerScenario, fit_scaling_exponent,
                        run_coded_job, sweep)
 from .datasets import Dataset, DatasetSpec, make_dataset, one_hot, task_of

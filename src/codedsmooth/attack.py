@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, softmax_cross_entropy
-from .coded import get_module
+from .coded import MIN_POINTS, get_module
 from .datasets import one_hot
 from .errors import ShapeError, ValidationError
 from .models import MLP
@@ -25,7 +25,7 @@ class FGSMSpec:
 
     def __post_init__(self):
         if self.epsilon <= 0:
-            raise ValidationError("epsilon must be > 0")
+            raise ValidationError(f"attack.epsilon = {self.epsilon!r} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,10 @@ class PGDSpec:
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.steps < 1:
-            raise ValidationError("epsilon must be > 0 and steps >= 1")
+            raise ValidationError(f"attack.epsilon = {self.epsilon!r} must be > 0 and "
+                                  f"attack.steps = {self.steps} >= 1")
         if self.step_size is not None and self.step_size <= 0:
-            raise ValidationError("step_size must be > 0")
+            raise ValidationError(f"attack.step_size = {self.step_size!r} must be > 0")
 
     def resolved_step(self) -> float:
         return self.epsilon / 4.0 if self.step_size is None else self.step_size
@@ -57,8 +58,9 @@ class RCI:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_prime < 4 or self.n_prime < 4:
-            raise ValidationError("RCI needs K' >= 4 and N' >= 4")
+        if self.k_prime < MIN_POINTS or self.n_prime < MIN_POINTS:
+            raise ValidationError(f"attack.k_prime = {self.k_prime} and attack.n_prime = "
+                                  f"{self.n_prime} must both be >= {MIN_POINTS}")
 
 
 class Permutation:

@@ -6,34 +6,13 @@ linear operator, two losses, and a sum reduction. Each op records a backward
 closure on the tape; ``Tensor.backward()`` walks the graph once in reverse
 topological order and accumulates gradients.
 
-Tensors are float64 by default (float32 available via ``set_dtype``). A
-checked mode rejects non-finite data at construction time.
+Tensors are always float64. Nothing checks the data for finiteness; the
+training loop's NaN guard does that on the losses.
 """
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
-
-_CHECKED = False
-_DTYPE = np.float64
-
-
-def set_checked(flag: bool) -> None:
-    """Enable/disable construction-time finiteness checks (default off)."""
-    global _CHECKED
-    _CHECKED = bool(flag)
-
-
-def checked() -> bool:
-    return _CHECKED
-
-
-def set_dtype(dtype) -> None:
-    """Switch default precision; float64 unless told otherwise."""
-    global _DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValidationError("dtype must be float32 or float64")
-    _DTYPE = dtype
+from .errors import ShapeError
 
 
 class Tensor:
@@ -48,10 +27,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_bwd")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf", _bwd=None):
-        arr = np.ascontiguousarray(data, dtype=_DTYPE)
-        if _CHECKED and not np.all(np.isfinite(arr)):
-            raise ValidationError("tensor construction: non-finite entries")
-        self.data = arr
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = _op
@@ -92,18 +68,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Parameter(Tensor):
     """Trainable tensor carrying a momentum buffer of the same shape."""
@@ -143,14 +107,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def apply_linear_operator(operator, y: Tensor) -> Tensor:
-    """Apply a fixed linear map: returns A.T @ y for an (n, m) operator matrix.
+def apply_linear_operator(mat: np.ndarray, y: Tensor) -> Tensor:
+    """Apply a fixed linear map: returns A.T @ y for an (n, m) matrix A.
 
-    The operator is a constant of the graph (it depends only on knot/eval
+    The matrix is a constant of the graph (it depends only on knot/eval
     point geometry, never on batch values), so no gradient is produced for
     it; the incoming gradient is carried back to ``y`` as A @ g.
     """
-    mat = operator.matrix if hasattr(operator, "matrix") else np.asarray(operator)
     y = _as_tensor(y)
     if y.data.ndim != 2 or mat.shape[0] != y.data.shape[0]:
         raise ShapeError(f"apply_linear_operator: operator {mat.shape} vs values {y.data.shape}")
@@ -164,56 +127,17 @@ def apply_linear_operator(operator, y: Tensor) -> Tensor:
     return out
 
 
-def _binary_shapes(a: Tensor, b: Tensor):
-    """Only equal-shape and scalar-vs-tensor broadcasting are supported."""
-    if a.data.shape == b.data.shape or a.data.size == 1 or b.data.size == 1:
-        return
-    raise ShapeError(f"unsupported broadcast: {a.data.shape} vs {b.data.shape}")
-
-
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    if g.shape == tuple(shape):
-        return g
-    return np.sum(g).reshape(shape) if np.prod(shape) == 1 else g
-
-
 def add(a, b) -> Tensor:
+    """Sum of two tensors of the same shape (the dual-path loss mix)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes(a, b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
     out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad,
                  _parents=(a, b), _op="add")
 
     def bwd(g):
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(g, b.data.shape))
-
-    out._bwd = bwd
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes(a, b)
-    out = Tensor(a.data - b.data, requires_grad=a.requires_grad or b.requires_grad,
-                 _parents=(a, b), _op="sub")
-
-    def bwd(g):
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(-g, b.data.shape))
-
-    out._bwd = bwd
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes(a, b)
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad,
-                 _parents=(a, b), _op="mul")
-
-    def bwd(g):
-        _accum(a, _reduce_to(g * b.data, a.data.shape))
-        _accum(b, _reduce_to(g * a.data, b.data.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     out._bwd = bwd
     return out
@@ -287,7 +211,7 @@ def tsum(a) -> Tensor:
 def mse_loss(pred, target) -> Tensor:
     """Mean of squared entrywise differences over the whole batch."""
     pred = _as_tensor(pred)
-    tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=_DTYPE)
+    tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if pred.data.shape != tgt.shape:
         raise ShapeError(f"mse: {pred.data.shape} vs {tgt.shape}")
     diff = pred.data - tgt
@@ -304,17 +228,12 @@ def mse_loss(pred, target) -> Tensor:
 def softmax_cross_entropy(logits, target) -> Tensor:
     """Mean cross-entropy between row-softmax of logits and target rows.
 
-    Targets are one-hot or probability rows (validated in checked mode) and
-    are treated as constants.
+    Targets are one-hot or probability rows and are treated as constants.
     """
     logits = _as_tensor(logits)
-    tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=_DTYPE)
+    tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if logits.data.shape != tgt.shape:
         raise ShapeError(f"cross_entropy: {logits.data.shape} vs {tgt.shape}")
-    if _CHECKED:
-        rowsum = tgt.sum(axis=1)
-        if np.any(np.abs(rowsum - 1.0) > 1e-8):
-            raise ValidationError("cross_entropy: target rows must sum to 1")
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax + np.log(np.sum(np.exp(z - zmax), axis=1, keepdims=True))

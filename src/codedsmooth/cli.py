@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .svgplot import line_plot_svg
 from .train import Coded, ERM, Mixup, TrainPlan, train
 
 _EXACT_FLOOR = 1e-18
+
+# thread-count variables of the BLAS builds numpy may load, and of OpenMP
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # command: (key prefixes it reads, the key --seed overrides)
 _COMMANDS = {
@@ -75,8 +79,8 @@ def _resolve(cfg: Config, command: str, seed_override=None) -> dict:
 
 def cmd_points(k: int, n: int, stream=None) -> None:
     stream = stream or sys.stdout
-    alpha = chebyshev_first(k).alpha
-    beta = chebyshev_second(n).beta
+    alpha = chebyshev_first(k)
+    beta = chebyshev_second(n)
     stream.write(f"alpha (K={k}):\n")
     for i, v in enumerate(alpha, start=1):
         stream.write(f"  {i:4d}  {v:.12g}\n")
@@ -90,8 +94,6 @@ def cmd_points(k: int, n: int, stream=None) -> None:
 def cmd_lemma1(cfg: Config, out_dir, seed_override=None) -> dict:
     r = _resolve(cfg, "lemma1", seed_override)
     k, n_list, fn_name = r["lemma1.K"], r["lemma1.N_list"], r["lemma1.fn"]
-    if k < 4 or min(n_list) < 4:
-        raise ValidationError("K and every N must be >= 4")
 
     f = BENCH_FUNCTIONS[fn_name]
     x = sample_inputs(k, r["lemma1.seed"])
@@ -171,13 +173,14 @@ def cmd_train(cfg: Config, out_dir, seed_override=None) -> dict:
 
 def cmd_attack(cfg: Config, model_path, out_dir, seed_override=None) -> dict:
     model, header = load_model(model_path)
-    for key, have in (("model.widths", model.spec.widths),
-                      ("model.activation", model.spec.activation)):
+    # echoed too, so a re-run from config.resolved checks the model file again
+    arch = {"model.widths": model.spec.widths, "model.activation": model.spec.activation}
+    for key, have in arch.items():
         if key in cfg.raw and cfg.get(key) != have:
             raise ValidationError(f"model file has {key} = {have!r}, "
                                   f"config has {cfg.get(key)!r}")
 
-    r = _resolve(cfg, "attack", seed_override)
+    r = {**_resolve(cfg, "attack", seed_override), **arch}
     dspec = _dataset_spec(r)
     if task_of(dspec.kind) != "classification":
         raise ValidationError("attack evaluation needs a classification dataset")
@@ -294,8 +297,17 @@ def cmd_sweep(cfg: Config, out_dir, threads: int = 1, seed_override=None) -> dic
     cells = [(_sweep_plan(base, param, v), param, v, s)
              for v in r["sweep.values"] for s in r["sweep.seeds"]]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+        # spawned workers load numpy afresh with one BLAS thread each; forked
+        # ones inherit a multithreaded BLAS and oversubscribe the cores
+        saved = {var: os.environ.pop(var) for var in _BLAS_THREAD_VARS if var in os.environ}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            with ProcessPoolExecutor(threads, mp_context=get_context("spawn")) as pool:
+                rows = list(pool.map(_sweep_cell, cells))
+        finally:
+            for var in _BLAS_THREAD_VARS:
+                del os.environ[var]
+            os.environ.update(saved)
     else:
         rows = [_sweep_cell(c) for c in cells]
 

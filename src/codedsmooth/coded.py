@@ -9,9 +9,11 @@ at beta is evaluated back at alpha, yielding estimates of the function's
 values on the original samples.
 
 Both stages are precomputed dense linear operators (cached per (K, N)), so a
-round trip is two matrix products and is differentiable end to end; the
-per-call tridiagonal route is kept available as ``encode_direct`` /
-``decode_direct`` for O((N+K)*d) streaming use.
+round trip is two matrix products and is differentiable end to end.
+Operands are 2-D: one row per sample. The per-call tridiagonal route
+(``spline.fit_eval``, O((N+K)*d), no operator) backs ``encode_direct`` /
+``decode_direct`` and the straggler decoder, whose surviving worker set
+changes from job to job, so a cached operator would serve one call only.
 """
 
 import threading
@@ -24,44 +26,30 @@ from .errors import ShapeError, ValidationError
 from .spline import Knots, build_operator, fit_eval
 
 
-class EncodingPoints:
-    """First-kind Chebyshev abscissas, ascending, strictly inside (-1, 1)."""
-
-    __slots__ = ("k", "alpha")
-
-    def __init__(self, k: int, alpha: np.ndarray):
-        self.k = k
-        self.alpha = alpha
+# fewest points either set may have; each set serves as spline knots, so
+# this is the default floor of ``Knots``
+MIN_POINTS = 4
 
 
-class DecodingPoints:
-    """Second-kind Chebyshev abscissas, ascending, endpoints exactly -1 and 1."""
-
-    __slots__ = ("n", "beta")
-
-    def __init__(self, n: int, beta: np.ndarray):
-        self.n = n
-        self.beta = beta
-
-
-def chebyshev_first(k: int, min_points: int = 4) -> EncodingPoints:
-    """cos((2i-1)*pi/2K) for i=1..K, reversed into ascending order."""
-    if k < min_points:
-        raise ValidationError(f"need at least {min_points} encoding points, got {k}")
+def chebyshev_first(k: int) -> np.ndarray:
+    """Encoding abscissas alpha: cos((2i-1)*pi/2K) for i=1..K, ascending,
+    strictly inside (-1, 1)."""
+    if k < MIN_POINTS:
+        raise ValidationError(f"need at least {MIN_POINTS} encoding points, got {k}")
     i = np.arange(1, k + 1)
-    alpha = np.cos((2 * i - 1) * np.pi / (2 * k))[::-1].copy()
-    return EncodingPoints(k, alpha)
+    return np.cos((2 * i - 1) * np.pi / (2 * k))[::-1].copy()
 
 
-def chebyshev_second(n: int, min_points: int = 4) -> DecodingPoints:
-    """cos((j-1)*pi/(N-1)) for j=1..N, ascending; endpoints assigned exactly."""
-    if n < min_points:
-        raise ValidationError(f"need at least {min_points} decoding points, got {n}")
+def chebyshev_second(n: int) -> np.ndarray:
+    """Decoding abscissas beta: cos((j-1)*pi/(N-1)) for j=1..N, ascending;
+    endpoints assigned exactly -1 and 1."""
+    if n < MIN_POINTS:
+        raise ValidationError(f"need at least {MIN_POINTS} decoding points, got {n}")
     j = np.arange(1, n + 1)
     beta = np.cos((j - 1) * np.pi / (n - 1))[::-1].copy()
     beta[0] = -1.0
     beta[-1] = 1.0
-    return DecodingPoints(n, beta)
+    return beta
 
 
 class CodedSmoothingModule:
@@ -77,8 +65,8 @@ class CodedSmoothingModule:
         self.k = k
         self.n = n
         self.identity_mode = identity_mode
-        self.alpha = chebyshev_first(k).alpha
-        self.beta = self.alpha.copy() if identity_mode else chebyshev_second(n).beta
+        self.alpha = chebyshev_first(k)
+        self.beta = self.alpha.copy() if identity_mode else chebyshev_second(n)
         self.enc_op = build_operator(Knots(self.alpha), self.beta)   # (K, N)
         self.dec_op = build_operator(Knots(self.beta), self.alpha)   # (N, K)
 
@@ -87,7 +75,7 @@ class CodedSmoothingModule:
         if isinstance(x, Tensor):
             if x.data.shape[0] != self.k:
                 raise ShapeError(f"encode: expected {self.k} rows, got {x.data.shape[0]}")
-            return autodiff.apply_linear_operator(self.enc_op, x)
+            return autodiff.apply_linear_operator(self.enc_op.matrix, x)
         return self._apply(self.enc_op, np.asarray(x, dtype=np.float64), self.k)
 
     def decode(self, f_coded):
@@ -95,18 +83,14 @@ class CodedSmoothingModule:
         if isinstance(f_coded, Tensor):
             if f_coded.data.shape[0] != self.n:
                 raise ShapeError(f"decode: expected {self.n} rows, got {f_coded.data.shape[0]}")
-            return autodiff.apply_linear_operator(self.dec_op, f_coded)
+            return autodiff.apply_linear_operator(self.dec_op.matrix, f_coded)
         return self._apply(self.dec_op, np.asarray(f_coded, dtype=np.float64), self.n)
 
     @staticmethod
     def _apply(op, arr, rows):
-        if arr.ndim < 2 or arr.shape[0] != rows:
-            raise ShapeError(f"expected {rows} rows, got shape {arr.shape}")
-        if arr.ndim == 2:
-            return op.matrix.T @ arr
-        # arbitrary trailing shape: operators act on axis 0 only
-        flat = op.matrix.T @ arr.reshape(arr.shape[0], -1)
-        return flat.reshape((op.matrix.shape[1],) + arr.shape[1:])
+        if arr.ndim != 2 or arr.shape[0] != rows:
+            raise ShapeError(f"expected ({rows}, d), got shape {arr.shape}")
+        return op.matrix.T @ arr
 
     def forward(self, x, f):
         """decode(f(encode(x))): estimates of f on the original batch.

@@ -13,6 +13,7 @@ from collections import namedtuple
 from dataclasses import MISSING
 
 from .attack import PGDSpec, RCI
+from .coded import MIN_POINTS
 from .codedsim import BENCH_FUNCTIONS, POLICIES, StragglerScenario
 from .datasets import DatasetSpec, KINDS
 from .errors import ValidationError
@@ -20,11 +21,13 @@ from .models import ACTIVATIONS, MLPSpec
 from .train import Coded, Mixup, N_SCHEDULES, TrainPlan
 
 
-def _count(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
+def _at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+    return parse
 
 
 def _bool(text):
@@ -74,12 +77,12 @@ KEYS = {
     "attack.steps": Key(int, PGDSpec.steps),
     "attack.step_size": Key(float, PGDSpec.step_size),
     "attack.random_start": Key(_bool, PGDSpec.random_start),
-    "attack.trials": Key(_count, 20),
+    "attack.trials": Key(_at_least(1), 20),
     "attack.k_prime": Key(int, 128),
     "attack.n_prime": Key(int, lambda cfg: int(round(1.5 * cfg.get("attack.k_prime")))),
     "attack.seed": Key(int, RCI.seed),
-    "lemma1.K": Key(int, 16),
-    "lemma1.N_list": Key(_list(int), (32, 64, 128, 256, 512)),
+    "lemma1.K": Key(_at_least(MIN_POINTS), 16),
+    "lemma1.N_list": Key(_list(_at_least(MIN_POINTS)), (32, 64, 128, 256, 512)),
     "lemma1.fn": Key(str, "sin", BENCH_FUNCTIONS),
     "lemma1.seed": Key(int, 0),
     "sim.fn": Key(str, "sin", BENCH_FUNCTIONS),

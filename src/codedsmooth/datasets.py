@@ -53,9 +53,10 @@ class DatasetSpec:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown dataset kind {self.kind!r}")
         if self.n_train < 2 or self.n_test < 1:
-            raise ValidationError("dataset sizes too small")
+            raise ValidationError(f"data.n_train = {self.n_train} must be >= 2 and "
+                                  f"data.n_test = {self.n_test} >= 1")
         if self.noise < 0:
-            raise ValidationError("noise must be >= 0")
+            raise ValidationError(f"data.noise = {self.noise!r} must be >= 0")
 
 
 @dataclass(frozen=True)

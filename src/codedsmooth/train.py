@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor
-from .coded import get_module
+from .coded import MIN_POINTS, get_module
 from .datasets import Dataset, DatasetSpec, make_dataset, n_classes, one_hot, task_of
 from .errors import NumericError, ShapeError, ValidationError
 from .models import MLP, MLPSpec
@@ -37,7 +37,7 @@ class Mixup:
 
     def __post_init__(self):
         if self.alpha <= 0:
-            raise ValidationError("mixup alpha must be > 0")
+            raise ValidationError(f"train.mixup_alpha = {self.alpha!r} must be > 0")
 
 
 N_SCHEDULES = ("linear_ramp", "constant")  # "constant" pins N = K
@@ -51,9 +51,9 @@ class Coded:
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
-            raise ValidationError("mu must be in [0, 1]")
+            raise ValidationError(f"train.mu = {self.mu!r} must be in [0, 1]")
         if self.gamma < 1.0:
-            raise ValidationError("gamma must be >= 1")
+            raise ValidationError(f"train.gamma = {self.gamma!r} must be >= 1")
         if self.n_schedule not in N_SCHEDULES:
             raise ValidationError(f"unknown n_schedule {self.n_schedule!r}")
 
@@ -71,12 +71,13 @@ class TrainPlan:
     method: object = ERM()
 
     def __post_init__(self):
-        if self.batch_size < 4:
-            raise ValidationError("batch size must be >= 4")
+        if self.batch_size < MIN_POINTS:
+            raise ValidationError(f"train.batch_size = {self.batch_size} must be >= {MIN_POINTS}")
         if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.dataset.n_train < self.batch_size:
-            raise ValidationError("dataset smaller than one batch")
+            raise ValidationError(f"train.epochs = {self.epochs} must be >= 1")
+        if self.dataset.n_train < 2 * self.batch_size:
+            raise ValidationError(f"data.n_train = {self.dataset.n_train} must be >= "
+                                  f"2 * train.batch_size ({2 * self.batch_size})")
 
 
 @dataclass
@@ -227,8 +228,6 @@ def train(plan: TrainPlan) -> tuple:
     data = make_dataset(plan.dataset)
     task = task_of(plan.dataset.kind)
     k = plan.batch_size
-    if plan.dataset.n_train < 2 * k:
-        raise ValidationError(f"n_train must be >= 2 * batch size ({2 * k})")
     _check_model_fits(plan, task, data)
 
     model = MLP(plan.model, stream_rng(plan.seed, "init"))

@@ -4,7 +4,7 @@ import pytest
 
 from codedsmooth import autodiff as ad
 from codedsmooth.autodiff import Parameter, Tensor
-from codedsmooth.errors import ShapeError, ValidationError
+from codedsmooth.errors import ShapeError
 
 from conftest import fd_grad, rel_err
 
@@ -61,30 +61,26 @@ def test_apply_linear_operator_backward_vs_fd():
 def test_elementwise_basics():
     assert ad.relu(Tensor([-1.0])).data[0] == 0.0
     assert ad.tanh(Tensor([0.0])).data[0] == 0.0
-    x = Tensor([3.0], requires_grad=True)
-    ad.mul(x, x).backward()
-    npt.assert_allclose(x.grad, [6.0])
+    x = Tensor([[3.0]], requires_grad=True)
+    ad.matmul(x, x).backward()
+    npt.assert_allclose(x.grad, [[6.0]])
 
 
 def test_unsupported_broadcast_rejected():
-    with pytest.raises(ShapeError):
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
-
-
-def test_scalar_broadcast():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
-    out = ad.tsum(ad.mul(x, Tensor(3.0)))
-    out.backward()
-    assert out.item() == 12.0
-    npt.assert_array_equal(x.grad, 3.0 * np.ones((2, 2)))
+    # add joins two tensors of one shape; nothing broadcasts, not even a scalar
+    a = Tensor(np.ones((2, 3)))
+    npt.assert_array_equal(ad.add(a, a).data, 2.0 * np.ones((2, 3)))
+    for other in (np.zeros(3), np.zeros((1, 3)), np.zeros((3, 2)), 1.0):
+        with pytest.raises(ShapeError):
+            ad.add(a, Tensor(other))
 
 
 def test_fanout_accumulates_both_contributions():
-    # y = x*x + x*x  ->  dy/dx = 4x
-    x = Tensor([1.5], requires_grad=True)
-    y = ad.add(ad.mul(x, x), ad.mul(x, x))
+    # y = x*x + 3x, with x feeding three edges  ->  dy/dx = 2x + 3
+    x = Tensor([[1.5]], requires_grad=True)
+    y = ad.add(ad.matmul(x, x), ad.scale(x, 3.0))
     y.backward()
-    npt.assert_allclose(x.grad, [6.0])
+    npt.assert_allclose(x.grad, [[6.0]])
 
 
 def test_losses_trivial_values():
@@ -108,7 +104,7 @@ def test_cross_entropy_grad_vs_fd():
 
 
 @pytest.mark.parametrize("op,arity", [
-    (ad.relu, 1), (ad.tanh, 1), (ad.add, 2), (ad.sub, 2), (ad.mul, 2),
+    (ad.relu, 1), (ad.tanh, 1), (ad.add, 2),
 ])
 def test_all_ops_grad_vs_fd(op, arity):
     rng = np.random.default_rng(3)
@@ -159,18 +155,6 @@ def test_training_step_determinism():
     npt.assert_array_equal(run(), run())
 
 
-def test_checked_mode_rejects_nonfinite_and_bad_targets():
-    ad.set_checked(True)
-    try:
-        with pytest.raises(ValidationError):
-            Tensor([np.nan])
-        with pytest.raises(ValidationError):
-            ad.softmax_cross_entropy(Tensor([[0.0, 0.0]]), np.array([[0.5, 0.2]]))
-    finally:
-        ad.set_checked(False)
-    Tensor([np.nan])  # unchecked mode accepts
-
-
 def test_backward_requires_scalar():
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2)), requires_grad=True).backward()
@@ -183,13 +167,3 @@ def test_scale_op_and_gradient():
     ad.tsum(out).backward()
     npt.assert_array_equal(x.grad, [[-0.25, -0.25]])
 
-
-def test_float32_mode_optional():
-    ad.set_dtype(np.float32)
-    try:
-        assert Tensor([1.0]).data.dtype == np.float32
-    finally:
-        ad.set_dtype(np.float64)
-    assert Tensor([1.0]).data.dtype == np.float64
-    with pytest.raises(ValidationError):
-        ad.set_dtype(np.int32)

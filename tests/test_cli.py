@@ -208,6 +208,19 @@ def test_attack_architecture_mismatch(tmp_path):
     assert main(["attack", "--config", bad_cfg,
                  "--model", os.path.join(train_out, "model.bin"),
                  "--out", str(tmp_path / "o")]) == 2
+    # the echo carries the model file's architecture, so a re-run from it
+    # against a model of another width is refused as well
+    attack_cfg = "".join(line + "\n" for line in ATTACK_CFG.splitlines()
+                         if not line.startswith("model."))
+    out = str(tmp_path / "a")
+    assert main(["attack", "--config", _write(tmp_path, "a.cfg", attack_cfg),
+                 "--model", os.path.join(train_out, "model.bin"), "--out", out]) == 0
+    echo = _read(out, "config.resolved")
+    assert "model.widths = 2,8,2\n" in echo and "model.activation = relu\n" in echo
+    other = str(tmp_path / "other.bin")
+    save_model(other, MLP(MLPSpec(widths=(2, 9, 2)), np.random.default_rng(0)), 0, "erm")
+    assert main(["attack", "--config", os.path.join(out, "config.resolved"),
+                 "--model", other, "--out", str(tmp_path / "b")]) == 2
 
 
 # ---------------------------------------------------------------- simulate
@@ -375,7 +388,12 @@ def test_rerun_from_echoed_config(tmp_path, command):
     ("attack", ATTACK_CFG.replace("attack.trials = 5", "attack.trials = 0"),
      "attack.trials", "'0'"),
     ("attack", ATTACK_CFG + "attack.kind = p\n", "attack.kind", "'p'"),
-], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind"])
+    ("lemma1", "lemma1.K = 2\n", "lemma1.K", "'2'"),
+    ("train", TRAIN_CFG.format(method="coded", mu=2), "train.mu", "= 2.0"),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("batch_size = 16", "batch_size = 2"),
+     "train.batch_size", "= 2"),
+], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "lemma1.K", "train.mu",
+        "train.batch_size"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from codedsmooth import Tensor, tsum
+from codedsmooth import coded
 from codedsmooth.coded import (CodedSmoothingModule, chebyshev_first,
                                chebyshev_second, get_module)
 from codedsmooth.codedsim import sample_inputs
@@ -12,7 +13,7 @@ from codedsmooth.errors import ShapeError, ValidationError
 # ---------------------------------------------------------------- points
 
 def test_first_kind_points_k4():
-    alpha = chebyshev_first(4).alpha
+    alpha = chebyshev_first(4)
     expected = [-np.cos(np.pi / 8), -np.cos(3 * np.pi / 8),
                 np.cos(3 * np.pi / 8), np.cos(np.pi / 8)]
     npt.assert_allclose(alpha, expected, atol=1e-15)
@@ -20,22 +21,24 @@ def test_first_kind_points_k4():
 
 
 def test_first_kind_symmetry_and_ordering():
-    alpha = chebyshev_first(7).alpha
+    alpha = chebyshev_first(7)
     assert np.all(np.diff(alpha) > 0)
     npt.assert_allclose(alpha, -alpha[::-1], atol=1e-12)
     assert np.all(np.abs(alpha) < 1.0)
 
 
-def test_first_kind_relaxed_k2():
-    alpha = chebyshev_first(2, min_points=2).alpha
+def test_first_kind_relaxed_k2(monkeypatch):
+    # the formula below the package's floor of 4 points
+    monkeypatch.setattr(coded, "MIN_POINTS", 2)
+    alpha = chebyshev_first(2)
     npt.assert_allclose(alpha, [-np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-15)
 
 
 def test_second_kind_points():
-    npt.assert_allclose(chebyshev_second(5).beta,
+    npt.assert_allclose(chebyshev_second(5),
                         [-1.0, -np.sqrt(2) / 2, 0.0, np.sqrt(2) / 2, 1.0], atol=1e-12)
-    npt.assert_allclose(chebyshev_second(4).beta, [-1.0, -0.5, 0.5, 1.0], atol=1e-12)
-    beta = chebyshev_second(100).beta
+    npt.assert_allclose(chebyshev_second(4), [-1.0, -0.5, 0.5, 1.0], atol=1e-12)
+    beta = chebyshev_second(100)
     assert beta[0] == -1.0 and beta[-1] == 1.0  # assigned, bit-exact
     assert np.all(np.diff(beta) > 0)
 
@@ -121,6 +124,8 @@ def test_forward_row_count_mismatch():
         m.encode(np.zeros((5, 2)))
     with pytest.raises(ShapeError):
         m.decode(np.zeros((6, 2)))
+    with pytest.raises(ShapeError):  # operands are (rows, d)
+        m.encode(np.zeros((6, 2, 3)))
 
 
 def test_mse_error_halving_rate():
@@ -165,16 +170,6 @@ def test_module_matches_oracle_on_random_cases():
         got = get_module(k, n).forward(x, np.sin)
         want = _oracle_forward(x, np.sin, k, n)
         npt.assert_allclose(got, want, atol=1e-9)
-
-
-def test_flatten_unflatten_exact():
-    rng = np.random.default_rng(4)
-    m = get_module(8, 12)
-    x = rng.uniform(-1, 1, (8, 3, 5))
-    coded = m.encode(x)
-    assert coded.shape == (12, 3, 5)
-    via_flat = m.encode(x.reshape(8, -1)).reshape(12, 3, 5)
-    npt.assert_array_equal(coded, via_flat)
 
 
 def test_direct_paths_match_operator_paths():

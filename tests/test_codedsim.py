@@ -7,6 +7,7 @@ from codedsmooth.codedsim import (BENCH_FUNCTIONS, SimReport, StragglerScenario,
                                   SweepRow, fit_scaling_exponent, returned_indices,
                                   run_coded_job, sample_inputs, sweep)
 from codedsmooth.errors import ValidationError
+from codedsmooth.spline import Knots, build_operator
 
 
 def test_scenario_validation():
@@ -67,6 +68,21 @@ def test_dropped_outputs_never_influence_estimates():
     est_a, _ = run_coded_job(f, x, scenario)
     est_b, _ = run_coded_job(f_corrupted, x, scenario)
     npt.assert_array_equal(est_a, est_b)
+
+
+@pytest.mark.parametrize("policy", ["uniform_random", "adversarial_contiguous"])
+def test_straggler_decode_matches_operator_reference(policy):
+    # the O(N) fit-and-eval decode against a dense operator on the survivors
+    x = sample_inputs(16, 4)
+    module = get_module(16, 64)
+    for s in (1, 3, 7):
+        for seed in range(3):
+            scenario = StragglerScenario(64, s, policy, seed)
+            est, _ = run_coded_job(np.sin, x, scenario)
+            keep = returned_indices(scenario, module.beta)
+            dec = build_operator(Knots(module.beta[keep]), module.alpha)
+            want = dec.apply(np.sin(module.encode(x))[keep])
+            npt.assert_allclose(est, want, rtol=0, atol=1e-12)
 
 
 def test_deterministic_given_seed():
