@@ -9,9 +9,8 @@ inference for adversarial robustness, and a straggler-tolerant
 coded-computing simulator, all driven by a deterministic experiment CLI.
 """
 
-from .autodiff import (Parameter, Tensor, add, add_bias, apply_linear_operator,
-                       matmul, mse_loss, relu, scale, sgd_momentum_step,
-                       softmax_cross_entropy, tanh, tsum)
+from .autodiff import (Parameter, Tensor, add, apply_linear_operator, matmul, mse_loss,
+                       scale, sgd_momentum_step, softmax_cross_entropy, tsum)
 from .coded import CodedSmoothingModule, chebyshev_first, chebyshev_second, get_module
 from .codedsim import (SimReport, StragglerScenario, fit_scaling_exponent,
                        run_coded_job, sweep)

@@ -1,10 +1,14 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Only the operations the rest of the package needs are implemented: matrix
-product, a handful of elementwise ops, bias addition, application of a fixed
-linear operator, two losses, and a sum reduction. Each op records a backward
-closure on the tape; ``Tensor.backward()`` walks the graph once in reverse
-topological order and accumulates gradients.
+Every op is built by ``node(data, parents, grads)``: ``data`` is the forward
+value and ``grads(g)`` maps the gradient of that value to one gradient per
+parent. ``Tensor.backward()`` walks the graph once in reverse topological
+order and adds each returned gradient into its parent's accumulator, so the
+accumulation lives in one place. Besides the constructor there are only the
+ops the package calls: a matrix product, a fixed linear operator, the sum
+and the constant scale of losses, a sum reduction, and the mean squared
+error and softmax cross-entropy losses. The network itself is one node,
+built in ``models.py``.
 
 Tensors are always float64. Nothing checks the data for finiteness; the
 training loop's NaN guard does that on the losses.
@@ -20,19 +24,18 @@ class Tensor:
 
     ``data`` is the cached forward value, ``grad`` the gradient accumulator
     (allocated lazily, starts at zero), ``_parents`` the node handles of the
-    inputs and ``_bwd`` the backward rule for the op that produced this node.
+    inputs and ``_grads`` the backward rule of the node that produced it.
     Leaf tensors have no parents and no backward rule.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_bwd")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _op="leaf", _bwd=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.op = _op
-        self._parents = _parents
-        self._bwd = _bwd
+        self._parents = ()
+        self._grads = None
 
     @property
     def shape(self):
@@ -49,24 +52,25 @@ class Tensor:
         seen = set()
         stack = [(self, False)]
         while stack:
-            node, expanded = stack.pop()
+            t, expanded = stack.pop()
             if expanded:
-                order.append(node)
+                order.append(t)
                 continue
-            if id(node) in seen:
+            if id(t) in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
+            seen.add(id(t))
+            stack.append((t, True))
+            for p in t._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._bwd is not None and node.requires_grad:
-                node._bwd(node.grad)
+        for t in reversed(order):
+            if t._grads is not None and t.requires_grad:
+                for p, g in zip(t._parents, t._grads(t.grad)):
+                    _accum(p, g)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self.op!r})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class Parameter(Tensor):
@@ -75,7 +79,7 @@ class Parameter(Tensor):
     __slots__ = ("momentum",)
 
     def __init__(self, data):
-        super().__init__(data, requires_grad=True, _op="param")
+        super().__init__(data, requires_grad=True)
         self.momentum = np.zeros_like(self.data)
 
 
@@ -91,20 +95,26 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def node(data, parents: tuple, grads) -> Tensor:
+    """A tape node computed from ``parents``.
+
+    ``grads(g)`` receives the gradient of ``data`` and returns one gradient
+    per parent, in the order of ``parents``; ``Tensor.backward`` adds them
+    into the parents that require one. The node requires a gradient when
+    any parent does.
+    """
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out._parents = parents
+    out._grads = grads
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; backward yields g @ b.T and a.T @ g."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad,
-                 _parents=(a, b), _op="matmul")
-
-    def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    out._bwd = bwd
-    return out
+    return node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def apply_linear_operator(mat: np.ndarray, y: Tensor) -> Tensor:
@@ -117,14 +127,7 @@ def apply_linear_operator(mat: np.ndarray, y: Tensor) -> Tensor:
     y = _as_tensor(y)
     if y.data.ndim != 2 or mat.shape[0] != y.data.shape[0]:
         raise ShapeError(f"apply_linear_operator: operator {mat.shape} vs values {y.data.shape}")
-    out = Tensor(mat.T @ y.data, requires_grad=y.requires_grad,
-                 _parents=(y,), _op="linop")
-
-    def bwd(g):
-        _accum(y, mat @ g)
-
-    out._bwd = bwd
-    return out
+    return node(mat.T @ y.data, (y,), lambda g: (mat @ g,))
 
 
 def add(a, b) -> Tensor:
@@ -132,80 +135,20 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad,
-                 _parents=(a, b), _op="add")
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    out._bwd = bwd
-    return out
+    return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def scale(a, c: float) -> Tensor:
     """Multiply by a python-float constant (no gradient for the constant)."""
     a = _as_tensor(a)
     c = float(c)
-    out = Tensor(a.data * c, requires_grad=a.requires_grad, _parents=(a,), _op="scale")
-
-    def bwd(g):
-        _accum(a, g * c)
-
-    out._bwd = bwd
-    return out
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), requires_grad=a.requires_grad,
-                 _parents=(a,), _op="relu")
-
-    def bwd(g):
-        _accum(a, g * (a.data > 0.0))
-
-    out._bwd = bwd
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    t = np.tanh(a.data)
-    out = Tensor(t, requires_grad=a.requires_grad, _parents=(a,), _op="tanh")
-
-    def bwd(g):
-        _accum(a, g * (1.0 - t * t))
-
-    out._bwd = bwd
-    return out
-
-
-def add_bias(x, b) -> Tensor:
-    """Row-wise bias add: (n, m) + (m,). The dedicated op an MLP layer needs."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"add_bias: {x.data.shape} vs {b.data.shape}")
-    out = Tensor(x.data + b.data, requires_grad=x.requires_grad or b.requires_grad,
-                 _parents=(x, b), _op="add_bias")
-
-    def bwd(g):
-        _accum(x, g)
-        _accum(b, g.sum(axis=0))
-
-    out._bwd = bwd
-    return out
+    return node(a.data * c, (a,), lambda g: (g * c,))
 
 
 def tsum(a) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     a = _as_tensor(a)
-    out = Tensor(np.sum(a.data), requires_grad=a.requires_grad, _parents=(a,), _op="sum")
-
-    def bwd(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
-
-    out._bwd = bwd
-    return out
+    return node(np.sum(a.data), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def mse_loss(pred, target) -> Tensor:
@@ -215,14 +158,7 @@ def mse_loss(pred, target) -> Tensor:
     if pred.data.shape != tgt.shape:
         raise ShapeError(f"mse: {pred.data.shape} vs {tgt.shape}")
     diff = pred.data - tgt
-    out = Tensor(np.mean(diff * diff), requires_grad=pred.requires_grad,
-                 _parents=(pred,), _op="mse")
-
-    def bwd(g):
-        _accum(pred, g * (2.0 / diff.size) * diff)
-
-    out._bwd = bwd
-    return out
+    return node(np.mean(diff * diff), (pred,), lambda g: (g * (2.0 / diff.size) * diff,))
 
 
 def softmax_cross_entropy(logits, target) -> Tensor:
@@ -238,15 +174,8 @@ def softmax_cross_entropy(logits, target) -> Tensor:
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax + np.log(np.sum(np.exp(z - zmax), axis=1, keepdims=True))
     n = z.shape[0]
-    out = Tensor(np.sum(tgt * (lse - z)) / n, requires_grad=logits.requires_grad,
-                 _parents=(logits,), _op="xent")
     softmax = np.exp(z - lse)
-
-    def bwd(g):
-        _accum(logits, g * (softmax - tgt) / n)
-
-    out._bwd = bwd
-    return out
+    return node(np.sum(tgt * (lse - z)) / n, (logits,), lambda g: (g * (softmax - tgt) / n,))
 
 
 def sgd_momentum_step(params, lr: float, momentum: float) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coded import get_module
+from .coded import MIN_POINTS, get_module
 from .errors import ValidationError
 from .seeding import stream_rng
 from .spline import Knots, fit_eval
@@ -47,12 +47,13 @@ class StragglerScenario:
 
     def __post_init__(self):
         n, s = self.n_workers, self.max_stragglers
-        if n < 4:
-            raise ValidationError(f"sim.N_list has N = {n}; need at least 4 workers")
+        if n < MIN_POINTS:
+            raise ValidationError(f"sim.N_list has N = {n}; need at least {MIN_POINTS} workers")
         if s < 0:
             raise ValidationError(f"sim.S_list has S = {s}; must be >= 0")
-        if s >= n - 3:
-            raise ValidationError(f"sim.S_list has S = {s} with N = {n}; need S < N - 3")
+        if s >= n - (MIN_POINTS - 1):
+            raise ValidationError(f"sim.S_list has S = {s} with N = {n}; "
+                                  f"need S < N - {MIN_POINTS - 1}")
         if self.policy not in POLICIES:
             raise ValidationError(f"unknown policy {self.policy!r}")
 
@@ -114,13 +115,13 @@ def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
     module path, so the results are bit-identical to ``module.forward``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 4:
-        raise ValidationError(f"need a (K >= 4, d) batch, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < MIN_POINTS:
+        raise ValidationError(f"need a (K >= {MIN_POINTS}, d) batch, got shape {x.shape}")
     module = get_module(x.shape[0], scenario.n_workers)
     coded = module.encode(x)
     outputs = f(coded)
 
-    keep = returned_indices(scenario, module.beta)  # >= 4 by the scenario's check
+    keep = returned_indices(scenario, module.beta)  # >= MIN_POINTS by the scenario's check
     if len(keep) == scenario.n_workers:
         estimates = module.decode(outputs)
     else:

@@ -86,7 +86,7 @@ KEYS = {
     "lemma1.fn": Key(str, "sin", BENCH_FUNCTIONS),
     "lemma1.seed": Key(int, 0),
     "sim.fn": Key(str, "sin", BENCH_FUNCTIONS),
-    "sim.K": Key(int, 16),
+    "sim.K": Key(_at_least(MIN_POINTS), 16),
     "sim.N_list": Key(_list(int), (32, 64, 128, 256)),
     "sim.S_list": Key(_list(int), (0,)),
     "sim.seeds": Key(_list(int), (0,)),

@@ -1,12 +1,17 @@
-"""Small fully-connected networks on the autodiff tape."""
+"""Small fully-connected networks on the autodiff tape.
+
+One numpy pass computes every layer's activations. ``MLP.predict`` returns
+the last of them; ``MLP.forward`` records the whole network as one tape node
+whose backward rule is the closed-form layer recurrence, so the network is
+written once and both entry points give the same bits.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import Parameter, Tensor
-from .errors import ValidationError
+from .autodiff import Parameter, Tensor, node
+from .errors import ShapeError, ValidationError
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -43,7 +48,6 @@ class MLP:
                 w = rng.normal(0.0, np.sqrt(act_gain / fan_in), (fan_in, fan_out))
             self.weights.append(Parameter(w))
             self.biases.append(Parameter(np.zeros(fan_out)))
-        self._act = autodiff.relu if spec.activation == "relu" else autodiff.tanh
 
     @property
     def input_dim(self) -> int:
@@ -63,24 +67,47 @@ class MLP:
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
-    def forward(self, x) -> Tensor:
-        h = x if isinstance(x, Tensor) else Tensor(x)
+    def _activations(self, x: np.ndarray) -> list:
+        """[x, h1, ..., out]: the input and every layer's output."""
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ShapeError(f"MLP input {x.shape} does not fit first layer "
+                             f"{self.weights[0].data.shape}")
+        relu = self.spec.activation == "relu"
+        hs = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = autodiff.add_bias(autodiff.matmul(h, w), b)
+            h = hs[-1] @ w.data + b.data
             if i < last:
-                h = self._act(h)
-        return h
+                h = np.maximum(h, 0.0) if relu else np.tanh(h)
+            hs.append(h)
+        return hs
+
+    def forward(self, x) -> Tensor:
+        """The network as one tape node over the input and every parameter.
+
+        Backward runs the layer recurrence from the output: the activation
+        derivative, read off the layer's output (``h > 0`` for relu,
+        ``1 - h*h`` for tanh), then ``h.T @ g`` for the weight,
+        ``g.sum(axis=0)`` for the bias and ``g @ W.T`` for the layer input.
+        """
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        hs = self._activations(x.data)
+        relu = self.spec.activation == "relu"
+
+        def grads(g):
+            out = []
+            for i in range(len(self.weights) - 1, -1, -1):
+                out += [g.sum(axis=0), hs[i].T @ g]
+                g = g @ self.weights[i].data.T
+                if i > 0:
+                    g = g * (hs[i] > 0.0) if relu else g * (1.0 - hs[i] * hs[i])
+            out.append(g)
+            return out[::-1]
+
+        return node(hs[-1], (x, *self.parameters()), grads)
 
     __call__ = forward
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward pass; numerically identical op sequence."""
-        h = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        act = np.tanh if self.spec.activation == "tanh" else lambda a: np.maximum(a, 0.0)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
-            if i < last:
-                h = act(h)
-        return h
+        """Tape-free forward pass: the last activation of the shared pass."""
+        return self._activations(np.asarray(x, dtype=np.float64))[-1]

@@ -119,7 +119,7 @@ def schedule_n(method: Coded, epoch: int, total_epochs: int, k: int) -> int:
         return k
     frac = epoch / (total_epochs - 1)
     n = int(round(k + (method.gamma * k - k) * frac))
-    return max(max(4, k), min(n, top))
+    return max(k, min(n, top))
 
 
 def mixup_batch(x: np.ndarray, y: np.ndarray, alpha: float, rng) -> tuple:

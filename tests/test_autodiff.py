@@ -5,6 +5,7 @@ import pytest
 from codedsmooth import autodiff as ad
 from codedsmooth.autodiff import Parameter, Tensor
 from codedsmooth.errors import ShapeError
+from codedsmooth.models import MLP, MLPSpec
 
 from conftest import fd_grad, rel_err
 
@@ -59,8 +60,6 @@ def test_apply_linear_operator_backward_vs_fd():
 
 
 def test_elementwise_basics():
-    assert ad.relu(Tensor([-1.0])).data[0] == 0.0
-    assert ad.tanh(Tensor([0.0])).data[0] == 0.0
     x = Tensor([[3.0]], requires_grad=True)
     ad.matmul(x, x).backward()
     npt.assert_allclose(x.grad, [[6.0]])
@@ -103,17 +102,11 @@ def test_cross_entropy_grad_vs_fd():
     assert rel_err(lt.grad, fd_grad(objective, logits)) <= 1e-6
 
 
-@pytest.mark.parametrize("op,arity", [
-    (ad.relu, 1), (ad.tanh, 1), (ad.add, 2),
-])
+@pytest.mark.parametrize("op,arity", [(ad.add, 2)])
 def test_all_ops_grad_vs_fd(op, arity):
     rng = np.random.default_rng(3)
     for trial in range(5):
         args = [rng.uniform(-1, 1, (3, 2)) for _ in range(arity)]
-        # keep relu inputs away from the kink
-        if op is ad.relu:
-            args[0][np.abs(args[0]) < 0.05] += 0.1
-
         for wrt in range(arity):
             def objective():
                 tensors = [Tensor(a, requires_grad=(j == wrt)) for j, a in enumerate(args)]
@@ -122,6 +115,43 @@ def test_all_ops_grad_vs_fd(op, arity):
             tensors = [Tensor(a, requires_grad=(j == wrt)) for j, a in enumerate(args)]
             ad.tsum(op(*tensors)).backward()
             assert rel_err(tensors[wrt].grad, fd_grad(objective, args[wrt])) <= 1e-5
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_mlp_grad_vs_fd(activation):
+    rng = np.random.default_rng(4)
+    model = MLP(MLPSpec(widths=(3, 5, 4, 2), activation=activation), rng)
+    for b in model.biases:
+        b.data[:] = rng.uniform(-0.5, 0.5, b.data.shape)
+    x = rng.uniform(-1, 1, (6, 3))
+    target = rng.uniform(-1, 1, (6, 2))
+
+    if activation == "relu":
+        # keep pre-activations away from the kink, so no finite-difference
+        # step turns a unit on or off: each hidden bias puts the zero in the
+        # middle of the widest gap between its column's values
+        h = x
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            pre = np.sort(h @ w.data, axis=0)
+            k = np.argmax(np.diff(pre, axis=0), axis=0)
+            cols = np.arange(pre.shape[1])
+            b.data[:] = -0.5 * (pre[k, cols] + pre[k + 1, cols])
+            h = np.maximum(h @ w.data + b.data, 0.0)
+
+    def objective():
+        return ad.mse_loss(model(Tensor(x)), target).item()
+
+    xt = Tensor(x, requires_grad=True)
+    out = model(xt)
+    npt.assert_array_equal(model.predict(x), out.data)
+    ad.mse_loss(out, target).backward()
+    assert rel_err(xt.grad, fd_grad(objective, x)) <= 1e-6
+    for p in model.parameters():
+        assert rel_err(p.grad, fd_grad(objective, p.data)) <= 1e-6
+
+    for call in (model.forward, model.predict):
+        with pytest.raises(ShapeError):
+            call(np.zeros((6, 2)))
 
 
 def test_sgd_momentum_examples():

@@ -389,11 +389,12 @@ def test_rerun_from_echoed_config(tmp_path, command):
      "attack.trials", "'0'"),
     ("attack", ATTACK_CFG + "attack.kind = p\n", "attack.kind", "'p'"),
     ("lemma1", "lemma1.K = 2\n", "lemma1.K", "'2'"),
+    ("simulate", SIM_CFG.replace("sim.K = 16", "sim.K = 2"), "sim.K", "'2'"),
     ("train", TRAIN_CFG.format(method="coded", mu=2), "train.mu", "= 2.0"),
     ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("batch_size = 16", "batch_size = 2"),
      "train.batch_size", "= 2"),
-], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "lemma1.K", "train.mu",
-        "train.batch_size"])
+], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "lemma1.K", "sim.K",
+        "train.mu", "train.batch_size"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
