@@ -1,8 +1,9 @@
 #!/bin/sh
 # Run the six canonical configs into OUT_DIR, one sub-directory per config,
-# with each command's stdout saved as OUT_DIR/<config>.stdout. `attack`
-# scores the model that train_coded_moons writes. Two trees made from two
-# checkouts are byte-identical exactly when `diff -r` between them is empty.
+# with each command's stdout saved as OUT_DIR/<config>.stdout, and save the
+# stdout of `points 8 12` as OUT_DIR/points.stdout. `attack` scores the model
+# that train_coded_moons writes. Two trees made from two checkouts are
+# byte-identical exactly when `diff -r` between them is empty.
 #
 #   scripts/canonical_outputs.sh OUT_DIR
 set -eu
@@ -23,6 +24,7 @@ run() {
 }
 
 cfg="$root/configs"
+python3 -m codedsmooth points 8 12 > "$out/points.stdout"
 run rate_sin lemma1 --config "$cfg/rate_sin.cfg"
 run train_coded_moons train --config "$cfg/train_coded_moons.cfg"
 run train_erm_moons train --config "$cfg/train_erm_moons.cfg"

@@ -61,6 +61,9 @@ class RCI:
         if self.k_prime < MIN_POINTS or self.n_prime < MIN_POINTS:
             raise ValidationError(f"attack.k_prime = {self.k_prime} and attack.n_prime = "
                                   f"{self.n_prime} must both be >= {MIN_POINTS}")
+        if self.n_prime < self.k_prime:
+            raise ValidationError(f"attack.n_prime = {self.n_prime} must be >= "
+                                  f"attack.k_prime = {self.k_prime}")
 
 
 class Permutation:

@@ -1,9 +1,10 @@
 """Experiment command line: points | lemma1 | train | attack | simulate | sweep.
 
 Every run is deterministic given its config file (seeds live in the config;
---seed overrides). Each command echoes the fully-resolved configuration into
-the output directory as ``config.resolved``; re-running from that file
-reproduces every CSV bit-exactly and every SVG byte-exactly.
+--seed overrides). Each command returns its output files by name; ``main``
+adds the fully-resolved configuration as ``config.resolved`` and only then
+creates ``--out`` and writes them all, so a failed run leaves no directory.
+Re-running from ``config.resolved`` reproduces every output file bit-exactly.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure (NaN guard).
 """
@@ -25,8 +26,7 @@ from .config import KEYS, Config, dump_config, load_config
 from .datasets import DatasetSpec, make_dataset, task_of
 from .errors import NumericError, ValidationError
 from .models import MLPSpec
-from .modelio import load_model, save_model
-from .svgplot import line_plot_svg
+from .modelio import load_model, model_bytes
 from .train import Coded, ERM, Mixup, TrainPlan, train
 
 _EXACT_FLOOR = 1e-18
@@ -34,42 +34,23 @@ _EXACT_FLOOR = 1e-18
 # thread-count variables of the BLAS builds numpy may load, and of OpenMP
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# command: (key prefixes it reads, the key --seed overrides)
-_COMMANDS = {
-    "lemma1": (("lemma1.",), "lemma1.seed"),
-    "train": (("data.", "model.", "train."), "train.seed"),
-    "attack": (("data.", "attack."), "attack.seed"),
-    "simulate": (("sim.",), "sim.input_seed"),
-    "sweep": (("data.", "model.", "train.", "sweep."), "train.seed"),
-}
-
-
-def _ensure_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
-def _write(out_dir, name, text):
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return path
-
-
-def _load_cfg(path) -> Config:
-    return Config(load_config(path) if path else {})
+# the architecture keys ``attack`` checks against the model file
+_ARCH_KEYS = ("model.widths", "model.activation")
 
 
 def _resolve(cfg: Config, command: str, seed_override=None) -> dict:
     """The value of every key ``command`` reads; also its ``config.resolved``.
 
     Keys of another train.method are left out, so an echo holds only what
-    the run used.
+    the run used. ``attack`` also gets the architecture keys the config
+    sets, to check them against the model file.
     """
-    prefixes, seed_key = _COMMANDS[command]
+    prefixes, seed_key, _ = _COMMANDS[command]
     resolved = {key: cfg.get(key) for key, spec in KEYS.items()
                 if key.startswith(prefixes)
                 and (spec.method is None or spec.method == cfg.get("train.method"))}
+    if command == "attack":
+        resolved.update({key: cfg.get(key) for key in _ARCH_KEYS if key in cfg.raw})
     if seed_override is not None:
         resolved[seed_key] = seed_override
     return resolved
@@ -77,43 +58,37 @@ def _resolve(cfg: Config, command: str, seed_override=None) -> dict:
 
 # ---------------------------------------------------------------- points
 
-def cmd_points(k: int, n: int, stream=None) -> None:
-    stream = stream or sys.stdout
+def cmd_points(r: dict, args) -> None:
+    k = args.K if args.K is not None else r["points.K"]
+    n = args.N if args.N is not None else r["points.N"]
+    if k is None or n is None:
+        raise ValidationError("points: K and N required (args or config)")
     alpha = chebyshev_first(k)
     beta = chebyshev_second(n)
-    stream.write(f"alpha (K={k}):\n")
+    print(f"alpha (K={k}):")
     for i, v in enumerate(alpha, start=1):
-        stream.write(f"  {i:4d}  {v:.12g}\n")
-    stream.write(f"beta (N={n}):\n")
+        print(f"  {i:4d}  {v:.12g}")
+    print(f"beta (N={n}):")
     for j, v in enumerate(beta, start=1):
-        stream.write(f"  {j:4d}  {v:.12g}\n")
+        print(f"  {j:4d}  {v:.12g}")
 
 
 # ---------------------------------------------------------------- lemma1
 
-def cmd_lemma1(cfg: Config, out_dir, seed_override=None) -> dict:
-    r = _resolve(cfg, "lemma1", seed_override)
+def cmd_lemma1(r: dict, args) -> dict:
     k, n_list, fn_name = r["lemma1.K"], r["lemma1.N_list"], r["lemma1.fn"]
 
     f = BENCH_FUNCTIONS[fn_name]
     x = sample_inputs(k, r["lemma1.seed"])
     mses = [get_module(k, n).estimate_mse(x, f) for n in n_list]
 
-    _ensure_out(out_dir)
-    csv = "N,mse\n" + "".join(f"{n},{m:.17g}\n" for n, m in zip(n_list, mses))
-    _write(out_dir, "lemma1.csv", csv)
     if max(mses) < _EXACT_FLOOR or any(m <= 0.0 for m in mses):
-        slope = None
         print("fitted slope: exact (all MSE at rounding floor)")
     else:
         slope = float(np.polyfit(np.log2(n_list), np.log2(mses), 1)[0])
         print(f"fitted slope: {slope:.3f}")
-        svg = line_plot_svg([(f"{fn_name}", n_list, mses)],
-                            xlabel="coded samples N", ylabel="MSE",
-                            title="estimate error vs N", loglog=True)
-        _write(out_dir, "lemma1.svg", svg)
-    _write(out_dir, "config.resolved", dump_config(r))
-    return {"mses": mses, "slope": slope}
+    return {"lemma1.csv": "N,mse\n" + "".join(f"{n},{m:.17g}\n"
+                                              for n, m in zip(n_list, mses))}
 
 
 # ---------------------------------------------------------------- train
@@ -156,31 +131,24 @@ def _train_plan(r: dict) -> TrainPlan:
     )
 
 
-def cmd_train(cfg: Config, out_dir, seed_override=None) -> dict:
-    r = _resolve(cfg, "train", seed_override)
+def cmd_train(r: dict, args) -> dict:
     plan = _train_plan(r)
     model, metrics = train(plan)
-    _ensure_out(out_dir)
-    _write(out_dir, "metrics.csv", metrics.to_csv())
-    save_model(os.path.join(out_dir, "model.bin"), model, plan.seed,
-               _method_desc(plan.method))
-    _write(out_dir, "config.resolved", dump_config(r))
     print(f"final test metric: {metrics.final_test_metric:.17g}")
-    return {"model": model, "metrics": metrics, "plan": plan}
+    return {"metrics.csv": metrics.to_csv(),
+            "model.bin": model_bytes(model, plan.seed, _method_desc(plan.method))}
 
 
 # ---------------------------------------------------------------- attack
 
-def cmd_attack(cfg: Config, model_path, out_dir, seed_override=None) -> dict:
-    model, header = load_model(model_path)
-    # echoed too, so a re-run from config.resolved checks the model file again
-    arch = {"model.widths": model.spec.widths, "model.activation": model.spec.activation}
+def cmd_attack(r: dict, args) -> dict:
+    model, header = load_model(args.model)
+    arch = dict(zip(_ARCH_KEYS, (model.spec.widths, model.spec.activation)))
     for key, have in arch.items():
-        if key in cfg.raw and cfg.get(key) != have:
-            raise ValidationError(f"model file has {key} = {have!r}, "
-                                  f"config has {cfg.get(key)!r}")
-
-    r = {**_resolve(cfg, "attack", seed_override), **arch}
+        if r.get(key, have) != have:
+            raise ValidationError(f"model file has {key} = {have!r}, config has {r[key]!r}")
+    # echoed too, so a re-run from config.resolved checks the model file again
+    r.update(arch)
     dspec = _dataset_spec(r)
     if task_of(dspec.kind) != "classification":
         raise ValidationError("attack evaluation needs a classification dataset")
@@ -200,39 +168,28 @@ def cmd_attack(cfg: Config, model_path, out_dir, seed_override=None) -> dict:
 
     method = header.get("method", "unknown")
     rows = ["method,inference_mode,attack,epsilon,steps,N_prime,seed,accuracy\n"]
-    results = {}
     for attack_name, attack in attacks:
         for mode_name, mode in modes:
             acc = robust_eval(model, data.test_x, data.test_y, attack, mode,
                               trials=r["attack.trials"], seed=seed)
-            results[(attack_name, mode_name)] = acc
             n_steps = steps if attack_name.startswith("pgd") else (1 if attack_name == "fgsm" else 0)
             eps_out = 0.0 if attack is None else epsilon
             npr = n_prime if mode_name == "rci" else 0
             rows.append(f"{method},{mode_name},{attack_name},{eps_out:.17g},"
                         f"{n_steps},{npr},{seed},{acc:.17g}\n")
             print(f"{attack_name:>6s} | {mode_name:>8s} | accuracy {acc:.4f}")
-
-    _ensure_out(out_dir)
-    _write(out_dir, "results.csv", "".join(rows))
-    _write(out_dir, "config.resolved", dump_config(r))
-    return {"results": results, "model": model}
+    return {"results.csv": "".join(rows)}
 
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(cfg: Config, out_dir, seed_override=None) -> dict:
-    r = _resolve(cfg, "simulate", seed_override)
+def cmd_simulate(r: dict, args) -> dict:
     fn_name, k, policy = r["sim.fn"], r["sim.K"], r["sim.policy"]
     n_list, s_list = r["sim.N_list"], r["sim.S_list"]
 
     f = BENCH_FUNCTIONS[fn_name]
     x = sample_inputs(k, r["sim.input_seed"])
     report = sweep(f, x, n_list, s_list, r["sim.seeds"], policy)
-
-    _ensure_out(out_dir)
-    _write(out_dir, "sim_sweep.csv", report.to_csv())
-    means = report.cell_means()
     try:
         exponent = fit_scaling_exponent(report)
         print(f"fitted exponent: {exponent:.3f}")
@@ -240,21 +197,11 @@ def cmd_simulate(cfg: Config, out_dir, seed_override=None) -> dict:
         exponent = None
         print(f"fitted exponent: unavailable ({err})")
 
-    positive = all(m > 0 for m in means.values())
-    if positive and len(n_list) > 1:
-        series = []
-        for s in s_list:
-            series.append((f"S={s}", list(n_list), [means[(n, s)] for n in n_list]))
-        svg = line_plot_svg(series, xlabel="workers N", ylabel="mean MSE",
-                            title=f"straggler sweep ({fn_name})", loglog=True)
-        _write(out_dir, "sim_sweep.svg", svg)
-
     summary = {"fn": fn_name, "K": k, "policy": policy,
-               "cells": len(means), "runs": len(report.rows),
+               "cells": len(report.cell_means()), "runs": len(report.rows),
                "exponent": exponent}
-    _write(out_dir, "report.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write(out_dir, "config.resolved", dump_config(r))
-    return {"report": report, "exponent": exponent}
+    return {"sim_sweep.csv": report.to_csv(),
+            "report.json": json.dumps(summary, indent=2, sort_keys=True) + "\n"}
 
 
 # ---------------------------------------------------------------- sweep
@@ -264,19 +211,16 @@ def _sweep_plan(base: TrainPlan, param: str, value: float) -> TrainPlan:
     if param in ("mu", "gamma", "N") and not isinstance(method, Coded):
         raise ValidationError(f"sweep over {param!r} requires train.method=coded")
     if param == "mu":
-        return replace(base, method=Coded(mu=value, gamma=method.gamma,
-                                          n_schedule=method.n_schedule))
+        return replace(base, method=replace(method, mu=value))
     if param == "gamma":
-        return replace(base, method=Coded(mu=method.mu, gamma=value,
-                                          n_schedule=method.n_schedule))
+        return replace(base, method=replace(method, gamma=value))
     if param == "N":
         # target final coded-sample count; reached by ramping gamma = N/K
         n_target = int(round(value))
         if n_target < base.batch_size:
             raise ValidationError(f"N={n_target} below batch size {base.batch_size}")
-        return replace(base, method=Coded(mu=method.mu,
-                                          gamma=n_target / base.batch_size,
-                                          n_schedule="linear_ramp"))
+        return replace(base, method=replace(method, gamma=n_target / base.batch_size,
+                                            n_schedule="linear_ramp"))
     return replace(base, batch_size=int(round(value)))  # param == "batch_size"
 
 
@@ -289,9 +233,8 @@ def _sweep_cell(args):
             last.loss_coded, last.n_coded)
 
 
-def cmd_sweep(cfg: Config, out_dir, threads: int = 1, seed_override=None) -> dict:
-    r = _resolve(cfg, "sweep", seed_override)
-    param = r["sweep.param"]
+def cmd_sweep(r: dict, args) -> dict:
+    param, threads = r["sweep.param"], args.threads
     base = _train_plan(r)
 
     cells = [(_sweep_plan(base, param, v), param, v, s)
@@ -316,67 +259,64 @@ def cmd_sweep(cfg: Config, out_dir, threads: int = 1, seed_override=None) -> dic
     for param_name, value, seed, metric, lm, lc, nf in rows:
         out.append(f"{param_name},{value:.17g},{seed},{metric:.17g},"
                    f"{lm:.17g},{lc:.17g},{nf}\n")
-    _ensure_out(out_dir)
-    _write(out_dir, "sweep.csv", "".join(out))
-    _write(out_dir, "config.resolved", dump_config(r))
     print(f"sweep over {param}: {len(rows)} cells")
-    return {"rows": rows}
+    return {"sweep.csv": "".join(out)}
 
 
 # ---------------------------------------------------------------- main
+
+# command: (key prefixes it reads, the key --seed overrides, its function);
+# a function prints its stdout and returns {file name: str | bytes}, or None
+# when it writes no files
+_COMMANDS = {
+    "points": (("points.",), None, cmd_points),
+    "lemma1": (("lemma1.",), "lemma1.seed", cmd_lemma1),
+    "train": (("data.", "model.", "train."), "train.seed", cmd_train),
+    "attack": (("data.", "attack."), "attack.seed", cmd_attack),
+    "simulate": (("sim.",), "sim.input_seed", cmd_simulate),
+    "sweep": (("data.", "model.", "train.", "sweep."), "train.seed", cmd_sweep),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="codedsmooth",
                                 description="coded-smoothing experiments")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("points", help="print encoding/decoding point sets")
-    sp.add_argument("K", type=int, nargs="?")
-    sp.add_argument("N", type=int, nargs="?")
-    sp.add_argument("--config")
-
-    for name in ("lemma1", "train", "simulate", "sweep"):
+    for name, (_, seed_key, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config")
-        sp.add_argument("--out")
+        if seed_key is None:  # points: prints the point sets, writes no files
+            sp.add_argument("K", type=int, nargs="?")
+            sp.add_argument("N", type=int, nargs="?")
+            sp.set_defaults(seed=None)
+            continue
+        sp.add_argument("--out", default=f"runs/{name}")
         sp.add_argument("--seed", type=int)
+        if name == "attack":
+            sp.add_argument("--model", required=True)
         if name == "sweep":
             sp.add_argument("--threads", type=int, default=1)
-
-    sp = sub.add_parser("attack")
-    sp.add_argument("--config")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--out")
-    sp.add_argument("--seed", type=int)
     return p
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_cfg(args.config)
-        if args.command == "points":
-            k = args.K if args.K is not None else cfg.get("points.K")
-            n = args.N if args.N is not None else cfg.get("points.N")
-            if k is None or n is None:
-                raise ValidationError("points: K and N required (args or config)")
-            cmd_points(k, n)
-        elif args.command == "lemma1":
-            cmd_lemma1(cfg, args.out or "runs/lemma1", args.seed)
-        elif args.command == "train":
-            cmd_train(cfg, args.out or "runs/train", args.seed)
-        elif args.command == "attack":
-            cmd_attack(cfg, args.model, args.out or "runs/attack", args.seed)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, args.out or "runs/simulate", args.seed)
-        elif args.command == "sweep":
-            cmd_sweep(cfg, args.out or "runs/sweep", args.threads, args.seed)
+        cfg = Config(load_config(args.config) if args.config else {})
+        r = _resolve(cfg, args.command, args.seed)
+        files = _COMMANDS[args.command][2](r, args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 3
+    if files is not None:
+        files["config.resolved"] = dump_config(r)
+        os.makedirs(args.out, exist_ok=True)
+        for name, content in files.items():
+            with open(os.path.join(args.out, name), "wb") as fh:
+                fh.write(content if isinstance(content, bytes) else content.encode("utf-8"))
     return 0
 
 

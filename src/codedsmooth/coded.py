@@ -23,12 +23,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tensor
 from .errors import ShapeError, ValidationError
-from .spline import Knots, build_operator, fit_eval
-
-
-# fewest points either set may have; each set serves as spline knots, so
-# this is the default floor of ``Knots``
-MIN_POINTS = 4
+from .spline import MIN_POINTS, Knots, build_operator, fit_eval
 
 
 def chebyshev_first(k: int) -> np.ndarray:
@@ -130,14 +125,14 @@ _CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def get_module(k: int, n: int, identity_mode: bool = False) -> CodedSmoothingModule:
+def get_module(k: int, n: int) -> CodedSmoothingModule:
     """Shared module cache; construction cost is paid once per (K, N)."""
-    key = (k, n, identity_mode)
+    key = (k, n)
     mod = _CACHE.get(key)
     if mod is None:
         with _CACHE_LOCK:
             mod = _CACHE.get(key)
             if mod is None:
-                mod = CodedSmoothingModule(k, n, identity_mode)
+                mod = CodedSmoothingModule(k, n)
                 _CACHE[key] = mod
     return mod

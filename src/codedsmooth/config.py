@@ -95,8 +95,8 @@ KEYS = {
     "sweep.param": Key(str, MISSING, ("mu", "N", "gamma", "batch_size")),
     "sweep.values": Key(_list(float), MISSING),
     "sweep.seeds": Key(_list(int), (0, 1, 2, 3, 4)),
-    "points.K": Key(int, None),
-    "points.N": Key(int, None),
+    "points.K": Key(_at_least(MIN_POINTS), None),
+    "points.N": Key(_at_least(MIN_POINTS), None),
 }
 
 
@@ -159,5 +159,6 @@ class Config:
                                   f"{', '.join(spec.allowed)}")
         return value
 
-    # the typed names older callers use; the key table already fixes the type
+    # aliases of ``get`` (the key table already fixes the type); nothing in
+    # src/ calls them, perfbench/probe.py does
     get_str = get_int = get_float = get

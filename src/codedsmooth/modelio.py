@@ -21,7 +21,8 @@ MAGIC = b"CSMODEL1"
 VERSION = 1
 
 
-def save_model(path, model: MLP, seed: int, method_desc: str) -> None:
+def model_bytes(model: MLP, seed: int, method_desc: str) -> bytes:
+    """The model file's contents."""
     spec = model.spec
     header = (
         f"version {VERSION}\n"
@@ -31,12 +32,14 @@ def save_model(path, model: MLP, seed: int, method_desc: str) -> None:
         f"method {method_desc}\n"
         "\n"
     )
+    params = [np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+              for w, b in zip(model.weights, model.biases) for p in (w, b)]
+    return b"".join([MAGIC, header.encode("ascii")] + params)
+
+
+def save_model(path, model: MLP, seed: int, method_desc: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header.encode("ascii"))
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w.data, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b.data, dtype="<f8").tobytes())
+        fh.write(model_bytes(model, seed, method_desc))
 
 
 def load_model(path) -> tuple:

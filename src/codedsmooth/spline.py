@@ -20,23 +20,23 @@ from .errors import ShapeError, ValidationError
 
 _MIN_GAP = 1e-12
 
+# fewest knots a spline may have: a well-posed moment system with margin
+# (3 is the mathematical floor for a nontrivial natural spline, 2
+# degenerates to a line)
+MIN_POINTS = 4
+
 
 class Knots:
-    """Strictly increasing spline abscissas within [-1, 1].
-
-    At least 4 knots are required for a well-posed moment system with
-    margin; tests may relax via ``min_knots`` (3 is the mathematical floor
-    for a nontrivial natural spline, 2 degenerates to a line).
-    """
+    """Strictly increasing spline abscissas within [-1, 1], at least MIN_POINTS."""
 
     __slots__ = ("values",)
 
-    def __init__(self, values, min_knots: int = 4):
+    def __init__(self, values):
         v = np.asarray(values, dtype=np.float64)
         if v.ndim != 1:
             raise ValidationError("knots must be a 1-d sequence")
-        if len(v) < max(2, min_knots):
-            raise ValidationError(f"need at least {max(2, min_knots)} knots, got {len(v)}")
+        if len(v) < MIN_POINTS:
+            raise ValidationError(f"need at least {MIN_POINTS} knots, got {len(v)}")
         if np.any(v < -1.0) or np.any(v > 1.0):
             raise ValidationError("knots must lie in [-1, 1]")
         if np.any(np.diff(v) < _MIN_GAP):
@@ -151,11 +151,9 @@ class SplineOperator:
     value across all evaluation points. Depends only on the two point sets.
     """
 
-    __slots__ = ("knots", "eval_points", "matrix")
+    __slots__ = ("matrix",)
 
-    def __init__(self, knots: Knots, eval_points: np.ndarray, matrix: np.ndarray):
-        self.knots = knots
-        self.eval_points = eval_points
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -172,7 +170,7 @@ def build_operator(knots: Knots, eval_points) -> SplineOperator:
     """
     pts = np.asarray(eval_points, dtype=np.float64)
     basis = fit(knots, np.eye(len(knots)))
-    return SplineOperator(knots, pts, basis.eval(pts).T.copy())
+    return SplineOperator(basis.eval(pts).T.copy())
 
 
 def fit_eval(knots: Knots, values, points) -> np.ndarray:

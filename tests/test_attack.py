@@ -214,6 +214,8 @@ def test_rci_gap_grows_with_attack_strength(moons_runs, moons_data):
 def test_validation_and_mode_types():
     with pytest.raises(ValidationError):
         RCI(n_prime=12, k_prime=3)
+    with pytest.raises(ValidationError, match="attack.n_prime = 8 .*attack.k_prime = 16"):
+        RCI(n_prime=8, k_prime=16)
     with pytest.raises(ValidationError):
         FGSMSpec(epsilon=0.0)
     with pytest.raises(ValidationError):

@@ -54,6 +54,14 @@ def test_points_validation_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [("points.K = 2\npoints.N = 12\n", "points.K"),
+                                       ("points.K = 8\npoints.N = 2\n", "points.N")])
+def test_points_config_key_named(tmp_path, capsys, text, key):
+    assert main(["points", "--config", _write(tmp_path, "p.cfg", text)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "'2'" in err
+
+
 # ---------------------------------------------------------------- config
 
 def test_config_parsing_rules():
@@ -78,8 +86,7 @@ def test_lemma1_outputs(tmp_path, capsys):
     assert "fitted slope: -" in printed
     csv = _read(out, "lemma1.csv").strip().splitlines()
     assert csv[0] == "N,mse" and len(csv) == 5
-    assert os.path.exists(os.path.join(out, "lemma1.svg"))
-    assert os.path.exists(os.path.join(out, "config.resolved"))
+    assert sorted(os.listdir(out)) == ["config.resolved", "lemma1.csv"]
 
 
 def test_lemma1_constant_function_reports_exact(tmp_path, capsys):
@@ -141,8 +148,10 @@ train.batch_size = 16
 train.lr = 1e30
 train.seed = 0
 """)
+    out = str(tmp_path / "o")
     with np.errstate(over="ignore"):
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert main(["train", "--config", cfg, "--out", out]) == 3
+    assert not os.path.exists(out)
 
 
 def test_train_validation_exit_code(tmp_path):
@@ -205,9 +214,11 @@ def test_attack_architecture_mismatch(tmp_path):
     assert main(["train", "--config", cfg, "--out", train_out]) == 0
     bad_cfg = _write(tmp_path, "bad.cfg",
                      TRAIN_CFG.format(method="erm", mu=0.5).replace("2,8,2", "2,9,2"))
+    refused = str(tmp_path / "o")
     assert main(["attack", "--config", bad_cfg,
                  "--model", os.path.join(train_out, "model.bin"),
-                 "--out", str(tmp_path / "o")]) == 2
+                 "--out", refused]) == 2
+    assert not os.path.exists(refused)
     # the echo carries the model file's architecture, so a re-run from it
     # against a model of another width is refused as well
     attack_cfg = "".join(line + "\n" for line in ATTACK_CFG.splitlines()
@@ -219,8 +230,10 @@ def test_attack_architecture_mismatch(tmp_path):
     assert "model.widths = 2,8,2\n" in echo and "model.activation = relu\n" in echo
     other = str(tmp_path / "other.bin")
     save_model(other, MLP(MLPSpec(widths=(2, 9, 2)), np.random.default_rng(0)), 0, "erm")
+    refused = str(tmp_path / "b")
     assert main(["attack", "--config", os.path.join(out, "config.resolved"),
-                 "--model", other, "--out", str(tmp_path / "b")]) == 2
+                 "--model", other, "--out", refused]) == 2
+    assert not os.path.exists(refused)
 
 
 # ---------------------------------------------------------------- simulate
@@ -337,7 +350,9 @@ def test_sweep_n_param_requires_value_above_batch(tmp_path):
     cfg = _write(tmp_path, "n.cfg",
                  TRAIN_CFG.format(method="coded", mu=0.5) +
                  "sweep.param = N\nsweep.values = 8\nsweep.seeds = 0\n")
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = str(tmp_path / "o")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------- config.resolved
@@ -351,12 +366,11 @@ attack.trials = 5
 
 # command: (config text, contract files, the key --seed overrides)
 RERUN_CASES = {
-    "lemma1": ("lemma1.N_list = 32,64\n", ("lemma1.csv", "lemma1.svg"), "lemma1.seed"),
+    "lemma1": ("lemma1.N_list = 32,64\n", ("lemma1.csv",), "lemma1.seed"),
     "train": (TRAIN_CFG.format(method="coded", mu=0.5), ("metrics.csv", "model.bin"),
               "train.seed"),
     "attack": (ATTACK_CFG, ("results.csv",), "attack.seed"),
-    "simulate": (SIM_CFG, ("sim_sweep.csv", "sim_sweep.svg", "report.json"),
-                 "sim.input_seed"),
+    "simulate": (SIM_CFG, ("sim_sweep.csv", "report.json"), "sim.input_seed"),
     "sweep": (SWEEP_CFG, ("sweep.csv",), "train.seed"),
 }
 
@@ -377,7 +391,10 @@ def test_rerun_from_echoed_config(tmp_path, command):
     echoed = os.path.join(out1, "config.resolved")
     assert f"{seed_key} = 7\n" in _read(out1, "config.resolved")
     assert main([command, "--config", echoed, "--out", out2] + extra) == 0
-    for name in contract + ("config.resolved",):
+    listed = sorted(os.listdir(out1))
+    assert listed == sorted(contract + ("config.resolved",))
+    assert sorted(os.listdir(out2)) == listed
+    for name in listed:
         with open(os.path.join(out1, name), "rb") as a, open(os.path.join(out2, name), "rb") as b:
             assert a.read() == b.read(), name
 
@@ -388,13 +405,15 @@ def test_rerun_from_echoed_config(tmp_path, command):
     ("attack", ATTACK_CFG.replace("attack.trials = 5", "attack.trials = 0"),
      "attack.trials", "'0'"),
     ("attack", ATTACK_CFG + "attack.kind = p\n", "attack.kind", "'p'"),
+    ("attack", ATTACK_CFG.replace("attack.n_prime = 24", "attack.n_prime = 8"),
+     "attack.n_prime = 8", "attack.k_prime = 16"),
     ("lemma1", "lemma1.K = 2\n", "lemma1.K", "'2'"),
     ("simulate", SIM_CFG.replace("sim.K = 16", "sim.K = 2"), "sim.K", "'2'"),
     ("train", TRAIN_CFG.format(method="coded", mu=2), "train.mu", "= 2.0"),
     ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("batch_size = 16", "batch_size = 2"),
      "train.batch_size", "= 2"),
-], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "lemma1.K", "sim.K",
-        "train.mu", "train.batch_size"])
+], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
+        "lemma1.K", "sim.K", "train.mu", "train.batch_size"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []

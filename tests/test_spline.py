@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from codedsmooth import spline
 from codedsmooth.errors import ValidationError
 from codedsmooth.spline import Knots, build_operator, fit, fit_eval
 
@@ -13,9 +14,11 @@ def random_knots(rng, n):
     return Knots(vals)
 
 
-def test_hand_solved_three_knot_case():
-    # knots (-1, 0, 1), values (1, 0, 1): interior moment 3, s(0.5) = 0.3125
-    kn = Knots([-1.0, 0.0, 1.0], min_knots=3)
+def test_hand_solved_three_knot_case(monkeypatch):
+    # knots (-1, 0, 1), values (1, 0, 1): interior moment 3, s(0.5) = 0.3125;
+    # three knots lie below the package's floor, so relax it
+    monkeypatch.setattr(spline, "MIN_POINTS", 3)
+    kn = Knots([-1.0, 0.0, 1.0])
     s = fit(kn, np.array([[1.0], [0.0], [1.0]]))
     npt.assert_allclose(s.second_derivatives.ravel(), [0.0, 3.0, 0.0], atol=1e-14)
     npt.assert_allclose(s.eval([0.5]).ravel(), [0.3125], atol=1e-14)
