@@ -1,5 +1,5 @@
 #!/bin/sh
-# Run the six canonical configs into OUT_DIR, one sub-directory per config,
+# Run the nine canonical configs into OUT_DIR, one sub-directory per config,
 # with each command's stdout saved as OUT_DIR/<config>.stdout, and save the
 # stdout of `points 8 12` as OUT_DIR/points.stdout. `attack` scores the model
 # that train_coded_moons writes. Two trees made from two checkouts are
@@ -25,9 +25,12 @@ run() {
 
 cfg="$root/configs"
 python3 -m codedsmooth points 8 12 > "$out/points.stdout"
-run rate_sin lemma1 --config "$cfg/rate_sin.cfg"
+run rate_sin simulate --config "$cfg/rate_sin.cfg"
 run train_coded_moons train --config "$cfg/train_coded_moons.cfg"
 run train_erm_moons train --config "$cfg/train_erm_moons.cfg"
+run train_mixup_moons train --config "$cfg/train_mixup_moons.cfg"
+run train_coded_sinusoid train --config "$cfg/train_coded_sinusoid.cfg"
+run train_coded_gaussian8 train --config "$cfg/train_coded_gaussian8.cfg"
 run attack_moons attack --config "$cfg/attack_moons.cfg" \
     --model "$out/train_coded_moons/model.bin"
 run simulate_stragglers simulate --config "$cfg/simulate_stragglers.cfg"

@@ -1,5 +1,7 @@
-"""Experiment command line: points | lemma1 | train | attack | simulate | sweep.
+"""Experiment command line: points | train | attack | simulate | sweep.
 
+``points K N`` prints the two Chebyshev point sets. The error-rate
+experiment is ``simulate`` with no stragglers (``sim.S_list = 0``).
 Every run is deterministic given its config file (seeds live in the config;
 --seed overrides). Each command returns its output files by name; ``main``
 adds the fully-resolved configuration as ``config.resolved`` and only then
@@ -17,10 +19,8 @@ from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
-import numpy as np
-
 from .attack import FGSMSpec, PGDSpec, RCI, Standard, robust_eval
-from .coded import chebyshev_first, chebyshev_second, get_module
+from .coded import chebyshev_first, chebyshev_second
 from .codedsim import BENCH_FUNCTIONS, fit_scaling_exponent, sample_inputs, sweep
 from .config import KEYS, Config, dump_config, load_config
 from .datasets import DatasetSpec, make_dataset, task_of
@@ -28,8 +28,6 @@ from .errors import NumericError, ValidationError
 from .models import MLPSpec
 from .modelio import load_model, model_bytes
 from .train import Coded, ERM, Mixup, TrainPlan, train
-
-_EXACT_FLOOR = 1e-18
 
 # thread-count variables of the BLAS builds numpy may load, and of OpenMP
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -59,10 +57,7 @@ def _resolve(cfg: Config, command: str, seed_override=None) -> dict:
 # ---------------------------------------------------------------- points
 
 def cmd_points(r: dict, args) -> None:
-    k = args.K if args.K is not None else r["points.K"]
-    n = args.N if args.N is not None else r["points.N"]
-    if k is None or n is None:
-        raise ValidationError("points: K and N required (args or config)")
+    k, n = args.K, args.N
     alpha = chebyshev_first(k)
     beta = chebyshev_second(n)
     print(f"alpha (K={k}):")
@@ -71,24 +66,6 @@ def cmd_points(r: dict, args) -> None:
     print(f"beta (N={n}):")
     for j, v in enumerate(beta, start=1):
         print(f"  {j:4d}  {v:.12g}")
-
-
-# ---------------------------------------------------------------- lemma1
-
-def cmd_lemma1(r: dict, args) -> dict:
-    k, n_list, fn_name = r["lemma1.K"], r["lemma1.N_list"], r["lemma1.fn"]
-
-    f = BENCH_FUNCTIONS[fn_name]
-    x = sample_inputs(k, r["lemma1.seed"])
-    mses = [get_module(k, n).estimate_mse(x, f) for n in n_list]
-
-    if max(mses) < _EXACT_FLOOR or any(m <= 0.0 for m in mses):
-        print("fitted slope: exact (all MSE at rounding floor)")
-    else:
-        slope = float(np.polyfit(np.log2(n_list), np.log2(mses), 1)[0])
-        print(f"fitted slope: {slope:.3f}")
-    return {"lemma1.csv": "N,mse\n" + "".join(f"{n},{m:.17g}\n"
-                                              for n, m in zip(n_list, mses))}
 
 
 # ---------------------------------------------------------------- train
@@ -152,6 +129,9 @@ def cmd_attack(r: dict, args) -> dict:
     dspec = _dataset_spec(r)
     if task_of(dspec.kind) != "classification":
         raise ValidationError("attack evaluation needs a classification dataset")
+    if r["attack.k_prime"] > dspec.n_test:
+        raise ValidationError(f"attack.k_prime = {r['attack.k_prime']} exceeds data.n_test = "
+                              f"{dspec.n_test}; RCI scores whole K' batches of the test set")
     data = make_dataset(dspec)
 
     seed, epsilon, steps = r["attack.seed"], r["attack.epsilon"], r["attack.steps"]
@@ -269,8 +249,7 @@ def cmd_sweep(r: dict, args) -> dict:
 # a function prints its stdout and returns {file name: str | bytes}, or None
 # when it writes no files
 _COMMANDS = {
-    "points": (("points.",), None, cmd_points),
-    "lemma1": (("lemma1.",), "lemma1.seed", cmd_lemma1),
+    "points": ((), None, cmd_points),
     "train": (("data.", "model.", "train."), "train.seed", cmd_train),
     "attack": (("data.", "attack."), "attack.seed", cmd_attack),
     "simulate": (("sim.",), "sim.input_seed", cmd_simulate),
@@ -284,12 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, seed_key, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config")
-        if seed_key is None:  # points: prints the point sets, writes no files
-            sp.add_argument("K", type=int, nargs="?")
-            sp.add_argument("N", type=int, nargs="?")
-            sp.set_defaults(seed=None)
+        if seed_key is None:  # points: prints the point sets, reads no config
+            sp.add_argument("K", type=int)
+            sp.add_argument("N", type=int)
+            sp.set_defaults(config=None, seed=None)
             continue
+        sp.add_argument("--config")
         sp.add_argument("--out", default=f"runs/{name}")
         sp.add_argument("--seed", type=int)
         if name == "attack":

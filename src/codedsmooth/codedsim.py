@@ -24,6 +24,8 @@ from .spline import Knots, fit_eval
 
 POLICIES = ("uniform_random", "adversarial_contiguous")
 
+_EXACT_FLOOR = 1e-18  # mean MSE below this is exact recovery up to rounding
+
 # benchmark functions for rate experiments (vectorized, elementwise)
 BENCH_FUNCTIONS = {
     "sin": np.sin,
@@ -149,7 +151,8 @@ def fit_scaling_exponent(report: SimReport) -> float:
     """Least-squares slope of log mean-MSE against log((S+1)/N).
 
     Needs at least 4 grid cells spanning at least a factor of 8 in
-    (S+1)/N; zero MSE cells (exact recovery) cannot be fitted.
+    (S+1)/N. A cell below the rounding floor (mean MSE < 1e-18) is an exact
+    recovery, through which no power law can be fitted.
     """
     means = report.cell_means()
     if len(means) < 4:
@@ -158,6 +161,7 @@ def fit_scaling_exponent(report: SimReport) -> float:
     mses = np.array(list(means.values()))
     if ratios.max() / ratios.min() < 8.0:
         raise ValidationError("grid must span at least 8x in (S+1)/N")
-    if np.any(mses <= 0.0):
-        raise ValidationError("zero MSE in a grid cell; exponent undefined")
+    if np.any(mses < _EXACT_FLOOR):
+        raise ValidationError("exact recovery (MSE at rounding floor) in a grid cell; "
+                              "exponent undefined")
     return float(np.polyfit(np.log(ratios), np.log(mses), 1)[0])

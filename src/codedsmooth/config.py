@@ -81,10 +81,6 @@ KEYS = {
     "attack.k_prime": Key(int, 128),
     "attack.n_prime": Key(int, lambda cfg: int(round(1.5 * cfg.get("attack.k_prime")))),
     "attack.seed": Key(int, RCI.seed),
-    "lemma1.K": Key(_at_least(MIN_POINTS), 16),
-    "lemma1.N_list": Key(_list(_at_least(MIN_POINTS)), (32, 64, 128, 256, 512)),
-    "lemma1.fn": Key(str, "sin", BENCH_FUNCTIONS),
-    "lemma1.seed": Key(int, 0),
     "sim.fn": Key(str, "sin", BENCH_FUNCTIONS),
     "sim.K": Key(_at_least(MIN_POINTS), 16),
     "sim.N_list": Key(_list(int), (32, 64, 128, 256)),
@@ -95,8 +91,6 @@ KEYS = {
     "sweep.param": Key(str, MISSING, ("mu", "N", "gamma", "batch_size")),
     "sweep.values": Key(_list(float), MISSING),
     "sweep.seeds": Key(_list(int), (0, 1, 2, 3, 4)),
-    "points.K": Key(_at_least(MIN_POINTS), None),
-    "points.N": Key(_at_least(MIN_POINTS), None),
 }
 
 

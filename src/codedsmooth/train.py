@@ -1,7 +1,8 @@
 """Dual-path training of small MLPs on the synthetic tasks.
 
-Three methods share one loop: plain minimization of the task loss, mixup,
-and the coded-smoothing regularizer. The coded method routes the batch
+Three methods share one step: plain minimization of the task loss, mixup
+(which mixes the batch first), and the coded-smoothing regularizer; the
+first two are the coded step with mu = 0. The coded method routes the batch
 through a parallel smoothing path (encode -> network -> decode, parameters
 shared with the direct path) and mixes the two losses as
 (1 - mu) * direct + mu * smoothed. The number of coded samples can ramp
@@ -20,7 +21,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tensor
 from .coded import MIN_POINTS, get_module
-from .datasets import Dataset, DatasetSpec, make_dataset, n_classes, one_hot, task_of
+from .datasets import DatasetSpec, make_dataset, n_classes, one_hot, task_of
 from .errors import NumericError, ShapeError, ValidationError
 from .models import MLP, MLPSpec
 from .seeding import stream_rng
@@ -193,27 +194,13 @@ def margin_grid(side: int = 25) -> np.ndarray:
 
 
 def evaluate_model(model: MLP, x: np.ndarray, y, task: str) -> float:
-    """Test accuracy for classification, mean squared error otherwise."""
+    """Test accuracy against labels for classification, mean squared error
+    against the target rows ``y`` otherwise."""
     out = model.predict(x)
     if task == "classification":
         return float(np.mean(np.argmax(out, axis=1) == y))
-    target = x if task == "autoencoder" else y
-    diff = out - target
+    diff = out - y
     return float(np.mean(diff * diff))
-
-
-def _check_model_fits(plan: TrainPlan, task: str, data: Dataset) -> None:
-    want_in = data.train_x.shape[1]
-    if plan.model.widths[0] != want_in:
-        raise ValidationError(f"model input width {plan.model.widths[0]} != data dim {want_in}")
-    if task == "classification":
-        want_out = n_classes(plan.dataset.kind)
-    elif task == "autoencoder":
-        want_out = want_in
-    else:
-        want_out = data.train_y.shape[1]
-    if plan.model.widths[-1] != want_out:
-        raise ValidationError(f"model output width {plan.model.widths[-1]} != task width {want_out}")
 
 
 def train(plan: TrainPlan) -> tuple:
@@ -227,30 +214,35 @@ def train(plan: TrainPlan) -> tuple:
     """
     data = make_dataset(plan.dataset)
     task = task_of(plan.dataset.kind)
-    k = plan.batch_size
-    _check_model_fits(plan, task, data)
+    if task == "classification":
+        train_targets = one_hot(data.train_y, n_classes(plan.dataset.kind))
+        test_targets = data.test_y
+    elif task == "autoencoder":
+        train_targets, test_targets = data.train_x, data.test_x
+    else:
+        train_targets, test_targets = data.train_y, data.test_y
+    widths = plan.model.widths
+    if widths[0] != data.train_x.shape[1]:
+        raise ValidationError(f"model input width {widths[0]} != data dim {data.train_x.shape[1]}")
+    if widths[-1] != train_targets.shape[1]:
+        raise ValidationError(f"model output width {widths[-1]} != task width "
+                              f"{train_targets.shape[1]}")
 
     model = MLP(plan.model, stream_rng(plan.seed, "init"))
     params = model.parameters()
     rng_shuffle = stream_rng(plan.seed, "data-shuffle")
     rng_mixup = stream_rng(plan.seed, "mixup")
     method = plan.method
-    coded_active = isinstance(method, Coded) and method.mu > 0.0
-
-    if task == "classification":
-        train_targets = one_hot(data.train_y, n_classes(plan.dataset.kind))
-    elif task == "autoencoder":
-        train_targets = data.train_x
-    else:
-        train_targets = data.train_y
+    mu = method.mu if isinstance(method, Coded) else 0.0
 
     metrics = Metrics()
     lr = plan.lr
+    k = plan.batch_size
     n_batches = data.train_x.shape[0] // k
     for epoch in range(plan.epochs):
         if epoch in plan.lr_decay_epochs:
             lr /= 10.0
-        if coded_active:
+        if mu > 0.0:
             n_coded = schedule_n(method, epoch, plan.epochs, k)
             module = get_module(k, n_coded)
         else:
@@ -264,19 +256,12 @@ def train(plan: TrainPlan) -> tuple:
             idx = order[b * k:(b + 1) * k]
             xb = data.train_x[idx]
             tb = train_targets[idx]
-            if isinstance(method, Coded):
-                loss, l_main, l_coded = dual_path_terms(model, module, xb, tb,
-                                                        method.mu, task)
-                main_vals.append(l_main.item())
-                if l_coded is not None:
-                    coded_vals.append(l_coded.item())
-            elif isinstance(method, Mixup):
-                xm, tm = mixup_batch(xb, tb, method.alpha, rng_mixup)
-                loss = _task_loss(model(Tensor(xm)), tm, task)
-                main_vals.append(loss.item())
-            else:
-                loss = _task_loss(model(Tensor(xb)), tb, task)
-                main_vals.append(loss.item())
+            if isinstance(method, Mixup):
+                xb, tb = mixup_batch(xb, tb, method.alpha, rng_mixup)
+            loss, l_main, l_coded = dual_path_terms(model, module, xb, tb, mu, task)
+            main_vals.append(l_main.item())
+            if l_coded is not None:
+                coded_vals.append(l_coded.item())
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
             loss.backward()
@@ -286,7 +271,7 @@ def train(plan: TrainPlan) -> tuple:
             epoch=epoch,
             loss_main=float(np.mean(main_vals)),
             loss_coded=float(np.mean(coded_vals)) if coded_vals else float("nan"),
-            test_metric=evaluate_model(model, data.test_x, data.test_y, task),
+            test_metric=evaluate_model(model, data.test_x, test_targets, task),
             n_coded=n_coded,
         ))
 

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -6,6 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from codedsmooth.cli import main
+from codedsmooth.coded import get_module
+from codedsmooth.codedsim import sample_inputs
 from codedsmooth.config import KEYS, parse_config_text
 from codedsmooth.errors import ValidationError
 from codedsmooth.modelio import load_model, save_model
@@ -54,12 +57,11 @@ def test_points_validation_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, key", [("points.K = 2\npoints.N = 12\n", "points.K"),
-                                       ("points.K = 8\npoints.N = 2\n", "points.N")])
-def test_points_config_key_named(tmp_path, capsys, text, key):
-    assert main(["points", "--config", _write(tmp_path, "p.cfg", text)]) == 2
-    err = capsys.readouterr().err
-    assert key in err and "'2'" in err
+def test_points_requires_k_and_n(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["points", "8"])
+    assert exc.value.code == 2
+    assert "N" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- config
@@ -73,31 +75,6 @@ def test_config_parsing_rules():
         parse_config_text("data.kind = a\ndata.kind = b\n")
     with pytest.raises(ValidationError):
         parse_config_text("data.kind spirals\n")
-
-
-# ---------------------------------------------------------------- lemma1
-
-def test_lemma1_outputs(tmp_path, capsys):
-    cfg = _write(tmp_path, "r.cfg",
-                 "lemma1.K = 16\nlemma1.N_list = 32,64,128,256\nlemma1.fn = sin\nlemma1.seed = 0\n")
-    out = str(tmp_path / "out")
-    assert main(["lemma1", "--config", cfg, "--out", out]) == 0
-    printed = capsys.readouterr().out
-    assert "fitted slope: -" in printed
-    csv = _read(out, "lemma1.csv").strip().splitlines()
-    assert csv[0] == "N,mse" and len(csv) == 5
-    assert sorted(os.listdir(out)) == ["config.resolved", "lemma1.csv"]
-
-
-def test_lemma1_constant_function_reports_exact(tmp_path, capsys):
-    cfg = _write(tmp_path, "c.cfg", "lemma1.fn = const\nlemma1.N_list = 32,64,128,256\n")
-    assert main(["lemma1", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert "exact" in capsys.readouterr().out
-
-
-def test_lemma1_unknown_function(tmp_path):
-    cfg = _write(tmp_path, "u.cfg", "lemma1.fn = cosh\n")
-    assert main(["lemma1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 # ---------------------------------------------------------------- train
@@ -261,19 +238,36 @@ def test_simulate_outputs_and_exponent_format(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "report.json"))
 
 
-def test_simulate_s0_matches_lemma1_bitwise(tmp_path):
-    sim_cfg = _write(tmp_path, "s.cfg", SIM_CFG)
-    lem_cfg = _write(tmp_path, "l.cfg",
-                     "lemma1.K = 16\nlemma1.N_list = 32,64,128,256\n"
-                     "lemma1.fn = sin\nlemma1.seed = 5\n")
-    sim_out, lem_out = str(tmp_path / "sim"), str(tmp_path / "lem")
-    assert main(["simulate", "--config", sim_cfg, "--out", sim_out]) == 0
-    assert main(["lemma1", "--config", lem_cfg, "--out", lem_out]) == 0
+def test_simulate_s0_matches_module_mse(tmp_path):
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", _write(tmp_path, "s.cfg", SIM_CFG), "--out", out]) == 0
     sim_mse = {l.split(",")[0]: l.split(",")[4]
-               for l in _read(sim_out, "sim_sweep.csv").strip().splitlines()[1:]}
-    lem_mse = {l.split(",")[0]: l.split(",")[1]
-               for l in _read(lem_out, "lemma1.csv").strip().splitlines()[1:]}
-    assert sim_mse == lem_mse  # textual 17-digit equality == bit equality
+               for l in _read(out, "sim_sweep.csv").strip().splitlines()[1:]}
+    x = sample_inputs(16, 5)
+    module_mse = {str(n): f"{get_module(16, n).estimate_mse(x, np.sin):.17g}"
+                  for n in (32, 64, 128, 256)}
+    assert sim_mse == module_mse  # textual 17-digit equality == bit equality
+
+
+def test_simulate_constant_function_has_no_exponent(tmp_path, capsys):
+    # a constant is reproduced to rounding error; no power law fits ~1e-32
+    out = str(tmp_path / "o")
+    cfg = _write(tmp_path, "c.cfg", SIM_CFG.replace("sim.fn = sin", "sim.fn = const"))
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert "fitted exponent: unavailable" in capsys.readouterr().out
+    assert json.loads(_read(out, "report.json"))["exponent"] is None
+
+
+def test_simulate_cubic_function_decays_fast(tmp_path, capsys):
+    cfg = _write(tmp_path, "cu.cfg", SIM_CFG.replace("sim.fn = sin", "sim.fn = cubic"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    printed = capsys.readouterr().out
+    assert float(printed.split("fitted exponent:")[1].split()[0]) >= 2.2
+
+
+def test_simulate_unknown_function(tmp_path):
+    cfg = _write(tmp_path, "u.cfg", "sim.fn = cosh\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_simulate_empty_n_list(tmp_path):
@@ -337,15 +331,6 @@ def test_sweep_n_param_ramps_to_target(tmp_path):
     assert finals == [16, 24]
 
 
-def test_lemma1_cubic_function_decays_fast(tmp_path, capsys):
-    cfg = _write(tmp_path, "cu.cfg",
-                 "lemma1.fn = cubic\nlemma1.N_list = 32,64,128,256\nlemma1.seed = 0\n")
-    assert main(["lemma1", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    printed = capsys.readouterr().out
-    slope = float(printed.split("fitted slope:")[1].split()[0])
-    assert slope <= -2.2
-
-
 def test_sweep_n_param_requires_value_above_batch(tmp_path):
     cfg = _write(tmp_path, "n.cfg",
                  TRAIN_CFG.format(method="coded", mu=0.5) +
@@ -366,7 +351,6 @@ attack.trials = 5
 
 # command: (config text, contract files, the key --seed overrides)
 RERUN_CASES = {
-    "lemma1": ("lemma1.N_list = 32,64\n", ("lemma1.csv",), "lemma1.seed"),
     "train": (TRAIN_CFG.format(method="coded", mu=0.5), ("metrics.csv", "model.bin"),
               "train.seed"),
     "attack": (ATTACK_CFG, ("results.csv",), "attack.seed"),
@@ -407,20 +391,23 @@ def test_rerun_from_echoed_config(tmp_path, command):
     ("attack", ATTACK_CFG + "attack.kind = p\n", "attack.kind", "'p'"),
     ("attack", ATTACK_CFG.replace("attack.n_prime = 24", "attack.n_prime = 8"),
      "attack.n_prime = 8", "attack.k_prime = 16"),
-    ("lemma1", "lemma1.K = 2\n", "lemma1.K", "'2'"),
+    ("attack", ATTACK_CFG.replace("attack.k_prime = 16", "attack.k_prime = 40")
+     .replace("attack.n_prime = 24", "attack.n_prime = 60"),
+     "attack.k_prime = 40", "data.n_test = 32"),
     ("simulate", SIM_CFG.replace("sim.K = 16", "sim.K = 2"), "sim.K", "'2'"),
     ("train", TRAIN_CFG.format(method="coded", mu=2), "train.mu", "= 2.0"),
     ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("batch_size = 16", "batch_size = 2"),
      "train.batch_size", "= 2"),
 ], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
-        "lemma1.K", "sim.K", "train.mu", "train.batch_size"])
+        "attack.k_prime", "sim.K", "train.mu", "train.batch_size"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
     assert main([command, "--config", _write(tmp_path, "d.cfg", text),
                  "--out", out] + extra) == 2
-    err = capsys.readouterr().err
-    assert key in err and value in err
+    captured = capsys.readouterr()
+    assert key in captured.err and value in captured.err
+    assert captured.out == ""
     assert not os.path.exists(out)
 
 

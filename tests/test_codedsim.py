@@ -168,9 +168,10 @@ def test_exponent_validation():
     rows.append(SweepRow(48, 0, "uniform_random", 0, 5e-4))
     with pytest.raises(ValidationError):
         fit_scaling_exponent(SimReport(rows=rows))  # span 4x < 8x
-    zero = [SweepRow(n, 0, "uniform_random", 0, 0.0) for n in (8, 16, 32, 64)]
-    with pytest.raises(ValidationError):
-        fit_scaling_exponent(SimReport(rows=zero))
+    for floor in (0.0, 1e-32):  # exact recovery, up to rounding
+        exact = [SweepRow(n, 0, "uniform_random", 0, floor) for n in (8, 16, 32, 64)]
+        with pytest.raises(ValidationError):
+            fit_scaling_exponent(SimReport(rows=exact))
 
 
 def test_run_coded_job_validation():
