@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Paired benchmark of two checkouts: what a change does to each end-to-end metric.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE WORKLOAD PAIRS [--seed S]
+
+PARENT and CHANGE are the roots of two checkouts. Each pair runs
+``perfbench/run.py --workload WORKLOAD --seed S --trace 0`` once in each
+checkout, from that checkout's root and with its own run length; the side
+that runs first alternates from pair to pair. For every end-to-end metric
+of the parent's BENCHMARK.json it prints both sides' medians and quartiles,
+the pairs the change won (ties count for neither side) and a verdict:
+
+- ``gain``: the change won at least nine tenths of the pairs and its median
+  is better by more than the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's bound;
+- ``unresolved``: neither, and the parent's interquartile range is wider
+  than the bound, unless every change run reads better than every parent run;
+- ``within bound``: otherwise.
+
+Peak RSS depends on the lengths of the paths the benchmark hands the
+program, so the script warns when the two checkout paths differ in length.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(root, workload, seed):
+    """Metrics of one untraced benchmark run in the checkout at ``root``."""
+    argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+            "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{root}: exit {proc.returncode}\n"
+                           f"{proc.stdout[-500:]}{proc.stderr[-500:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q = statistics.quantiles(values, n=4)
+    return q[0], q[2]
+
+
+def verdict(parent, change, higher_better, bound):
+    """The paired rule for one metric: parent and change hold run i of pair i."""
+    sign = 1.0 if higher_better else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    gain = sign * (c_med - p_med)
+    if wins >= 0.9 * len(parent) and gain > q3 - q1:
+        return wins, "gain"
+    if -gain > bound * abs(p_med):
+        return wins, "worse"
+    all_better = (min(change) > max(parent)) if higher_better else (max(change) < min(parent))
+    if q3 - q1 > bound * abs(p_med) and not all_better:
+        return wins, "unresolved"
+    return wins, "within bound"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("workload")
+    parser.add_argument("pairs", type=int)
+    parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"PAIRS must be at least 1, got {args.pairs}")
+    roots = [os.path.realpath(args.parent), os.path.realpath(args.change)]
+    if len(roots[0]) != len(roots[1]):
+        print(f"warning: the checkout paths differ in length ({len(roots[0])} vs "
+              f"{len(roots[1])} characters); peak_rss_mb can shift with path length",
+              file=sys.stderr)
+    with open(os.path.join(roots[0], "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+
+    runs = ([], [])
+    for pair in range(args.pairs):
+        order = (0, 1) if pair % 2 == 0 else (1, 0)
+        for side in order:
+            runs[side].append(run_once(roots[side], args.workload, args.seed))
+        values = " ".join(f"{m['name']} {runs[0][-1]['metrics'][m['name']]['value']:.4g}/"
+                          f"{runs[1][-1]['metrics'][m['name']]['value']:.4g}" for m in metrics)
+        print(f"pair {pair + 1}/{args.pairs} (parent/change): {values}", flush=True)
+
+    print(f"\nworkload {args.workload} seed {args.seed}, {args.pairs} pairs")
+    for side, name in enumerate(("parent", "change")):
+        failed = sum(r["failed"] for r in runs[side])
+        attempted = sum(r["attempted"] for r in runs[side])
+        incorrect = sum(not r["correct"] for r in runs[side])
+        print(f"  {name}: failed {failed}/{attempted} operations, {incorrect} runs not correct")
+    for m in metrics:
+        name = m["name"]
+        parent = [r["metrics"][name]["value"] for r in runs[0]]
+        change = [r["metrics"][name]["value"] for r in runs[1]]
+        wins, what = verdict(parent, change, m["better"] == "higher", m["bound"])
+        sides = []
+        for values in (parent, change):
+            q1, q3 = quartiles(values)
+            sides.append(f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]")
+        print(f"  {name} ({m['unit']}, {m['better']} is better, bound {m['bound']:g}): "
+              f"parent {sides[0]}, change {sides[1]}, change wins {wins}/{args.pairs}: {what}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

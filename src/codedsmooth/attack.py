@@ -145,25 +145,31 @@ def _accuracy(scores: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.argmax(scores, axis=1) == y))
 
 
+def craft(model: MLP, x: np.ndarray, y: np.ndarray, attack, seed: int = 0) -> np.ndarray:
+    """Adversarial inputs for ``attack`` (None: ``x`` itself), crafted
+    white-box against the standard deterministic pass. PGD's random start
+    draws from the ``pgd-start`` stream of ``seed``."""
+    if attack is None:
+        return x
+    if isinstance(attack, FGSMSpec):
+        return fgsm(model, x, y, attack.epsilon)
+    if isinstance(attack, PGDSpec):
+        return pgd(model, x, y, attack, rng=stream_rng(seed, "pgd-start"))
+    raise ValidationError(f"unknown attack {attack!r}")
+
+
 def robust_eval(model: MLP, x: np.ndarray, y: np.ndarray, attack, mode,
                 trials: int = 20, seed: int = 0) -> float:
     """Accuracy under an attack (or clean, attack=None) and an inference mode.
 
-    Adversarial inputs are crafted once, white-box against the standard
-    deterministic pass; the inference mode only changes how they are then
-    evaluated. Standard mode scores every row; RCI scores the largest
+    Adversarial inputs come from ``craft``; the inference mode only changes
+    how they are then evaluated, so a caller scoring one attack under
+    several modes can craft once and pass the crafted inputs with
+    attack=None. Standard mode scores every row; RCI scores the largest
     K'-multiple prefix (the module needs full batches) and averages over
     ``trials`` permutation draws.
     """
-    if attack is None:
-        x_adv = x
-    elif isinstance(attack, FGSMSpec):
-        x_adv = fgsm(model, x, y, attack.epsilon)
-    elif isinstance(attack, PGDSpec):
-        x_adv = pgd(model, x, y, attack, rng=stream_rng(seed, "pgd-start"))
-    else:
-        raise ValidationError(f"unknown attack {attack!r}")
-
+    x_adv = craft(model, x, y, attack, seed)
     if isinstance(mode, Standard):
         return _accuracy(model.predict(x_adv), y)
 

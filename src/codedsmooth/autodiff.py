@@ -4,11 +4,14 @@ Every op is built by ``node(data, parents, grads)``: ``data`` is the forward
 value and ``grads(g)`` maps the gradient of that value to one gradient per
 parent. ``Tensor.backward()`` walks the graph once in reverse topological
 order and adds each returned gradient into its parent's accumulator, so the
-accumulation lives in one place. Besides the constructor there are only the
-ops the package calls: a matrix product, a fixed linear operator, the sum
-and the constant scale of losses, a sum reduction, and the mean squared
-error and softmax cross-entropy losses. The network itself is one node,
-built in ``models.py``.
+accumulation lives in one place. Besides the constructor there are a matrix
+product, a fixed linear operator, a sum, a constant scale, a sum reduction,
+and the mean squared error and softmax cross-entropy losses. The network is
+one node, built in ``models.py``, and so is the dual-path training loss,
+built in ``train.py`` from the losses' array-level rules (``mse``,
+``cross_entropy``). ``add`` and ``scale`` have no caller in the package:
+they remain as the op-by-op composition of that loss, which the tests
+compare the fused node against.
 
 Tensors are always float64. Nothing checks the data for finiteness; the
 training loop's NaN guard does that on the losses.
@@ -131,7 +134,7 @@ def apply_linear_operator(mat: np.ndarray, y: Tensor) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    """Sum of two tensors of the same shape (the dual-path loss mix)."""
+    """Sum of two tensors of the same shape."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
@@ -151,31 +154,49 @@ def tsum(a) -> Tensor:
     return node(np.sum(a.data), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
-def mse_loss(pred, target) -> Tensor:
-    """Mean of squared entrywise differences over the whole batch."""
-    pred = _as_tensor(pred)
-    tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
-    if pred.data.shape != tgt.shape:
-        raise ShapeError(f"mse: {pred.data.shape} vs {tgt.shape}")
-    diff = pred.data - tgt
-    return node(np.mean(diff * diff), (pred,), lambda g: (g * (2.0 / diff.size) * diff,))
+def mse(pred: np.ndarray, target) -> tuple:
+    """Mean of squared entrywise differences: (value, rule).
 
-
-def softmax_cross_entropy(logits, target) -> Tensor:
-    """Mean cross-entropy between row-softmax of logits and target rows.
-
-    Targets are one-hot or probability rows and are treated as constants.
+    ``rule(g)`` is the gradient with respect to ``pred`` of ``g`` times the
+    value, the backward rule of ``mse_loss``.
     """
-    logits = _as_tensor(logits)
-    tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
-    if logits.data.shape != tgt.shape:
-        raise ShapeError(f"cross_entropy: {logits.data.shape} vs {tgt.shape}")
-    z = logits.data
+    tgt = np.asarray(target, dtype=np.float64)
+    if pred.shape != tgt.shape:
+        raise ShapeError(f"mse: {pred.shape} vs {tgt.shape}")
+    diff = pred - tgt
+    return np.mean(diff * diff), lambda g: g * (2.0 / diff.size) * diff
+
+
+def cross_entropy(z: np.ndarray, target) -> tuple:
+    """Mean cross-entropy between row-softmax of logits ``z`` and target rows:
+    (value, rule), with ``rule`` as in ``mse``."""
+    tgt = np.asarray(target, dtype=np.float64)
+    if z.shape != tgt.shape:
+        raise ShapeError(f"cross_entropy: {z.shape} vs {tgt.shape}")
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax + np.log(np.sum(np.exp(z - zmax), axis=1, keepdims=True))
     n = z.shape[0]
     softmax = np.exp(z - lse)
-    return node(np.sum(tgt * (lse - z)) / n, (logits,), lambda g: (g * (softmax - tgt) / n,))
+    return np.sum(tgt * (lse - z)) / n, lambda g: g * (softmax - tgt) / n
+
+
+def _loss_node(loss, pred, target) -> Tensor:
+    pred = _as_tensor(pred)
+    value, rule = loss(pred.data, target.data if isinstance(target, Tensor) else target)
+    return node(value, (pred,), lambda g: (rule(g),))
+
+
+def mse_loss(pred, target) -> Tensor:
+    """Mean squared error over the whole batch, as a tape node."""
+    return _loss_node(mse, pred, target)
+
+
+def softmax_cross_entropy(logits, target) -> Tensor:
+    """Mean softmax cross-entropy, as a tape node.
+
+    Targets are one-hot or probability rows and are treated as constants.
+    """
+    return _loss_node(cross_entropy, logits, target)
 
 
 def sgd_momentum_step(params, lr: float, momentum: float) -> None:

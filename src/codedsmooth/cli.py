@@ -19,7 +19,7 @@ from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
-from .attack import FGSMSpec, PGDSpec, RCI, Standard, robust_eval
+from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
 from .coded import chebyshev_first, chebyshev_second
 from .codedsim import BENCH_FUNCTIONS, fit_scaling_exponent, sample_inputs, sweep
 from .config import KEYS, Config, dump_config, load_config
@@ -149,8 +149,10 @@ def cmd_attack(r: dict, args) -> dict:
     method = header.get("method", "unknown")
     rows = ["method,inference_mode,attack,epsilon,steps,N_prime,seed,accuracy\n"]
     for attack_name, attack in attacks:
+        # crafted once against the standard pass, then scored under each mode
+        x_adv = craft(model, data.test_x, data.test_y, attack, seed)
         for mode_name, mode in modes:
-            acc = robust_eval(model, data.test_x, data.test_y, attack, mode,
+            acc = robust_eval(model, x_adv, data.test_y, None, mode,
                               trials=r["attack.trials"], seed=seed)
             n_steps = steps if attack_name.startswith("pgd") else (1 if attack_name == "fgsm" else 0)
             eps_out = 0.0 if attack is None else epsilon
@@ -206,8 +208,8 @@ def _sweep_plan(base: TrainPlan, param: str, value: float) -> TrainPlan:
 
 def _sweep_cell(args):
     plan, param, value, seed = args
-    cell_plan = replace(plan, seed=seed)
-    _, metrics = train(cell_plan)
+    # sweep.csv reports the last epoch only, so only it is evaluated
+    _, metrics = train(replace(plan, seed=seed), every_epoch=False)
     last = metrics.records[-1]
     return (param, value, seed, last.test_metric, last.loss_main,
             last.loss_coded, last.n_coded)

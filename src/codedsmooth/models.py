@@ -1,9 +1,11 @@
 """Small fully-connected networks on the autodiff tape.
 
-One numpy pass computes every layer's activations. ``MLP.predict`` returns
-the last of them; ``MLP.forward`` records the whole network as one tape node
-whose backward rule is the closed-form layer recurrence, so the network is
-written once and both entry points give the same bits.
+One numpy pass computes every layer's activations and one closed-form layer
+recurrence (``MLP.backprop``) differentiates it. ``MLP.predict`` returns the
+last activation; ``MLP.forward`` records the whole network as one tape node
+whose backward rule is that recurrence, so the network is written once and
+both entry points give the same bits. The dual-path training loss in
+``train.py`` calls the same two methods.
 """
 
 from dataclasses import dataclass
@@ -67,7 +69,7 @@ class MLP:
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
-    def _activations(self, x: np.ndarray) -> list:
+    def activations(self, x: np.ndarray) -> list:
         """[x, h1, ..., out]: the input and every layer's output."""
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"MLP input {x.shape} does not fit first layer "
@@ -82,32 +84,36 @@ class MLP:
             hs.append(h)
         return hs
 
-    def forward(self, x) -> Tensor:
-        """The network as one tape node over the input and every parameter.
+    def backprop(self, hs: list, g: np.ndarray, input_grad: bool = True) -> list:
+        """Gradients of one pass: [input, W1, b1, W2, b2, ...].
 
-        Backward runs the layer recurrence from the output: the activation
-        derivative, read off the layer's output (``h > 0`` for relu,
-        ``1 - h*h`` for tanh), then ``h.T @ g`` for the weight,
-        ``g.sum(axis=0)`` for the bias and ``g @ W.T`` for the layer input.
+        ``hs`` is the pass's ``activations`` and ``g`` the gradient of its
+        output. The layer recurrence runs from the output: ``g.sum(axis=0)``
+        for the bias and ``h.T @ g`` for the weight, then ``g @ W.T`` and the
+        activation derivative, read off the layer's output (``h > 0`` for
+        relu, ``1 - h*h`` for tanh). Without ``input_grad`` the first entry
+        is None and the first layer's ``g @ W.T`` is skipped.
         """
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        hs = self._activations(x.data)
         relu = self.spec.activation == "relu"
+        out = []
+        for i in range(len(self.weights) - 1, 0, -1):
+            out += [g.sum(axis=0), hs[i].T @ g]
+            g = g @ self.weights[i].data.T
+            g = g * (hs[i] > 0.0) if relu else g * (1.0 - hs[i] * hs[i])
+        out += [g.sum(axis=0), hs[0].T @ g,
+                g @ self.weights[0].data.T if input_grad else None]
+        return out[::-1]
 
-        def grads(g):
-            out = []
-            for i in range(len(self.weights) - 1, -1, -1):
-                out += [g.sum(axis=0), hs[i].T @ g]
-                g = g @ self.weights[i].data.T
-                if i > 0:
-                    g = g * (hs[i] > 0.0) if relu else g * (1.0 - hs[i] * hs[i])
-            out.append(g)
-            return out[::-1]
-
-        return node(hs[-1], (x, *self.parameters()), grads)
+    def forward(self, x) -> Tensor:
+        """The network as one tape node over the input and every parameter,
+        with ``backprop`` as its backward rule."""
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        hs = self.activations(x.data)
+        return node(hs[-1], (x, *self.parameters()),
+                    lambda g: self.backprop(hs, g, x.requires_grad))
 
     __call__ = forward
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Tape-free forward pass: the last activation of the shared pass."""
-        return self._activations(np.asarray(x, dtype=np.float64))[-1]
+        return self.activations(np.asarray(x, dtype=np.float64))[-1]

@@ -136,34 +136,52 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, alpha: float, rng) -> tuple:
     return xbar, ybar
 
 
-def _task_loss(pred: Tensor, target: np.ndarray, task: str) -> Tensor:
-    if task == "classification":
-        return autodiff.softmax_cross_entropy(pred, target)
-    return autodiff.mse_loss(pred, target)
-
-
 def dual_path_terms(model: MLP, module, x: np.ndarray, target: np.ndarray,
                     mu: float, task: str):
     """(combined, main, coded) loss tensors for one batch.
 
+    ``combined`` is one tape node over the model's parameters, worth
+    (1 - mu) * main + mu * coded. ``main`` is the task loss of the model on
+    the batch; ``coded`` is the task loss of decode(model(encode(batch))).
+    The backward rule runs ``model.backprop`` once per path that carries
+    weight: on the batch, and on the coded rows E.T x with the coded loss's
+    gradient carried back through the decoder as ``D @ g``. It adds the two
+    paths' parameter gradients, so the step equals the op-by-op tape
+    composition bit for bit.
+
     mu = 0 skips the smoothing path entirely (the step is then identical to
-    plain training and ``module`` may be None); mu = 1 returns only the
-    smoothed-path loss, so no gradient ever reaches the tape through the
-    direct output.
+    plain training, ``module`` may be None and ``combined`` is ``main``);
+    mu = 1 backpropagates only the smoothed path and ``combined`` is
+    ``coded``. Otherwise ``main`` and ``coded`` are constant tensors.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValidationError("mu must be in [0, 1]")
-    l_main = _task_loss(model(Tensor(x)), target, task)
+    loss = autodiff.cross_entropy if task == "classification" else autodiff.mse
+    params = tuple(model.parameters())
+    hs = model.activations(x)
+    main, main_rule = loss(hs[-1], target)
     if mu == 0.0:
-        return l_main, l_main, None
+        combined = autodiff.node(main, params,
+                                 lambda g: model.backprop(hs, main_rule(g), False)[1:])
+        return combined, combined, None
     if x.shape[0] != module.k:
         raise ShapeError(f"batch has {x.shape[0]} rows but module expects {module.k}")
-    l_coded = _task_loss(module.forward(Tensor(x), model), target, task)
+    hs_coded = model.activations(module.encode(x))
+    coded, coded_rule = loss(module.decode(hs_coded[-1]), target)
+
+    def grads(g):
+        coded_grads = model.backprop(hs_coded, module.dec_op.matrix @ coded_rule(g * mu),
+                                     False)[1:]
+        if mu == 1.0:
+            return coded_grads
+        direct = model.backprop(hs, main_rule(g * (1.0 - mu)), False)[1:]
+        return [a + b for a, b in zip(direct, coded_grads)]
+
     if mu == 1.0:
-        return l_coded, l_main, l_coded
-    combined = autodiff.add(autodiff.scale(l_main, 1.0 - mu),
-                            autodiff.scale(l_coded, mu))
-    return combined, l_main, l_coded
+        combined = autodiff.node(coded, params, grads)
+        return combined, Tensor(main), combined
+    combined = autodiff.node(main * (1.0 - mu) + coded * mu, params, grads)
+    return combined, Tensor(main), Tensor(coded)
 
 
 def boundary_smoothness(model: MLP, grid: np.ndarray) -> float:
@@ -203,7 +221,7 @@ def evaluate_model(model: MLP, x: np.ndarray, y, task: str) -> float:
     return float(np.mean(diff * diff))
 
 
-def train(plan: TrainPlan) -> tuple:
+def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
     """Run the plan; returns (model, metrics). Bit-deterministic given the plan.
 
     Epochs shuffle the training set; a trailing partial batch (< K rows) is
@@ -211,6 +229,11 @@ def train(plan: TrainPlan) -> tuple:
     against NaN/Inf every step. With mu = 0 the smoothing path is never
     instantiated, so the run (and its metrics CSV) is identical to plain
     training.
+
+    ``every_epoch`` evaluates the test set after every epoch; without it
+    only the last epoch is evaluated and the other records hold nan as
+    their test metric. Evaluation draws no random numbers, so the trained
+    bits are the same either way.
     """
     data = make_dataset(plan.dataset)
     task = task_of(plan.dataset.kind)
@@ -271,7 +294,8 @@ def train(plan: TrainPlan) -> tuple:
             epoch=epoch,
             loss_main=float(np.mean(main_vals)),
             loss_coded=float(np.mean(coded_vals)) if coded_vals else float("nan"),
-            test_metric=evaluate_model(model, data.test_x, test_targets, task),
+            test_metric=(evaluate_model(model, data.test_x, test_targets, task)
+                         if every_epoch or epoch == plan.epochs - 1 else float("nan")),
             n_coded=n_coded,
         ))
 

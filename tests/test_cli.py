@@ -296,6 +296,23 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert len(lines) == 5  # 2 values x 2 seeds
 
 
+def test_sweep_row_equals_train_final_row(tmp_path):
+    # a sweep cell evaluates the test set after its last epoch only; its row
+    # must still be the last metrics.csv row of the same training run
+    cfg = _write(tmp_path, "s.cfg", SWEEP_CFG.replace("0.2,0.8", "0.5"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    rows = _read(str(tmp_path / "sweep"), "sweep.csv").strip().splitlines()[1:]
+    assert len(rows) == 2
+    train_cfg = _write(tmp_path, "t.cfg", TRAIN_CFG.format(method="coded", mu=0.5))
+    for row in rows:
+        _, value, seed, metric, loss_main, loss_coded, n_final = row.split(",")
+        assert value == "0.5"
+        out = str(tmp_path / f"train{seed}")
+        assert main(["train", "--config", train_cfg, "--out", out, "--seed", seed]) == 0
+        last = _read(out, "metrics.csv").strip().splitlines()[-1].split(",")
+        assert last[1:] == [loss_main, loss_coded, metric, n_final]
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = _write(tmp_path, "s.cfg", SWEEP_CFG)
     out1, out2 = str(tmp_path / "ser"), str(tmp_path / "par")

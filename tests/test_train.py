@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from codedsmooth import autodiff
-from codedsmooth.autodiff import Parameter
+from codedsmooth.autodiff import Parameter, Tensor
 from codedsmooth.coded import get_module
 from codedsmooth.datasets import DatasetSpec, one_hot
 from codedsmooth.errors import NumericError, ValidationError
@@ -114,6 +114,57 @@ def test_combined_is_convex_combination():
     npt.assert_allclose(combined.item(), want, rtol=1e-15)
     # the 2.0/4.0 -> 3.0 arithmetic, same formula
     assert (1 - 0.5) * 2.0 + 0.5 * 4.0 == 3.0
+
+
+def _tape_terms(model, module, x, target, mu, task):
+    """The dual-path loss composed op by op on the tape: the reference."""
+    loss = (autodiff.softmax_cross_entropy if task == "classification"
+            else autodiff.mse_loss)
+    l_main = loss(model.forward(Tensor(x)), target)
+    if mu == 0.0:
+        return l_main
+    l_coded = loss(module.forward(Tensor(x), model), target)
+    if mu == 1.0:
+        return l_coded
+    return autodiff.add(autodiff.scale(l_main, 1.0 - mu), autodiff.scale(l_coded, mu))
+
+
+def _task_batch(task, rng):
+    """(model, batch, target) of 16 rows for one task."""
+    if task == "regression":
+        model = MLP(MLPSpec(widths=(1, 8, 8, 1), activation="tanh"), rng)
+        x = rng.uniform(-1, 1, (16, 1))
+        target = np.sin(np.pi * x)
+    else:
+        model = MLP(MLPSpec(widths=(2, 8, 8, 2), activation="relu"), rng)
+        x = rng.uniform(-1, 1, (16, 2))
+        target = one_hot(rng.integers(0, 2, 16), 2) if task == "classification" else x
+    for b in model.biases:
+        b.data[:] = rng.uniform(-0.3, 0.3, b.data.shape)
+    return model, x, target
+
+
+@pytest.mark.parametrize("task", ["classification", "regression", "autoencoder"])
+@pytest.mark.parametrize("mu", [0.0, 0.1, 0.3, 0.5, 1.0])
+def test_fused_step_equals_tape_composition(mu, task):
+    model, x, target = _task_batch(task, np.random.default_rng(5))
+    module = get_module(16, 24)
+    params = model.parameters()
+
+    want = _tape_terms(model, module, x, target, mu, task)
+    want.backward()
+    want_grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+
+    combined, l_main, l_coded = dual_path_terms(model, module, x, target, mu, task)
+    combined.backward()
+    assert combined.data.tobytes() == want.data.tobytes()
+    for p, g in zip(params, want_grads):
+        assert p.grad.tobytes() == g.tobytes()
+    assert l_main.item() == _tape_terms(model, module, x, target, 0.0, task).item()
+    if mu > 0.0:
+        assert l_coded.item() == _tape_terms(model, module, x, target, 1.0, task).item()
 
 
 def test_mu_validation():
