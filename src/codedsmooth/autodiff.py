@@ -3,15 +3,15 @@
 Every op is built by ``node(data, parents, grads)``: ``data`` is the forward
 value and ``grads(g)`` maps the gradient of that value to one gradient per
 parent. ``Tensor.backward()`` walks the graph once in reverse topological
-order and adds each returned gradient into its parent's accumulator, so the
-accumulation lives in one place. Besides the constructor there are a matrix
-product, a fixed linear operator, a sum, a constant scale, a sum reduction,
-and the mean squared error and softmax cross-entropy losses. The network is
-one node, built in ``models.py``, and so is the dual-path training loss,
-built in ``train.py`` from the losses' array-level rules (``mse``,
-``cross_entropy``). ``add`` and ``scale`` have no caller in the package:
-they remain as the op-by-op composition of that loss, which the tests
-compare the fused node against.
+order and stores each returned gradient in its parent, or adds it to the
+one already there, so the accumulation lives in one place. Besides the
+constructor there are a matrix product, a fixed linear operator, a sum, a
+constant scale, a sum reduction, and the mean squared error and softmax
+cross-entropy losses. The network is one node, built in ``models.py``, and
+so is the dual-path training loss, built in ``train.py`` from the losses'
+array-level rules (``mse``, ``cross_entropy``). ``add`` and ``scale`` have
+no caller in the package: they remain as the op-by-op composition of that
+loss, which the tests compare the fused node against.
 
 Tensors are always float64. Nothing checks the data for finiteness; the
 training loop's NaN guard does that on the losses.
@@ -26,8 +26,8 @@ class Tensor:
     """A dense array plus its position on the tape.
 
     ``data`` is the cached forward value, ``grad`` the gradient accumulator
-    (allocated lazily, starts at zero), ``_parents`` the node handles of the
-    inputs and ``_grads`` the backward rule of the node that produced it.
+    (None until a backward pass reaches it), ``_parents`` the node handles of
+    the inputs and ``_grads`` the backward rule of the node that produced it.
     Leaf tensors have no parents and no backward rule.
     """
 
@@ -70,7 +70,9 @@ class Tensor:
         for t in reversed(order):
             if t._grads is not None and t.requires_grad:
                 for p, g in zip(t._parents, t._grads(t.grad)):
-                    _accum(p, g)
+                    if p.requires_grad:
+                        # never in place: a rule may hand one array to two parents
+                        p.grad = g if p.grad is None else p.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -84,14 +86,6 @@ class Parameter(Tensor):
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
         self.momentum = np.zeros_like(self.data)
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
 
 
 def _as_tensor(x) -> Tensor:

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
@@ -26,7 +26,7 @@ from .config import KEYS, Config, dump_config, load_config
 from .datasets import DatasetSpec, make_dataset, task_of
 from .errors import NumericError, ValidationError
 from .models import MLPSpec
-from .modelio import load_model, model_bytes
+from .modelio import csv_table, load_model, model_bytes
 from .train import Coded, ERM, Mixup, TrainPlan, train
 
 # thread-count variables of the BLAS builds numpy may load, and of OpenMP
@@ -81,17 +81,14 @@ def _method(r: dict):
     if name == "mixup":
         return Mixup(alpha=r["train.mixup_alpha"])
     if name == "coded":
-        return Coded(mu=r["train.mu"], gamma=r["train.gamma"],
-                     n_schedule=r["train.n_schedule"])
+        return Coded(mu=r["train.mu"], gamma=r["train.gamma"])
     return ERM()
 
 
 def _method_desc(method) -> str:
-    if isinstance(method, ERM):
-        return "erm"
-    if isinstance(method, Mixup):
-        return f"mixup alpha={method.alpha:g}"
-    return f"coded mu={method.mu:g} gamma={method.gamma:g} schedule={method.n_schedule}"
+    """The model file's method line: the method's name, then its fields."""
+    return " ".join([type(method).__name__.lower()]
+                    + [f"{f.name}={getattr(method, f.name):g}" for f in fields(method)])
 
 
 def _train_plan(r: dict) -> TrainPlan:
@@ -133,6 +130,9 @@ def cmd_attack(r: dict, args) -> dict:
         raise ValidationError(f"attack.k_prime = {r['attack.k_prime']} exceeds data.n_test = "
                               f"{dspec.n_test}; RCI scores whole K' batches of the test set")
     data = make_dataset(dspec)
+    # both modes score the same rows: the whole K' batches RCI can use
+    used = dspec.n_test // r["attack.k_prime"] * r["attack.k_prime"]
+    x, y = data.test_x[:used], data.test_y[:used]
 
     seed, epsilon, steps = r["attack.seed"], r["attack.epsilon"], r["attack.steps"]
     n_prime, kind = r["attack.n_prime"], r["attack.kind"]
@@ -147,20 +147,19 @@ def cmd_attack(r: dict, args) -> dict:
              ("rci", RCI(n_prime=n_prime, k_prime=r["attack.k_prime"], seed=seed))]
 
     method = header.get("method", "unknown")
-    rows = ["method,inference_mode,attack,epsilon,steps,N_prime,seed,accuracy\n"]
+    rows = []
     for attack_name, attack in attacks:
         # crafted once against the standard pass, then scored under each mode
-        x_adv = craft(model, data.test_x, data.test_y, attack, seed)
+        x_adv = craft(model, x, y, attack, seed)
+        n_steps = steps if attack_name.startswith("pgd") else (1 if attack_name == "fgsm" else 0)
+        eps_out = 0.0 if attack is None else epsilon
         for mode_name, mode in modes:
-            acc = robust_eval(model, x_adv, data.test_y, None, mode,
-                              trials=r["attack.trials"], seed=seed)
-            n_steps = steps if attack_name.startswith("pgd") else (1 if attack_name == "fgsm" else 0)
-            eps_out = 0.0 if attack is None else epsilon
+            acc = robust_eval(model, x_adv, y, None, mode, trials=r["attack.trials"], seed=seed)
             npr = n_prime if mode_name == "rci" else 0
-            rows.append(f"{method},{mode_name},{attack_name},{eps_out:.17g},"
-                        f"{n_steps},{npr},{seed},{acc:.17g}\n")
+            rows.append((method, mode_name, attack_name, eps_out, n_steps, npr, seed, acc))
             print(f"{attack_name:>6s} | {mode_name:>8s} | accuracy {acc:.4f}")
-    return {"results.csv": "".join(rows)}
+    return {"results.csv": csv_table("method,inference_mode,attack,epsilon,steps,N_prime,"
+                                     "seed,accuracy", rows)}
 
 
 # ---------------------------------------------------------------- simulate
@@ -189,21 +188,17 @@ def cmd_simulate(r: dict, args) -> dict:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_plan(base: TrainPlan, param: str, value: float) -> TrainPlan:
-    method = base.method
-    if param in ("mu", "gamma", "N") and not isinstance(method, Coded):
+    if param == "batch_size":
+        return replace(base, batch_size=int(round(value)))
+    if not isinstance(base.method, Coded):
         raise ValidationError(f"sweep over {param!r} requires train.method=coded")
-    if param == "mu":
-        return replace(base, method=replace(method, mu=value))
-    if param == "gamma":
-        return replace(base, method=replace(method, gamma=value))
     if param == "N":
         # target final coded-sample count; reached by ramping gamma = N/K
         n_target = int(round(value))
         if n_target < base.batch_size:
             raise ValidationError(f"N={n_target} below batch size {base.batch_size}")
-        return replace(base, method=replace(method, gamma=n_target / base.batch_size,
-                                            n_schedule="linear_ramp"))
-    return replace(base, batch_size=int(round(value)))  # param == "batch_size"
+        param, value = "gamma", n_target / base.batch_size
+    return replace(base, method=replace(base.method, **{param: value}))
 
 
 def _sweep_cell(args):
@@ -236,13 +231,10 @@ def cmd_sweep(r: dict, args) -> dict:
     else:
         rows = [_sweep_cell(c) for c in cells]
 
-    # merge in deterministic parameter order (already generated in order)
-    out = ["param,value,seed,test_metric,loss_main,loss_coded,N_final\n"]
-    for param_name, value, seed, metric, lm, lc, nf in rows:
-        out.append(f"{param_name},{value:.17g},{seed},{metric:.17g},"
-                   f"{lm:.17g},{lc:.17g},{nf}\n")
+    # rows come back in cell order, which is deterministic parameter order
     print(f"sweep over {param}: {len(rows)} cells")
-    return {"sweep.csv": "".join(out)}
+    return {"sweep.csv": csv_table("param,value,seed,test_metric,loss_main,loss_coded,N_final",
+                                   rows)}
 
 
 # ---------------------------------------------------------------- main

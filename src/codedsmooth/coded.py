@@ -47,6 +47,17 @@ def chebyshev_second(n: int) -> np.ndarray:
     return beta
 
 
+def _apply(mat: np.ndarray, x):
+    """mat.T @ x for an (n, m) operator and n rows of x, as a tape node for a
+    Tensor; either way a wrong row count raises ShapeError naming both shapes."""
+    if isinstance(x, Tensor):
+        return autodiff.apply_linear_operator(mat, x)
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != mat.shape[0]:
+        raise ShapeError(f"operator {mat.shape} vs values {arr.shape}")
+    return mat.T @ arr
+
+
 class CodedSmoothingModule:
     """Precomputed encode/decode operators for a (K, N) batch geometry.
 
@@ -67,25 +78,11 @@ class CodedSmoothingModule:
 
     def encode(self, x):
         """K input rows -> N coded rows; Tensor in, Tensor out (or ndarray)."""
-        if isinstance(x, Tensor):
-            if x.data.shape[0] != self.k:
-                raise ShapeError(f"encode: expected {self.k} rows, got {x.data.shape[0]}")
-            return autodiff.apply_linear_operator(self.enc_op.matrix, x)
-        return self._apply(self.enc_op, np.asarray(x, dtype=np.float64), self.k)
+        return _apply(self.enc_op.matrix, x)
 
     def decode(self, f_coded):
         """N computed rows -> K estimate rows."""
-        if isinstance(f_coded, Tensor):
-            if f_coded.data.shape[0] != self.n:
-                raise ShapeError(f"decode: expected {self.n} rows, got {f_coded.data.shape[0]}")
-            return autodiff.apply_linear_operator(self.dec_op.matrix, f_coded)
-        return self._apply(self.dec_op, np.asarray(f_coded, dtype=np.float64), self.n)
-
-    @staticmethod
-    def _apply(op, arr, rows):
-        if arr.ndim != 2 or arr.shape[0] != rows:
-            raise ShapeError(f"expected ({rows}, d), got shape {arr.shape}")
-        return op.matrix.T @ arr
+        return _apply(self.dec_op.matrix, f_coded)
 
     def forward(self, x, f):
         """decode(f(encode(x))): estimates of f on the original batch.

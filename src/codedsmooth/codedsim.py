@@ -12,13 +12,13 @@ whose loss widens the decoder's knot gap the most (contiguous holes are the
 worst case for spline interpolation).
 """
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .coded import MIN_POINTS, get_module
 from .errors import ValidationError
+from .modelio import csv_table
 from .seeding import stream_rng
 from .spline import Knots, fit_eval
 
@@ -83,11 +83,7 @@ class SimReport:
         return {key: sums[key] / counts[key] for key in sums}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("N,S,policy,seed,mse\n")
-        for r in self.rows:
-            buf.write(f"{r.n_workers},{r.stragglers},{r.policy},{r.seed},{r.mse:.17g}\n")
-        return buf.getvalue()
+        return csv_table("N,S,policy,seed,mse", map(astuple, self.rows))
 
 
 def returned_indices(scenario: StragglerScenario, beta: np.ndarray) -> np.ndarray:

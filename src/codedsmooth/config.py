@@ -18,7 +18,7 @@ from .codedsim import BENCH_FUNCTIONS, POLICIES, StragglerScenario
 from .datasets import DatasetSpec, KINDS
 from .errors import ValidationError
 from .models import ACTIVATIONS, MLPSpec
-from .train import Coded, Mixup, N_SCHEDULES, TrainPlan
+from .train import Coded, Mixup, TrainPlan
 
 
 def _at_least(low):
@@ -64,7 +64,6 @@ KEYS = {
     "train.method": Key(str.lower, "erm", ("erm", "mixup", "coded")),
     "train.mu": Key(float, Coded.mu, method="coded"),
     "train.gamma": Key(float, Coded.gamma, method="coded"),
-    "train.n_schedule": Key(str, Coded.n_schedule, N_SCHEDULES, method="coded"),
     "train.mixup_alpha": Key(float, Mixup.alpha, method="mixup"),
     "train.epochs": Key(int, TrainPlan.epochs),
     "train.batch_size": Key(int, TrainPlan.batch_size),

@@ -1,15 +1,18 @@
-"""Model file format: 8-byte magic, text header, little-endian f64 parameters.
+"""Contract file formats: the model file and the CSV tables.
 
-Layout:
+Model file: 8-byte magic, text header, little-endian f64 parameters.
     b"CSMODEL1"
     ascii header, one "key value" pair per line, terminated by a blank line:
         version 1
         widths 2,64,64,2
         activation relu
         seed 7
-        method coded mu=0.5 gamma=1.5 schedule=linear_ramp
+        method coded mu=0.5 gamma=1.5
     raw parameter block: per layer, weight matrix (row-major) then bias,
     as little-endian float64.
+
+CSV tables (metrics.csv, sim_sweep.csv, sweep.csv, results.csv): a header
+line, then one comma-separated line per row, written by ``csv_table``.
 """
 
 import numpy as np
@@ -19,6 +22,15 @@ from .models import MLP, MLPSpec
 
 MAGIC = b"CSMODEL1"
 VERSION = 1
+
+
+def csv_table(header: str, rows) -> str:
+    """The header line, then one line per row; floats print with 17
+    significant digits, which read back to the same bits, and every other
+    field prints with ``str``."""
+    lines = [header] + [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                        for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def model_bytes(model: MLP, seed: int, method_desc: str) -> bytes:

@@ -5,7 +5,7 @@ Three methods share one step: plain minimization of the task loss, mixup
 first two are the coded step with mu = 0. The coded method routes the batch
 through a parallel smoothing path (encode -> network -> decode, parameters
 shared with the direct path) and mixes the two losses as
-(1 - mu) * direct + mu * smoothed. The number of coded samples can ramp
+(1 - mu) * direct + mu * smoothed. The number of coded samples ramps
 linearly from the batch size K up to gamma*K over training.
 
 Randomness is split into named streams (init / shuffle / mixup) so that
@@ -13,8 +13,7 @@ methods consuming fewer streams stay bit-compatible: a mu=0 coded run
 replays the plain run exactly.
 """
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .coded import MIN_POINTS, get_module
 from .datasets import DatasetSpec, make_dataset, n_classes, one_hot, task_of
 from .errors import NumericError, ShapeError, ValidationError
 from .models import MLP, MLPSpec
+from .modelio import csv_table
 from .seeding import stream_rng
 
 
@@ -41,22 +41,16 @@ class Mixup:
             raise ValidationError(f"train.mixup_alpha = {self.alpha!r} must be > 0")
 
 
-N_SCHEDULES = ("linear_ramp", "constant")  # "constant" pins N = K
-
-
 @dataclass(frozen=True)
 class Coded:
     mu: float = 0.5
     gamma: float = 1.5
-    n_schedule: str = "linear_ramp"
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ValidationError(f"train.mu = {self.mu!r} must be in [0, 1]")
         if self.gamma < 1.0:
             raise ValidationError(f"train.gamma = {self.gamma!r} must be >= 1")
-        if self.n_schedule not in N_SCHEDULES:
-            raise ValidationError(f"unknown n_schedule {self.n_schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -100,23 +94,18 @@ class Metrics:
         return self.records[-1].test_metric
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("epoch,loss_main,loss_coded,test_metric,N\n")
-        for r in self.records:
-            buf.write(f"{r.epoch},{r.loss_main:.17g},{r.loss_coded:.17g},"
-                      f"{r.test_metric:.17g},{r.n_coded}\n")
-        return buf.getvalue()
+        return csv_table("epoch,loss_main,loss_coded,test_metric,N", map(astuple, self.records))
 
 
 def schedule_n(method: Coded, epoch: int, total_epochs: int, k: int) -> int:
     """Coded-sample count for this epoch.
 
-    linear_ramp goes from K at the first epoch to round(gamma*K) at the
-    last (a single-epoch run stays at K); constant pins N = K. Result is
-    clamped into [K, round(gamma*K)] and is non-decreasing in epoch.
+    A linear ramp from K at the first epoch to round(gamma*K) at the last;
+    a single-epoch run, and gamma = 1, stay at K. Result is clamped into
+    [K, round(gamma*K)] and is non-decreasing in epoch.
     """
     top = int(round(method.gamma * k))
-    if method.n_schedule == "constant" or total_epochs <= 1:
+    if total_epochs <= 1:
         return k
     frac = epoch / (total_epochs - 1)
     n = int(round(k + (method.gamma * k - k) * frac))

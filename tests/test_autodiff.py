@@ -82,6 +82,18 @@ def test_fanout_accumulates_both_contributions():
     npt.assert_allclose(x.grad, [[6.0]])
 
 
+def test_repeated_backward_keeps_parent_gradients_apart():
+    # add's rule hands one array to both parents, so storing it and then
+    # adding in place would make the second pass count twice in each
+    a = Tensor(np.zeros((2, 2)), requires_grad=True)
+    b = Tensor(np.zeros((2, 2)), requires_grad=True)
+    for _ in range(2):
+        ad.tsum(ad.add(a, b)).backward()
+    assert a.grad is not b.grad
+    npt.assert_array_equal(a.grad, np.full((2, 2), 2.0))
+    npt.assert_array_equal(b.grad, np.full((2, 2), 2.0))
+
+
 def test_losses_trivial_values():
     x = Tensor(np.arange(6.0).reshape(2, 3))
     assert ad.mse_loss(x, x.data).item() == 0.0

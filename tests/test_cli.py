@@ -10,6 +10,7 @@ from codedsmooth.cli import main
 from codedsmooth.coded import get_module
 from codedsmooth.codedsim import sample_inputs
 from codedsmooth.config import KEYS, parse_config_text
+from codedsmooth.datasets import DatasetSpec, make_dataset
 from codedsmooth.errors import ValidationError
 from codedsmooth.modelio import load_model, save_model
 from codedsmooth.models import MLP, MLPSpec
@@ -152,6 +153,15 @@ def test_model_file_roundtrip(tmp_path):
         assert fh.read(8) == b"CSMODEL1"
 
 
+@pytest.mark.parametrize("method, line", [
+    ("erm", "erm"), ("mixup", "mixup alpha=1"), ("coded", "coded mu=0.5 gamma=1.5")])
+def test_model_file_method_line(tmp_path, method, line):
+    cfg = _write(tmp_path, "t.cfg", TRAIN_CFG.format(method=method, mu=0.5))
+    out = str(tmp_path / "o")
+    assert main(["train", "--config", cfg, "--out", out]) == 0
+    assert load_model(os.path.join(out, "model.bin"))[1]["method"] == line
+
+
 def test_model_file_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMODEL" + b"\n\n")
@@ -183,6 +193,25 @@ def test_attack_grid_and_consistency(tmp_path, capsys):
 
     none_std = [l for l in lines[1:] if ",standard,none," in l][0]
     assert float(none_std.split(",")[-1]) == final_metric
+
+
+def test_attack_scores_both_modes_on_the_same_rows(tmp_path):
+    # 40 test rows hold two whole K' = 16 batches, so both modes score rows 0-31
+    text = (TRAIN_CFG.format(method="erm", mu=0.5).replace("n_test = 32", "n_test = 40")
+            .replace("train.seed = 0", "train.seed = 1"))
+    train_out = str(tmp_path / "tr")
+    assert main(["train", "--config", _write(tmp_path, "t.cfg", text), "--out", train_out]) == 0
+    atk_cfg = _write(tmp_path, "a.cfg", text + "attack.kind = none\nattack.k_prime = 16\n"
+                     "attack.n_prime = 24\nattack.trials = 2\n")
+    model_path, atk_out = os.path.join(train_out, "model.bin"), str(tmp_path / "atk")
+    assert main(["attack", "--config", atk_cfg, "--model", model_path, "--out", atk_out]) == 0
+    row = [l for l in _read(atk_out, "results.csv").splitlines() if ",standard,none," in l][0]
+
+    model, _ = load_model(model_path)
+    data = make_dataset(DatasetSpec(kind="two_moons", n_train=64, n_test=40, noise=0.1, seed=1))
+    hits = np.argmax(model.predict(data.test_x), axis=1) == data.test_y
+    assert np.mean(hits[:32]) != np.mean(hits)  # the 8 rows RCI leaves out would show
+    assert float(row.split(",")[-1]) == np.mean(hits[:32])
 
 
 def test_attack_architecture_mismatch(tmp_path):
@@ -415,8 +444,11 @@ def test_rerun_from_echoed_config(tmp_path, command):
     ("train", TRAIN_CFG.format(method="coded", mu=2), "train.mu", "= 2.0"),
     ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("batch_size = 16", "batch_size = 2"),
      "train.batch_size", "= 2"),
+    # the coded-sample count always ramps to gamma*K; gamma = 1 keeps it at K
+    ("train", TRAIN_CFG.format(method="coded", mu=0.5) + "train.n_schedule = constant\n",
+     "'train.n_schedule'", "unknown key"),
 ], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
-        "attack.k_prime", "sim.K", "train.mu", "train.batch_size"])
+        "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []

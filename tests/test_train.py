@@ -26,11 +26,10 @@ def small_plan(method, seed=0, **kw):
 # ---------------------------------------------------------------- schedule
 
 def test_schedule_ramp_endpoints():
-    method = Coded(mu=0.5, gamma=1.5, n_schedule="linear_ramp")
+    method = Coded(mu=0.5, gamma=1.5)
     assert schedule_n(method, 0, 100, 128) == 128
     assert schedule_n(method, 99, 100, 128) == 192
     assert schedule_n(Coded(mu=0.5, gamma=1.0), 50, 100, 128) == 128
-    assert schedule_n(Coded(mu=0.5, gamma=1.5, n_schedule="constant"), 99, 100, 128) == 128
 
 
 def test_schedule_monotone_and_bounded():
