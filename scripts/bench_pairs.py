@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired benchmark of two checkouts: what a change does to each end-to-end metric.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE WORKLOAD PAIRS [--seed S]
+    python3 scripts/bench_pairs.py PARENT CHANGE WORKLOAD PAIRS [--seed S] [--json PATH]
 
 PARENT and CHANGE are the roots of two checkouts. Each pair runs
 ``perfbench/run.py --workload WORKLOAD --seed S --trace 0`` once in each
@@ -17,6 +17,10 @@ the pairs the change won (ties count for neither side) and a verdict:
 - ``unresolved``: neither, and the parent's interquartile range is wider
   than the bound, unless every change run reads better than every parent run;
 - ``within bound``: otherwise.
+
+With ``--json PATH`` it also writes the workload, the seed, both checkouts'
+commits (``-dirty`` when a checkout has uncommitted changes) and, per
+metric, each side's runs, median and quartiles, the wins and the verdict.
 
 Peak RSS depends on the lengths of the paths the benchmark hands the
 program, so the script warns when the two checkout paths differ in length.
@@ -40,6 +44,13 @@ def run_once(root, workload, seed):
         raise RuntimeError(f"{root}: exit {proc.returncode}\n"
                            f"{proc.stdout[-500:]}{proc.stderr[-500:]}")
     return json.loads(lines[-1])
+
+
+def commit_of(root):
+    """The checkout's commit, suffixed ``-dirty`` when it has uncommitted changes."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                          cwd=root, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def quartiles(values):
@@ -73,6 +84,7 @@ def main(argv=None):
     parser.add_argument("workload")
     parser.add_argument("pairs", type=int)
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
+    parser.add_argument("--json", metavar="PATH", help="also write the runs and verdicts here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"PAIRS must be at least 1, got {args.pairs}")
@@ -99,17 +111,30 @@ def main(argv=None):
         attempted = sum(r["attempted"] for r in runs[side])
         incorrect = sum(not r["correct"] for r in runs[side])
         print(f"  {name}: failed {failed}/{attempted} operations, {incorrect} runs not correct")
+    record = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+              "commits": {"parent": commit_of(roots[0]), "change": commit_of(roots[1])},
+              "metrics": {}}
     for m in metrics:
         name = m["name"]
         parent = [r["metrics"][name]["value"] for r in runs[0]]
         change = [r["metrics"][name]["value"] for r in runs[1]]
         wins, what = verdict(parent, change, m["better"] == "higher", m["bound"])
-        sides = []
-        for values in (parent, change):
+        sides = {}
+        for side, values in (("parent", parent), ("change", change)):
             q1, q3 = quartiles(values)
-            sides.append(f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]")
+            sides[side] = {"runs": values, "median": statistics.median(values),
+                           "quartiles": [q1, q3]}
+        record["metrics"][name] = {"unit": m["unit"], "better": m["better"],
+                                   "bound": m["bound"], **sides, "change_wins": wins,
+                                   "verdict": what}
+        text = [f"{s['median']:.4g} [{s['quartiles'][0]:.4g}, {s['quartiles'][1]:.4g}]"
+                for s in sides.values()]
         print(f"  {name} ({m['unit']}, {m['better']} is better, bound {m['bound']:g}): "
-              f"parent {sides[0]}, change {sides[1]}, change wins {wins}/{args.pairs}: {what}")
+              f"parent {text[0]}, change {text[1]}, change wins {wins}/{args.pairs}: {what}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

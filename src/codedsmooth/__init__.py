@@ -13,7 +13,7 @@ from .autodiff import (Parameter, Tensor, add, apply_linear_operator, matmul, ms
                        scale, sgd_momentum_step, softmax_cross_entropy, tsum)
 from .coded import CodedSmoothingModule, chebyshev_first, chebyshev_second, get_module
 from .codedsim import (SimReport, StragglerScenario, fit_scaling_exponent,
-                       run_coded_job, sweep)
+                       run_coded_job, run_coded_jobs, sweep)
 from .datasets import Dataset, DatasetSpec, make_dataset, one_hot, task_of
 from .errors import NumericError, ShapeError, ValidationError
 from .models import MLP, MLPSpec

@@ -16,8 +16,6 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 
 from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
 from .coded import chebyshev_first, chebyshev_second
@@ -217,6 +215,9 @@ def cmd_sweep(r: dict, args) -> dict:
     cells = [(_sweep_plan(base, param, v), param, v, s)
              for v in r["sweep.values"] for s in r["sweep.seeds"]]
     if threads > 1:
+        # imported here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
         # spawned workers load numpy afresh with one BLAS thread each; forked
         # ones inherit a multithreaded BLAS and oversubscribe the cores
         saved = {var: os.environ.pop(var) for var in _BLAS_THREAD_VARS if var in os.environ}

@@ -12,8 +12,9 @@ Both stages are precomputed dense linear operators (cached per (K, N)), so a
 round trip is two matrix products and is differentiable end to end.
 Operands are 2-D: one row per sample. The per-call tridiagonal route
 (``spline.fit_eval``, O((N+K)*d), no operator) backs ``encode_direct`` /
-``decode_direct`` and the straggler decoder, whose surviving worker set
-changes from job to job, so a cached operator would serve one call only.
+``decode_direct``; its batched form ``spline.fit_eval_batch`` backs the
+straggler decoder, whose surviving worker set changes from job to job, so
+a cached operator would serve one call only.
 """
 
 import threading

@@ -4,7 +4,8 @@ N workers each evaluate the wrapped function on one coded sample; up to S of
 them never return. The decoder spline is fitted only on the surviving
 (point, output) pairs and still evaluated at the original batch abscissas.
 Straggling is simulated by omission, not latency: which results return is
-the only thing the estimate depends on.
+the only thing the estimate depends on, so the seeds of one (N, S) cell
+share one worker evaluation and one batched decode of their survivors.
 
 Drop policies: ``uniform_random`` removes exactly S uniformly chosen
 workers; ``adversarial_contiguous`` removes the contiguous run of S workers
@@ -20,7 +21,7 @@ from .coded import MIN_POINTS, get_module
 from .errors import ValidationError
 from .modelio import csv_table
 from .seeding import stream_rng
-from .spline import Knots, fit_eval
+from .spline import Knots, fit_eval_batch
 
 POLICIES = ("uniform_random", "adversarial_contiguous")
 
@@ -91,55 +92,63 @@ def returned_indices(scenario: StragglerScenario, beta: np.ndarray) -> np.ndarra
     n, s = scenario.n_workers, scenario.max_stragglers
     if s == 0:
         return np.arange(n)
+    keep = np.ones(n, dtype=bool)
     if scenario.policy == "uniform_random":
-        rng = stream_rng(scenario.seed, "stragglers")
-        dropped = rng.choice(n, size=s, replace=False)
-        return np.setdiff1d(np.arange(n), dropped)
-    # adversarial_contiguous: pick the run whose removal leaves the widest gap
-    best_start, best_gap = 0, -1.0
-    for start in range(n - s + 1):
-        left = beta[start - 1] if start > 0 else beta[0]
-        right = beta[start + s] if start + s < n else beta[-1]
-        if right - left > best_gap:
-            best_gap, best_start = right - left, start
-    return np.concatenate([np.arange(best_start), np.arange(best_start + s, n)])
+        keep[stream_rng(scenario.seed, "stragglers").choice(n, size=s, replace=False)] = False
+        return np.flatnonzero(keep)
+    # adversarial_contiguous: drop the first run whose removal leaves the
+    # widest gap between its kept neighbours (an end knot at either end)
+    padded = np.concatenate([beta[:1], beta, beta[-1:]])
+    start = int(np.argmax(padded[s + 1:] - padded[:n - s + 1]))
+    keep[start:start + s] = False
+    return np.flatnonzero(keep)
 
 
-def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
-    """Execute one encode/compute/decode round under the scenario.
+def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
+    """One encode/compute/decode round per scenario, all of one (N, S) cell.
 
-    Returns (estimates, mse) where mse is the mean over batch rows of the
-    squared output-vector error. With S = 0 this takes exactly the plain
-    module path, so the results are bit-identical to ``module.forward``.
+    The workers compute once. Returns (estimates, mses): a (B, K, d) array
+    and a list of B floats, each the mean over batch rows of the squared
+    output-vector error. S = 0 takes the plain module path, bit-identical to
+    ``module.forward``; S > 0 decodes every scenario's N - S survivors in one
+    batched tridiagonal sweep, bit-identical to one ``fit_eval`` each.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < MIN_POINTS:
         raise ValidationError(f"need a (K >= {MIN_POINTS}, d) batch, got shape {x.shape}")
-    module = get_module(x.shape[0], scenario.n_workers)
-    coded = module.encode(x)
-    outputs = f(coded)
+    cells = {(sc.n_workers, sc.max_stragglers) for sc in scenarios}
+    if len(cells) != 1:
+        raise ValidationError(f"scenarios must share one (N, S) cell, got {sorted(cells)}")
+    ((n, s),) = cells
+    module = get_module(x.shape[0], n)
+    outputs = f(module.encode(x))
 
-    keep = returned_indices(scenario, module.beta)  # >= MIN_POINTS by the scenario's check
-    if len(keep) == scenario.n_workers:
-        estimates = module.decode(outputs)
+    # each set keeps >= MIN_POINTS workers by the scenario's check
+    keeps = [returned_indices(sc, module.beta) for sc in scenarios]
+    if s == 0:
+        estimates = np.stack([module.decode(outputs)] * len(scenarios))
     else:
-        # the surviving set changes per job: one O(N) tridiagonal fit-and-eval
-        estimates = fit_eval(Knots(module.beta[keep]), outputs[keep], module.alpha)
+        estimates = fit_eval_batch([Knots(module.beta[k]) for k in keeps],
+                                   np.stack([outputs[k] for k in keeps]), module.alpha)
 
     diff = estimates - f(x)
-    mse = float(np.mean(np.sum(diff * diff, axis=1)))
-    return estimates, mse
+    return estimates, [float(np.mean(np.sum(d * d, axis=1))) for d in diff]
+
+
+def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
+    """``run_coded_jobs`` for one scenario: (estimates, mse)."""
+    estimates, mses = run_coded_jobs(f, x, [scenario])
+    return estimates[0], mses[0]
 
 
 def sweep(f, x: np.ndarray, n_list, s_list, seeds, policy: str = "uniform_random") -> SimReport:
-    """Grid of runs over (N, S, seed); deterministic given the seed list."""
+    """Grid over (N, S, seed), one ``run_coded_jobs`` call per cell; deterministic."""
     report = SimReport()
     for n in n_list:
         for s in s_list:
-            for seed in seeds:
-                scenario = StragglerScenario(n, s, policy, seed)
-                _, mse = run_coded_job(f, x, scenario)
-                report.rows.append(SweepRow(n, s, policy, seed, mse))
+            _, mses = run_coded_jobs(f, x, [StragglerScenario(n, s, policy, seed)
+                                            for seed in seeds])
+            report.rows += [SweepRow(n, s, policy, seed, mse) for seed, mse in zip(seeds, mses)]
     return report
 
 

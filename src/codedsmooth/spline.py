@@ -3,7 +3,8 @@
 A natural cubic spline through (t_i, y_i), i = 1..n, with y_i in R^d is the
 C^2 piecewise cubic with zero second derivative at the end knots. Fitting
 solves the standard tridiagonal moment system once (Thomas algorithm), with
-the factorization shared across all d value columns. Evaluation anywhere in
+the factorization shared across all d value columns; ``fit_eval_batch`` runs
+one sweep for B knot sets of equal length. Evaluation anywhere in
 [-1, 1] is supported: inside the knot hull it is the usual piecewise cubic;
 beyond the end knots the spline continues linearly (the natural boundary
 makes the minimal-curvature extension linear), which is exactly what lets a
@@ -57,21 +58,23 @@ def _solve_moments(t: np.ndarray, values: np.ndarray) -> np.ndarray:
         h[i-1]*M[i-1] + 2*(h[i-1]+h[i])*M[i] + h[i]*M[i+1]
             = 6*((y[i+1]-y[i])/h[i] - (y[i]-y[i-1])/h[i-1]),
     with M[0] = M[-1] = 0. One Thomas sweep; the elimination coefficients
-    are shared across all value columns.
+    are shared across all value columns. Knots (n, *batch) and values
+    (n, d, *batch) solve one system per batch index in the same sweep, each
+    element by the float operations of the unbatched (scalar) solve.
     """
-    n, d = values.shape
-    moments = np.zeros((n, d))
+    n = values.shape[0]
+    moments = np.zeros(values.shape)
     if n < 3:
         return moments
-    h = np.diff(t)
+    h = np.diff(t, axis=0)
     rhs = 6.0 * ((values[2:] - values[1:-1]) / h[1:, None]
                  - (values[1:-1] - values[:-2]) / h[:-1, None])
     lower = h[:-1]
     diag = 2.0 * (h[:-1] + h[1:])
     upper = h[1:]
     m = n - 2
-    cp = np.empty(m)
-    dp = np.empty((m, d))
+    cp = np.empty(upper.shape)
+    dp = np.empty(rhs.shape)
     cp[0] = upper[0] / diag[0]
     dp[0] = rhs[0] / diag[0]
     for i in range(1, m):
@@ -180,3 +183,19 @@ def fit_eval(knots: Knots, values, points) -> np.ndarray:
     used once.
     """
     return fit(knots, values).eval(points)
+
+
+def fit_eval_batch(knot_sets, values, points) -> np.ndarray:
+    """``fit_eval`` for B knot sets of one length, fitted in one Thomas sweep.
+
+    ``values`` is (B, n, d), one block per set; the (B, m, d) result holds
+    exactly the bytes ``fit_eval`` gives each set alone.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    lengths = [len(k) for k in knot_sets]
+    if vals.ndim != 3 or not lengths or lengths != [vals.shape[1]] * vals.shape[0]:
+        raise ShapeError(f"{lengths} knots per set but values of shape {vals.shape}")
+    t = np.stack([k.values for k in knot_sets], axis=-1)
+    moments = _solve_moments(t, np.moveaxis(vals, 0, -1))
+    return np.stack([NaturalCubicSpline(k, v, moments[..., b]).eval(points)
+                     for b, (k, v) in enumerate(zip(knot_sets, vals))])

@@ -1,11 +1,14 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import codedsmooth
 from codedsmooth.cli import main
 from codedsmooth.coded import get_module
 from codedsmooth.codedsim import sample_inputs
@@ -348,6 +351,18 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", out1]) == 0
     assert main(["sweep", "--config", cfg, "--out", out2, "--threads", "2"]) == 0
     assert _read(out1, "sweep.csv") == _read(out2, "sweep.csv")
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only `sweep --threads N` needs a process pool; every other command
+    # should not pay for loading multiprocessing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(codedsmooth.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, codedsmooth.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_unknown_param(tmp_path):

@@ -2,12 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from codedsmooth import codedsim
 from codedsmooth.coded import get_module
 from codedsmooth.codedsim import (BENCH_FUNCTIONS, SimReport, StragglerScenario,
                                   SweepRow, fit_scaling_exponent, returned_indices,
-                                  run_coded_job, sample_inputs, sweep)
+                                  run_coded_job, run_coded_jobs, sample_inputs, sweep)
 from codedsmooth.errors import ValidationError
-from codedsmooth.spline import Knots, build_operator
+from codedsmooth.spline import Knots, build_operator, fit_eval
 
 
 def test_scenario_validation():
@@ -94,6 +95,22 @@ def test_deterministic_given_seed():
     assert not np.array_equal(a[0], c[0])
 
 
+def test_adversarial_run_is_first_widest_gap():
+    # reference: scan every start, keep the first strictly widest gap
+    for n in (8, 13, 32, 64):
+        beta = get_module(4, n).beta
+        for s in range(1, n - 3):
+            best_start, best_gap = 0, -1.0
+            for start in range(n - s + 1):
+                left = beta[start - 1] if start > 0 else beta[0]
+                right = beta[start + s] if start + s < n else beta[-1]
+                if right - left > best_gap:
+                    best_gap, best_start = right - left, start
+            want = np.concatenate([np.arange(best_start), np.arange(best_start + s, n)])
+            got = returned_indices(StragglerScenario(n, s, "adversarial_contiguous"), beta)
+            npt.assert_array_equal(got, want)
+
+
 def test_adversarial_contiguous_policy():
     scenario = StragglerScenario(64, 5, policy="adversarial_contiguous")
     beta = get_module(16, 64).beta
@@ -116,6 +133,48 @@ def test_sweep_single_cell_matches_run_mean():
                     for s in seeds])
     npt.assert_allclose(report.cell_means()[(24, 2)], want, rtol=1e-15)
     assert len(report.rows) == 3
+
+
+@pytest.mark.parametrize("policy", ["uniform_random", "adversarial_contiguous"])
+@pytest.mark.parametrize("s", [0, 1, 5])
+def test_sweep_cell_is_one_batched_round_equal_to_single_jobs(policy, s, monkeypatch):
+    # a cell's seeds share one module lookup and one worker evaluation, and
+    # each seed's estimates and mse keep the bits of its own single job
+    x = sample_inputs(8, 5)
+    seeds = [0, 1, 2]
+    single = [run_coded_job(np.sin, x, StragglerScenario(24, s, policy, seed))
+              for seed in seeds]
+    lookups = []
+
+    def counted(k, n):
+        lookups.append((k, n))
+        return get_module(k, n)
+
+    monkeypatch.setattr(codedsim, "get_module", counted)
+    report = sweep(np.sin, x, [24], [s], seeds, policy)
+    assert lookups == [(8, 24)]
+    assert [r.mse for r in report.rows] == [mse for _, mse in single]
+    estimates, mses = run_coded_jobs(np.sin, x, [StragglerScenario(24, s, policy, seed)
+                                                 for seed in seeds])
+    assert mses == [mse for _, mse in single]
+    for got, (want, _) in zip(estimates, single):
+        assert np.array_equal(got, want)
+    # and each single job keeps the bits of the unbatched decode of its survivors
+    module = get_module(8, 24)
+    outputs = np.sin(module.encode(x))
+    for seed, (est, _) in zip(seeds, single):
+        keep = returned_indices(StragglerScenario(24, s, policy, seed), module.beta)
+        ref = (fit_eval(Knots(module.beta[keep]), outputs[keep], module.alpha) if s
+               else module.forward(x, np.sin))
+        assert np.array_equal(est, ref)
+
+
+def test_batched_jobs_need_one_cell():
+    x = sample_inputs(8, 0)
+    with pytest.raises(ValidationError):
+        run_coded_jobs(np.sin, x, [StragglerScenario(24, 1), StragglerScenario(24, 2)])
+    with pytest.raises(ValidationError):
+        run_coded_jobs(np.sin, x, [])
 
 
 def test_sweep_monotone_in_n_and_s():

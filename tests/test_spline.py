@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from codedsmooth import spline
-from codedsmooth.errors import ValidationError
-from codedsmooth.spline import Knots, build_operator, fit, fit_eval
+from codedsmooth.errors import ShapeError, ValidationError
+from codedsmooth.spline import Knots, build_operator, fit, fit_eval, fit_eval_batch
 
 
 def random_knots(rng, n):
@@ -95,6 +95,34 @@ def test_operator_path_equals_direct_path():
         y = rng.uniform(-3, 3, (len(kn), rng.integers(1, 4)))
         op = build_operator(kn, pts)
         npt.assert_allclose(op.apply(y), fit_eval(kn, y, pts), atol=1e-9)
+
+
+@pytest.mark.parametrize("sets", [1, 4, 10])
+@pytest.mark.parametrize("d", [1, 3])
+def test_batched_fit_eval_equals_fit_eval_per_set(sets, d):
+    # one Thomas sweep over stacked systems, byte for byte the per-set path;
+    # the points reach past the end knots, so the linear extension runs too
+    rng = np.random.default_rng(10 * sets + d)
+    knot_sets = [random_knots(rng, 9) for _ in range(sets)]
+    values = rng.uniform(-3, 3, (sets, 9, d))
+    pts = np.concatenate([[-1.0, 1.0], rng.uniform(-1, 1, 14)])
+    got = fit_eval_batch(knot_sets, values, pts)
+    want = np.stack([fit_eval(kn, y, pts) for kn, y in zip(knot_sets, values)])
+    assert got.shape == (sets, 16, d)
+    assert np.array_equal(got, want)
+
+
+def test_batched_fit_eval_shape_errors():
+    rng = np.random.default_rng(6)
+    knot_sets = [random_knots(rng, 6), random_knots(rng, 6)]
+    with pytest.raises(ShapeError):
+        fit_eval_batch(knot_sets, np.zeros((3, 6, 1)), [0.0])  # 2 sets, 3 blocks
+    with pytest.raises(ShapeError):
+        fit_eval_batch(knot_sets, np.zeros((6, 1)), [0.0])  # no batch axis
+    with pytest.raises(ShapeError):
+        fit_eval_batch([knot_sets[0], random_knots(rng, 7)], np.zeros((2, 6, 1)), [0.0])
+    with pytest.raises(ShapeError):
+        fit_eval_batch([], np.zeros((0, 6, 1)), [0.0])  # no set at all
 
 
 def test_linear_extension_beyond_end_knots():
