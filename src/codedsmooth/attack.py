@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_cross_entropy
+from .autodiff import cross_entropy
 from .coded import MIN_POINTS, get_module
 from .datasets import one_hot
 from .errors import ShapeError, ValidationError
@@ -90,9 +90,9 @@ class Permutation:
 
 
 def _input_grad(model: MLP, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-    xt = Tensor(x, requires_grad=True)
-    softmax_cross_entropy(model(xt), target).backward()
-    return xt.grad
+    hs = model.activations(x)
+    _, rule = cross_entropy(hs[-1], target)
+    return model.backprop(hs, rule(1.0))[0]
 
 
 def fgsm(model: MLP, x: np.ndarray, y: np.ndarray, epsilon: float,

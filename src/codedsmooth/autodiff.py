@@ -7,11 +7,12 @@ order and stores each returned gradient in its parent, or adds it to the
 one already there, so the accumulation lives in one place. Besides the
 constructor there are a matrix product, a fixed linear operator, a sum, a
 constant scale, a sum reduction, and the mean squared error and softmax
-cross-entropy losses. The network is one node, built in ``models.py``, and
-so is the dual-path training loss, built in ``train.py`` from the losses'
-array-level rules (``mse``, ``cross_entropy``). ``add`` and ``scale`` have
-no caller in the package: they remain as the op-by-op composition of that
-loss, which the tests compare the fused node against.
+cross-entropy losses. The network is one node, built in ``models.py``. The
+tape is the library's composition API: training and the attacks call
+``MLP.backprop`` with the losses' array-level rules (``mse``,
+``cross_entropy``) directly. ``add`` and ``scale`` have no caller in the
+package; they remain as the op-by-op dual-path loss the tests check the
+training step's gradients against.
 
 Tensors are always float64. Nothing checks the data for finiteness; the
 training loop's NaN guard does that on the losses.
@@ -193,15 +194,13 @@ def softmax_cross_entropy(logits, target) -> Tensor:
     return _loss_node(cross_entropy, logits, target)
 
 
-def sgd_momentum_step(params, lr: float, momentum: float) -> None:
-    """One SGD step: v <- momentum*v + g; theta <- theta - lr*v; grads zeroed.
+def sgd_momentum_step(params, grads, lr: float, momentum: float) -> None:
+    """One SGD step: v <- momentum*v + g; theta <- theta - lr*v.
 
-    Zeroing lives inside the step so a stale gradient can never leak into
-    the next iteration. No-op on an empty parameter list.
+    ``grads`` holds one gradient per parameter, in the order of ``params``;
+    the step reads no ``Parameter.grad``. No-op on an empty parameter list.
     """
-    for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+    for p, g in zip(params, grads):
         p.momentum *= momentum
         p.momentum += g
         p.data -= lr * p.momentum
-        p.grad = None

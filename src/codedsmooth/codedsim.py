@@ -13,7 +13,8 @@ whose loss widens the decoder's knot gap the most (contiguous holes are the
 worst case for spline interpolation).
 """
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +62,7 @@ class StragglerScenario:
             raise ValidationError(f"unknown policy {self.policy!r}")
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     n_workers: int
     stragglers: int
     policy: str
@@ -84,7 +84,7 @@ class SimReport:
         return {key: sums[key] / counts[key] for key in sums}
 
     def to_csv(self) -> str:
-        return csv_table("N,S,policy,seed,mse", map(astuple, self.rows))
+        return csv_table("N,S,policy,seed,mse", self.rows)
 
 
 def returned_indices(scenario: StragglerScenario, beta: np.ndarray) -> np.ndarray:

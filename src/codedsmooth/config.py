@@ -9,6 +9,7 @@ that echo reproduces the outputs exactly.
 ``KEYS`` holds each key's parser, default and allowed values.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import MISSING
 
@@ -28,6 +29,13 @@ def _at_least(low):
             raise ValueError(f"must be >= {low}")
         return value
     return parse
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _bool(text):
@@ -57,24 +65,24 @@ KEYS = {
     "data.kind": Key(str, MISSING, KINDS),
     "data.n_train": Key(int, DatasetSpec.n_train),
     "data.n_test": Key(int, DatasetSpec.n_test),
-    "data.noise": Key(float, DatasetSpec.noise),
+    "data.noise": Key(_finite, DatasetSpec.noise),
     "data.seed": Key(int, DatasetSpec.seed),
     "model.widths": Key(_list(int), MISSING),
     "model.activation": Key(str, MLPSpec.activation, ACTIVATIONS),
     "train.method": Key(str.lower, "erm", ("erm", "mixup", "coded")),
-    "train.mu": Key(float, Coded.mu, method="coded"),
-    "train.gamma": Key(float, Coded.gamma, method="coded"),
-    "train.mixup_alpha": Key(float, Mixup.alpha, method="mixup"),
+    "train.mu": Key(_finite, Coded.mu, method="coded"),
+    "train.gamma": Key(_finite, Coded.gamma, method="coded"),
+    "train.mixup_alpha": Key(_finite, Mixup.alpha, method="mixup"),
     "train.epochs": Key(int, TrainPlan.epochs),
     "train.batch_size": Key(int, TrainPlan.batch_size),
-    "train.lr": Key(float, TrainPlan.lr),
+    "train.lr": Key(_finite, TrainPlan.lr),
     "train.lr_decay_epochs": Key(_list(int, may_be_empty=True), TrainPlan.lr_decay_epochs),
-    "train.momentum": Key(float, TrainPlan.momentum),
+    "train.momentum": Key(_finite, TrainPlan.momentum),
     "train.seed": Key(int, TrainPlan.seed),
     "attack.kind": Key(str.lower, "all", ("all", "none", "fgsm", "pgd")),
-    "attack.epsilon": Key(float, 0.1),
+    "attack.epsilon": Key(_finite, 0.1),
     "attack.steps": Key(int, PGDSpec.steps),
-    "attack.step_size": Key(float, PGDSpec.step_size),
+    "attack.step_size": Key(_finite, PGDSpec.step_size),
     "attack.random_start": Key(_bool, PGDSpec.random_start),
     "attack.trials": Key(_at_least(1), 20),
     "attack.k_prime": Key(int, 128),
@@ -88,7 +96,7 @@ KEYS = {
     "sim.policy": Key(str, StragglerScenario.policy, POLICIES),
     "sim.input_seed": Key(int, 0),
     "sweep.param": Key(str, MISSING, ("mu", "N", "gamma", "batch_size")),
-    "sweep.values": Key(_list(float), MISSING),
+    "sweep.values": Key(_list(_finite), MISSING),
     "sweep.seeds": Key(_list(int), (0, 1, 2, 3, 4)),
 }
 

@@ -4,8 +4,8 @@ One numpy pass computes every layer's activations and one closed-form layer
 recurrence (``MLP.backprop``) differentiates it. ``MLP.predict`` returns the
 last activation; ``MLP.forward`` records the whole network as one tape node
 whose backward rule is that recurrence, so the network is written once and
-both entry points give the same bits. The dual-path training loss in
-``train.py`` calls the same two methods.
+both entry points give the same bits. The training step and the attacks'
+input gradient call the same two methods directly, off the tape.
 """
 
 from dataclasses import dataclass

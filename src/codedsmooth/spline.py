@@ -169,11 +169,13 @@ def build_operator(knots: Knots, eval_points) -> SplineOperator:
 
     Fitting the identity (all n standard basis vectors at once) and
     evaluating gives the (m, n) response table; its transpose is the
-    operator.
+    operator. It is allocated before the fit's temporaries, so the freed
+    temporaries leave no holes between the operators a cache keeps.
     """
     pts = np.asarray(eval_points, dtype=np.float64)
-    basis = fit(knots, np.eye(len(knots)))
-    return SplineOperator(basis.eval(pts).T.copy())
+    out = np.empty((len(knots), len(pts)))
+    out[...] = fit(knots, np.eye(len(knots))).eval(pts).T
+    return SplineOperator(out)
 
 
 def fit_eval(knots: Knots, values, points) -> np.ndarray:

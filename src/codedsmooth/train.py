@@ -13,7 +13,8 @@ methods consuming fewer streams stay bit-compatible: a mu=0 coded run
 replays the plain run exactly.
 """
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import autodiff
 from .autodiff import Tensor
 from .coded import MIN_POINTS, get_module
 from .datasets import DatasetSpec, make_dataset, n_classes, one_hot, task_of
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import NumericError, ValidationError
 from .models import MLP, MLPSpec
 from .modelio import csv_table
 from .seeding import stream_rng
@@ -70,13 +71,16 @@ class TrainPlan:
             raise ValidationError(f"train.batch_size = {self.batch_size} must be >= {MIN_POINTS}")
         if self.epochs < 1:
             raise ValidationError(f"train.epochs = {self.epochs} must be >= 1")
+        if not self.lr > 0.0:
+            raise ValidationError(f"train.lr = {self.lr!r} must be > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValidationError(f"train.momentum = {self.momentum!r} must be in [0, 1)")
         if self.dataset.n_train < 2 * self.batch_size:
             raise ValidationError(f"data.n_train = {self.dataset.n_train} must be >= "
                                   f"2 * train.batch_size ({2 * self.batch_size})")
 
 
-@dataclass
-class EpochRecord:
+class EpochRecord(NamedTuple):
     epoch: int
     loss_main: float
     loss_coded: float  # nan when no smoothing path ran
@@ -94,7 +98,7 @@ class Metrics:
         return self.records[-1].test_metric
 
     def to_csv(self) -> str:
-        return csv_table("epoch,loss_main,loss_coded,test_metric,N", map(astuple, self.records))
+        return csv_table("epoch,loss_main,loss_coded,test_metric,N", self.records)
 
 
 def schedule_n(method: Coded, epoch: int, total_epochs: int, k: int) -> int:
@@ -127,50 +131,35 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, alpha: float, rng) -> tuple:
 
 def dual_path_terms(model: MLP, module, x: np.ndarray, target: np.ndarray,
                     mu: float, task: str):
-    """(combined, main, coded) loss tensors for one batch.
+    """(main, coded, grads) for one batch.
 
-    ``combined`` is one tape node over the model's parameters, worth
-    (1 - mu) * main + mu * coded. ``main`` is the task loss of the model on
-    the batch; ``coded`` is the task loss of decode(model(encode(batch))).
-    The backward rule runs ``model.backprop`` once per path that carries
-    weight: on the batch, and on the coded rows E.T x with the coded loss's
-    gradient carried back through the decoder as ``D @ g``. It adds the two
-    paths' parameter gradients, so the step equals the op-by-op tape
-    composition bit for bit.
+    ``main`` is the task loss of the model on the batch and ``coded`` the
+    task loss of decode(model(encode(batch))), both floats. ``grads`` holds
+    one array per parameter, in ``model.parameters()`` order: the gradient
+    of (1 - mu) * main + mu * coded. ``model.backprop`` runs once per path
+    that carries weight: on the coded rows E.T x, with the coded loss's
+    gradient carried back through the decoder as ``D @ g``, and on the
+    batch; the two paths' gradients are added, which equals the op-by-op
+    tape composition bit for bit.
 
     mu = 0 skips the smoothing path entirely (the step is then identical to
-    plain training, ``module`` may be None and ``combined`` is ``main``);
-    mu = 1 backpropagates only the smoothed path and ``combined`` is
-    ``coded``. Otherwise ``main`` and ``coded`` are constant tensors.
+    plain training, ``module`` may be None and ``coded`` is None); mu = 1
+    backpropagates only the smoothed path.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValidationError("mu must be in [0, 1]")
     loss = autodiff.cross_entropy if task == "classification" else autodiff.mse
-    params = tuple(model.parameters())
     hs = model.activations(x)
     main, main_rule = loss(hs[-1], target)
     if mu == 0.0:
-        combined = autodiff.node(main, params,
-                                 lambda g: model.backprop(hs, main_rule(g), False)[1:])
-        return combined, combined, None
-    if x.shape[0] != module.k:
-        raise ShapeError(f"batch has {x.shape[0]} rows but module expects {module.k}")
+        return float(main), None, model.backprop(hs, main_rule(1.0), False)[1:]
     hs_coded = model.activations(module.encode(x))
     coded, coded_rule = loss(module.decode(hs_coded[-1]), target)
-
-    def grads(g):
-        coded_grads = model.backprop(hs_coded, module.dec_op.matrix @ coded_rule(g * mu),
-                                     False)[1:]
-        if mu == 1.0:
-            return coded_grads
-        direct = model.backprop(hs, main_rule(g * (1.0 - mu)), False)[1:]
-        return [a + b for a, b in zip(direct, coded_grads)]
-
-    if mu == 1.0:
-        combined = autodiff.node(coded, params, grads)
-        return combined, Tensor(main), combined
-    combined = autodiff.node(main * (1.0 - mu) + coded * mu, params, grads)
-    return combined, Tensor(main), Tensor(coded)
+    grads = model.backprop(hs_coded, module.dec_op.matrix @ coded_rule(mu), False)[1:]
+    if mu < 1.0:
+        direct = model.backprop(hs, main_rule(1.0 - mu), False)[1:]
+        grads = [a + b for a, b in zip(direct, grads)]
+    return float(main), float(coded), grads
 
 
 def boundary_smoothness(model: MLP, grid: np.ndarray) -> float:
@@ -214,10 +203,10 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
     """Run the plan; returns (model, metrics). Bit-deterministic given the plan.
 
     Epochs shuffle the training set; a trailing partial batch (< K rows) is
-    dropped since the smoothing module needs exactly K rows. Loss is guarded
-    against NaN/Inf every step. With mu = 0 the smoothing path is never
-    instantiated, so the run (and its metrics CSV) is identical to plain
-    training.
+    dropped since the smoothing module needs exactly K rows. Every loss term
+    that carries weight is guarded against NaN/Inf every step. With mu = 0
+    the smoothing path is never instantiated, so the run (and its metrics
+    CSV) is identical to plain training.
 
     ``every_epoch`` evaluates the test set after every epoch; without it
     only the last epoch is evaluated and the other records hold nan as
@@ -270,14 +259,14 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
             tb = train_targets[idx]
             if isinstance(method, Mixup):
                 xb, tb = mixup_batch(xb, tb, method.alpha, rng_mixup)
-            loss, l_main, l_coded = dual_path_terms(model, module, xb, tb, mu, task)
-            main_vals.append(l_main.item())
-            if l_coded is not None:
-                coded_vals.append(l_coded.item())
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
-            loss.backward()
-            autodiff.sgd_momentum_step(params, lr, plan.momentum)
+            main, coded, grads = dual_path_terms(model, module, xb, tb, mu, task)
+            main_vals.append(main)
+            if coded is not None:
+                coded_vals.append(coded)
+            for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded, mu)):
+                if weight > 0.0 and not np.isfinite(value):
+                    raise NumericError(f"non-finite {name} loss at epoch {epoch}, batch {b}")
+            autodiff.sgd_momentum_step(params, grads, lr, plan.momentum)
 
         metrics.records.append(EpochRecord(
             epoch=epoch,

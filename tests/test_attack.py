@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -145,6 +147,22 @@ def test_pgd_linf_constraint(moons_runs, moons_data):
         adv = pgd(model, x, y, spec, rng=stream_rng(0, "s"))
         assert np.max(np.abs(adv - x)) <= eps + 1e-12
         assert adv.min() >= -1.0 and adv.max() <= 1.0
+
+
+def test_attacks_leave_the_model_alone(moons_runs, moons_data):
+    # train() ends with the tape pass of boundary_smoothness, which leaves
+    # its own parameter gradients; start a copy of the model from none
+    model = copy.deepcopy(moons_runs[0].coded_model)
+    for p in model.parameters():
+        p.grad = None
+    before = [(p.data.copy(), p.momentum.copy()) for p in model.parameters()]
+    x, y = moons_data.test_x[:200], moons_data.test_y[:200]
+    fgsm(model, x, y, 0.1)
+    pgd(model, x, y, PGDSpec(epsilon=0.1, steps=3), rng=stream_rng(0, "s"))
+    for p, (data, momentum) in zip(model.parameters(), before):
+        assert p.grad is None
+        npt.assert_array_equal(p.data, data)
+        npt.assert_array_equal(p.momentum, momentum)
 
 
 def test_pgd_stronger_than_fgsm(moons_runs, moons_data):

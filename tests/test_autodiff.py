@@ -168,19 +168,15 @@ def test_mlp_grad_vs_fd(activation):
 
 def test_sgd_momentum_examples():
     p = Parameter([5.0])
-    p.grad = np.array([2.0])
-    ad.sgd_momentum_step([p], lr=1.0, momentum=0.0)
+    ad.sgd_momentum_step([p], [np.array([2.0])], lr=1.0, momentum=0.0)
     npt.assert_array_equal(p.data, [3.0])
-    assert p.grad is None
 
     q = Parameter([0.0])
-    q.grad = np.array([1.0])
-    ad.sgd_momentum_step([q], lr=1.0, momentum=0.9)
-    q.grad = np.array([1.0])
-    ad.sgd_momentum_step([q], lr=1.0, momentum=0.9)
+    ad.sgd_momentum_step([q], [np.array([1.0])], lr=1.0, momentum=0.9)
+    ad.sgd_momentum_step([q], [np.array([1.0])], lr=1.0, momentum=0.9)
     npt.assert_allclose(q.data, [-2.9])
 
-    ad.sgd_momentum_step([], lr=1.0, momentum=0.9)  # no-op
+    ad.sgd_momentum_step([], [], lr=1.0, momentum=0.9)  # no-op
 
 
 def test_training_step_determinism():
@@ -191,7 +187,8 @@ def test_training_step_determinism():
         for _ in range(10):
             loss = ad.mse_loss(ad.matmul(Tensor(x), w), np.zeros((5, 2)))
             loss.backward()
-            ad.sgd_momentum_step([w], lr=0.1, momentum=0.9)
+            ad.sgd_momentum_step([w], [w.grad], lr=0.1, momentum=0.9)
+            w.grad = None
         return w.data.copy()
 
     npt.assert_array_equal(run(), run())

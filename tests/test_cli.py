@@ -462,8 +462,31 @@ def test_rerun_from_echoed_config(tmp_path, command):
     # the coded-sample count always ramps to gamma*K; gamma = 1 keeps it at K
     ("train", TRAIN_CFG.format(method="coded", mu=0.5) + "train.n_schedule = constant\n",
      "'train.n_schedule'", "unknown key"),
+    # float keys take finite values only; the learning rate and momentum
+    # are range-checked so that a bad value never reaches training
+    ("train", TRAIN_CFG.format(method="coded", mu=0.5) + "train.gamma = nan\n",
+     "train.gamma", "'nan'"),
+    ("train", TRAIN_CFG.format(method="coded", mu=0.5) + "train.gamma = inf\n",
+     "train.gamma", "'inf'"),
+    ("attack", ATTACK_CFG.replace("attack.epsilon = 0.1", "attack.epsilon = nan"),
+     "attack.epsilon", "'nan'"),
+    ("attack", ATTACK_CFG.replace("attack.epsilon = 0.1", "attack.epsilon = inf"),
+     "attack.epsilon", "'inf'"),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("noise = 0.1", "noise = nan"),
+     "data.noise", "'nan'"),
+    ("attack", ATTACK_CFG + "attack.step_size = nan\n", "attack.step_size", "'nan'"),
+    ("sweep", SWEEP_CFG.replace("0.2,0.8", "0.2,nan"), "sweep.values", "'0.2,nan'"),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("lr = 0.1", "lr = nan"),
+     "train.lr", "'nan'"),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("lr = 0.1", "lr = -1"),
+     "train.lr", "= -1.0"),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5) + "train.momentum = 1\n",
+     "train.momentum", "= 1.0"),
 ], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
-        "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule"])
+        "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
+        "train.gamma-nan", "train.gamma-inf", "attack.epsilon-nan", "attack.epsilon-inf",
+        "data.noise-nan", "attack.step_size-nan", "sweep.values-nan", "train.lr-nan",
+        "train.lr-negative", "train.momentum-one"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
