@@ -9,8 +9,8 @@ inference for adversarial robustness, and a straggler-tolerant
 coded-computing simulator, all driven by a deterministic experiment CLI.
 """
 
-from .autodiff import (Parameter, Tensor, add, apply_linear_operator, matmul, mse_loss,
-                       scale, sgd_momentum_step, softmax_cross_entropy, tsum)
+from .autodiff import (Parameter, Tensor, apply_linear_operator, mse_loss, sgd_momentum_step,
+                       softmax_cross_entropy)
 from .coded import CodedSmoothingModule, chebyshev_first, chebyshev_second, get_module
 from .codedsim import (SimReport, StragglerScenario, fit_scaling_exponent,
                        run_coded_job, run_coded_jobs, sweep)

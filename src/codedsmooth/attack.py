@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import cross_entropy
-from .coded import MIN_POINTS, get_module
+from .coded import MAX_POINTS, MIN_POINTS, get_module
 from .datasets import one_hot
 from .errors import ShapeError, ValidationError
 from .models import MLP
@@ -64,6 +64,8 @@ class RCI:
         if self.n_prime < self.k_prime:
             raise ValidationError(f"attack.n_prime = {self.n_prime} must be >= "
                                   f"attack.k_prime = {self.k_prime}")
+        if self.n_prime > MAX_POINTS:
+            raise ValidationError(f"attack.n_prime = {self.n_prime} must be <= {MAX_POINTS}")
 
 
 class Permutation:

@@ -186,13 +186,16 @@ def cmd_simulate(r: dict, args) -> dict:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_plan(base: TrainPlan, param: str, value: float) -> TrainPlan:
+    if param in ("batch_size", "N") and value != int(value):
+        raise ValidationError(f"sweep.values has {value!r}; sweep.param = {param} "
+                              f"takes whole numbers")
     if param == "batch_size":
-        return replace(base, batch_size=int(round(value)))
+        return replace(base, batch_size=int(value))
     if not isinstance(base.method, Coded):
         raise ValidationError(f"sweep over {param!r} requires train.method=coded")
     if param == "N":
         # target final coded-sample count; reached by ramping gamma = N/K
-        n_target = int(round(value))
+        n_target = int(value)
         if n_target < base.batch_size:
             raise ValidationError(f"N={n_target} below batch size {base.batch_size}")
         param, value = "gamma", n_target / base.batch_size

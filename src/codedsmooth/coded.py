@@ -26,6 +26,10 @@ from .autodiff import Tensor
 from .errors import ShapeError, ValidationError
 from .spline import MIN_POINTS, Knots, build_operator, fit_eval
 
+# most points an encoder or decoder may have: building an operator fits the
+# (N, N) identity, 128 MiB at this bound
+MAX_POINTS = 4096
+
 
 def chebyshev_first(k: int) -> np.ndarray:
     """Encoding abscissas alpha: cos((2i-1)*pi/2K) for i=1..K, ascending,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coded import MIN_POINTS, get_module
+from .coded import MAX_POINTS, MIN_POINTS, get_module
 from .errors import ValidationError
 from .modelio import csv_table
 from .seeding import stream_rng
@@ -53,6 +53,8 @@ class StragglerScenario:
         n, s = self.n_workers, self.max_stragglers
         if n < MIN_POINTS:
             raise ValidationError(f"sim.N_list has N = {n}; need at least {MIN_POINTS} workers")
+        if n > MAX_POINTS:
+            raise ValidationError(f"sim.N_list has N = {n}; at most {MAX_POINTS} workers")
         if s < 0:
             raise ValidationError(f"sim.S_list has S = {s}; must be >= 0")
         if s >= n - (MIN_POINTS - 1):
@@ -142,13 +144,17 @@ def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
 
 
 def sweep(f, x: np.ndarray, n_list, s_list, seeds, policy: str = "uniform_random") -> SimReport:
-    """Grid over (N, S, seed), one ``run_coded_jobs`` call per cell; deterministic."""
+    """Grid over (N, S, seed), one ``run_coded_jobs`` call per cell; deterministic.
+
+    Every scenario is checked before the first cell runs.
+    """
+    cells = [[StragglerScenario(n, s, policy, seed) for seed in seeds]
+             for n in n_list for s in s_list]
     report = SimReport()
-    for n in n_list:
-        for s in s_list:
-            _, mses = run_coded_jobs(f, x, [StragglerScenario(n, s, policy, seed)
-                                            for seed in seeds])
-            report.rows += [SweepRow(n, s, policy, seed, mse) for seed, mse in zip(seeds, mses)]
+    for cell in cells:
+        _, mses = run_coded_jobs(f, x, cell)
+        report.rows += [SweepRow(sc.n_workers, sc.max_stragglers, policy, sc.seed, mse)
+                        for sc, mse in zip(cell, mses)]
     return report
 
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 from dataclasses import MISSING
 
 from .attack import PGDSpec, RCI
-from .coded import MIN_POINTS
+from .coded import MAX_POINTS, MIN_POINTS
 from .codedsim import BENCH_FUNCTIONS, POLICIES, StragglerScenario
 from .datasets import DatasetSpec, KINDS
 from .errors import ValidationError
@@ -22,11 +22,13 @@ from .models import ACTIVATIONS, MLPSpec
 from .train import Coded, Mixup, TrainPlan
 
 
-def _at_least(low):
+def _int_in(low, high=None):
     def parse(text):
         value = int(text)
         if value < low:
             raise ValueError(f"must be >= {low}")
+        if high is not None and value > high:
+            raise ValueError(f"must be <= {high}")
         return value
     return parse
 
@@ -84,12 +86,12 @@ KEYS = {
     "attack.steps": Key(int, PGDSpec.steps),
     "attack.step_size": Key(_finite, PGDSpec.step_size),
     "attack.random_start": Key(_bool, PGDSpec.random_start),
-    "attack.trials": Key(_at_least(1), 20),
+    "attack.trials": Key(_int_in(1), 20),
     "attack.k_prime": Key(int, 128),
     "attack.n_prime": Key(int, lambda cfg: int(round(1.5 * cfg.get("attack.k_prime")))),
     "attack.seed": Key(int, RCI.seed),
     "sim.fn": Key(str, "sin", BENCH_FUNCTIONS),
-    "sim.K": Key(_at_least(MIN_POINTS), 16),
+    "sim.K": Key(_int_in(MIN_POINTS, MAX_POINTS), 16),
     "sim.N_list": Key(_list(int), (32, 64, 128, 256)),
     "sim.S_list": Key(_list(int), (0,)),
     "sim.seeds": Key(_list(int), (0,)),

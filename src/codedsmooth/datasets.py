@@ -75,41 +75,32 @@ def n_classes(kind: str) -> int:
     return _N_CLASSES[kind]
 
 
-def _arc_points(kind: str, count: int):
-    """Noise-free closed-form inputs and labels for the classification kinds."""
+def _class_curve(kind: str, c: int, n: int) -> np.ndarray:
+    """n noise-free points of class c, evenly spaced along its curve."""
     if kind == "two_moons":
-        n0 = (count + 1) // 2
-        n1 = count - n0
-        t0 = np.linspace(0.0, np.pi, max(n0, 1))[:n0]
-        t1 = np.linspace(0.0, np.pi, max(n1, 1))[:n1]
-        x = np.concatenate([
-            np.column_stack([np.cos(t0), np.sin(t0)]),
-            np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)]),
-        ])
-        y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    elif kind == "concentric_circles":
-        n0 = (count + 1) // 2
-        n1 = count - n0
-        a0 = np.linspace(0.0, 2 * np.pi, max(n0, 1), endpoint=False)[:n0]
-        a1 = np.linspace(0.0, 2 * np.pi, max(n1, 1), endpoint=False)[:n1]
-        x = np.concatenate([
-            np.column_stack([np.cos(a0), np.sin(a0)]),
-            0.5 * np.column_stack([np.cos(a1), np.sin(a1)]),
-        ])
-        y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    elif kind == "spirals":
-        base = count // 3
-        counts = [base + (1 if c < count % 3 else 0) for c in range(3)]
-        xs, ys = [], []
-        for c, nc in enumerate(counts):
-            t = np.linspace(0.25, 1.0, max(nc, 1))[:nc]
-            ang = 2 * np.pi * t + 2 * np.pi * c / 3.0
-            xs.append(np.column_stack([t * np.cos(ang), t * np.sin(ang)]))
-            ys.append(np.full(nc, c, dtype=np.int64))
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-    else:
-        raise ValidationError(f"not a classification kind: {kind}")
+        t = np.linspace(0.0, np.pi, max(n, 1))[:n]
+        if c == 0:
+            return np.column_stack([np.cos(t), np.sin(t)])
+        return np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
+    if kind == "concentric_circles":
+        a = np.linspace(0.0, 2 * np.pi, max(n, 1), endpoint=False)[:n]
+        radius = 1.0 if c == 0 else 0.5
+        return radius * np.column_stack([np.cos(a), np.sin(a)])
+    t = np.linspace(0.25, 1.0, max(n, 1))[:n]  # spirals
+    ang = 2 * np.pi * t + 2 * np.pi * c / 3.0
+    return np.column_stack([t * np.cos(ang), t * np.sin(ang)])
+
+
+def _arc_points(kind: str, count: int):
+    """Noise-free closed-form inputs and labels for the classification kinds.
+
+    Each of the C classes gets count // C points, and the first count % C
+    classes one more; rows are grouped by class in label order.
+    """
+    n_cls = _N_CLASSES[kind]
+    sizes = [count // n_cls + (c < count % n_cls) for c in range(n_cls)]
+    x = np.concatenate([_class_curve(kind, c, n) for c, n in enumerate(sizes)])
+    y = np.repeat(np.arange(n_cls, dtype=np.int64), sizes)
     return x, y
 
 

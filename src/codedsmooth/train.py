@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor
-from .coded import MIN_POINTS, get_module
+from .coded import MAX_POINTS, MIN_POINTS, get_module
 from .datasets import DatasetSpec, make_dataset, n_classes, one_hot, task_of
 from .errors import NumericError, ValidationError
 from .models import MLP, MLPSpec
@@ -78,6 +78,12 @@ class TrainPlan:
         if self.dataset.n_train < 2 * self.batch_size:
             raise ValidationError(f"data.n_train = {self.dataset.n_train} must be >= "
                                   f"2 * train.batch_size ({2 * self.batch_size})")
+        if isinstance(self.method, Coded):
+            n = round(self.method.gamma * self.batch_size)
+            if n > MAX_POINTS:
+                raise ValidationError(f"train.gamma = {self.method.gamma!r} with train.batch_size "
+                                      f"= {self.batch_size} codes N = {n} points; "
+                                      f"N must be <= {MAX_POINTS}")
 
 
 class EpochRecord(NamedTuple):
@@ -166,19 +172,29 @@ def boundary_smoothness(model: MLP, grid: np.ndarray) -> float:
     """Mean input-gradient norm of the logit margin over a point grid.
 
     The margin is logit[1] - logit[0]; only models with 2-d inputs (and at
-    least two outputs) qualify.
+    least two outputs) qualify. The summed margin is one tape node over the
+    network's node, and one backward pass gives every grid point's input
+    gradient. Each ``Parameter.grad`` is left as the call found it.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if model.input_dim != 2 or grid.ndim != 2 or grid.shape[1] != 2:
         raise ValidationError("boundary smoothness needs a 2-d input model and (g, 2) grid")
     if model.output_dim < 2:
         raise ValidationError("boundary smoothness needs >= 2 output logits")
-    sel = np.zeros((model.output_dim, 1))
-    sel[0, 0] = -1.0
-    sel[1, 0] = 1.0
+    row = np.zeros(model.output_dim)
+    row[0] = -1.0
+    row[1] = 1.0
     x = Tensor(grid, requires_grad=True)
-    margin = autodiff.matmul(model(x), Tensor(sel))
-    autodiff.tsum(margin).backward()
+    logits = model(x)
+    margin = autodiff.node(np.sum(logits.data @ row), (logits,),
+                           lambda g: (g * np.broadcast_to(row, logits.data.shape),))
+    params = model.parameters()
+    saved = [p.grad for p in params]
+    try:
+        margin.backward()
+    finally:
+        for p, grad in zip(params, saved):
+            p.grad = grad
     return float(np.mean(np.sqrt(np.sum(x.grad * x.grad, axis=1))))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from codedsmooth import Coded, DatasetSpec, ERM, MLPSpec, TrainPlan, train
+from codedsmooth.autodiff import node
 from codedsmooth.datasets import make_dataset
 
 CANONICAL_DATA = DatasetSpec(kind="two_moons", n_train=1000, n_test=1000,
@@ -61,3 +62,26 @@ def fd_grad(objective, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(float(np.linalg.norm(b)), 1e-12)
     return float(np.linalg.norm(a - b)) / denom
+
+
+# Small tape ops for tests that compose graphs by hand, each one
+# ``autodiff.node``. The package keeps only the ops it composes itself.
+
+def tsum(a):
+    """Sum of all entries, as a scalar node."""
+    return node(np.sum(a.data), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+
+
+def matmul(a, b):
+    """Matrix product; backward yields g @ b.T and a.T @ g."""
+    return node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def add(a, b):
+    """Sum of two nodes of one shape; the rule hands one array to both."""
+    return node(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def scale(a, c):
+    """Multiply by a constant float."""
+    return node(a.data * c, (a,), lambda g: (g * c,))

@@ -150,11 +150,7 @@ def test_pgd_linf_constraint(moons_runs, moons_data):
 
 
 def test_attacks_leave_the_model_alone(moons_runs, moons_data):
-    # train() ends with the tape pass of boundary_smoothness, which leaves
-    # its own parameter gradients; start a copy of the model from none
     model = copy.deepcopy(moons_runs[0].coded_model)
-    for p in model.parameters():
-        p.grad = None
     before = [(p.data.copy(), p.momentum.copy()) for p in model.parameters()]
     x, y = moons_data.test_x[:200], moons_data.test_y[:200]
     fgsm(model, x, y, 0.1)

@@ -482,11 +482,31 @@ def test_rerun_from_echoed_config(tmp_path, command):
      "train.lr", "= -1.0"),
     ("train", TRAIN_CFG.format(method="erm", mu=0.5) + "train.momentum = 1\n",
      "train.momentum", "= 1.0"),
+    # integer sweep parameters take whole numbers only
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = batch_size")
+     .replace("0.2,0.8", "16,32.5"), "sweep.values has 32.5", "sweep.param = batch_size"),
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = N").replace("0.2,0.8", "20.5"),
+     "sweep.values has 20.5", "sweep.param = N"),
+    # every spline point count is bounded, so no operator outgrows memory;
+    # each is rejected before the first operator is built
+    ("train", TRAIN_CFG.format(method="coded", mu=0.5) + "train.gamma = 1000\n",
+     "train.gamma = 1000.0", "N = 16000"),
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = N").replace("0.2,0.8", "24,5000"),
+     "train.batch_size = 16", "N = 5000"),
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = gamma").replace("0.2,0.8", "1.5,300"),
+     "train.gamma = 300.0", "N = 4800"),
+    ("simulate", SIM_CFG.replace("32,64,128,256", "32,5000"), "sim.N_list", "N = 5000"),
+    ("simulate", SIM_CFG.replace("sim.K = 16", "sim.K = 5000"), "sim.K", "'5000'"),
+    ("attack", ATTACK_CFG.replace("attack.n_prime = 24", "attack.n_prime = 5000"),
+     "attack.n_prime", "5000"),
 ], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
         "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
         "train.gamma-nan", "train.gamma-inf", "attack.epsilon-nan", "attack.epsilon-inf",
         "data.noise-nan", "attack.step_size-nan", "sweep.values-nan", "train.lr-nan",
-        "train.lr-negative", "train.momentum-one"])
+        "train.lr-negative", "train.momentum-one", "sweep.values-batch_size-fraction",
+        "sweep.values-N-fraction", "train.gamma-oversized", "sweep.values-N-oversized",
+        "sweep.values-gamma-oversized", "sim.N_list-oversized", "sim.K-oversized",
+        "attack.n_prime-oversized"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []

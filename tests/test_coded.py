@@ -2,12 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from codedsmooth import Tensor, tsum
+from codedsmooth import Tensor
 from codedsmooth import coded
 from codedsmooth.coded import (CodedSmoothingModule, chebyshev_first,
                                chebyshev_second, get_module)
 from codedsmooth.codedsim import sample_inputs
 from codedsmooth.errors import ShapeError, ValidationError
+
+from conftest import tsum
 
 
 # ---------------------------------------------------------------- points

@@ -12,6 +12,8 @@ from codedsmooth.train import (Coded, ERM, Mixup, TrainPlan, boundary_smoothness
                                dual_path_terms, margin_grid, mixup_batch,
                                schedule_n, train)
 
+from conftest import add, matmul, scale, tsum
+
 SMALL_DATA = DatasetSpec(kind="two_moons", n_train=64, n_test=32, noise=0.1, seed=1)
 SMALL_MODEL = MLPSpec(widths=(2, 8, 2), activation="relu")
 
@@ -114,7 +116,7 @@ def _tape_terms(model, module, x, target, mu, task):
     l_coded = loss(module.forward(Tensor(x), model), target)
     if mu == 1.0:
         return l_coded
-    return autodiff.add(autodiff.scale(l_main, 1.0 - mu), autodiff.scale(l_coded, mu))
+    return add(scale(l_main, 1.0 - mu), scale(l_coded, mu))
 
 
 def _task_batch(task, rng):
@@ -251,6 +253,44 @@ def test_boundary_smoothness_needs_2d_inputs():
     model = MLP(MLPSpec(widths=(3, 4, 2)), rng=None)
     with pytest.raises(ValidationError):
         boundary_smoothness(model, margin_grid(5))
+
+
+@pytest.mark.parametrize("widths", [(2, 8, 2), (2, 8, 8, 3)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_boundary_smoothness_equals_tape_composition(widths, activation):
+    rng = np.random.default_rng(8)
+    model = MLP(MLPSpec(widths=widths, activation=activation), rng)
+    for b in model.biases:
+        b.data[:] = rng.uniform(-0.3, 0.3, b.data.shape)
+    grid = margin_grid(7)
+    sel = np.zeros((widths[-1], 1))
+    sel[0, 0] = -1.0
+    sel[1, 0] = 1.0
+    x = Tensor(grid, requires_grad=True)
+    tsum(matmul(model(x), Tensor(sel))).backward()
+    want = float(np.mean(np.sqrt(np.sum(x.grad * x.grad, axis=1))))
+    assert boundary_smoothness(model, grid) == want
+
+
+def test_boundary_smoothness_leaves_parameter_gradients_alone():
+    model = MLP(SMALL_MODEL, np.random.default_rng(9))
+    params = model.parameters()
+    boundary_smoothness(model, margin_grid(5))
+    assert all(p.grad is None for p in params)
+    held = [np.full(p.data.shape, 0.5) for p in params]
+    for p, g in zip(params, held):
+        p.grad = g
+    boundary_smoothness(model, margin_grid(5))
+    for p, g in zip(params, held):
+        assert p.grad is g
+        npt.assert_array_equal(g, 0.5)
+
+
+@pytest.mark.parametrize("method", [ERM(), Coded(mu=0.5, gamma=1.5)])
+def test_trained_model_holds_no_parameter_gradients(method):
+    model, metrics = train(small_plan(method))
+    assert np.isfinite(metrics.boundary_smoothness)
+    assert all(p.grad is None for p in model.parameters())
 
 
 # ---------------------------------------------------------------- csv
