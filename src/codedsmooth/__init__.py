@@ -9,6 +9,18 @@ inference for adversarial robustness, and a straggler-tolerant
 coded-computing simulator, all driven by a deterministic experiment CLI.
 """
 
+import os
+
+# One BLAS (and OpenMP) thread unless the caller set a count. The package's
+# GEMMs are small (the largest on a CLI path is 1,000 x 64 x 64, in PGD), and
+# waking a second BLAS thread for them costs more than it saves. This runs
+# before any module here imports numpy; BLAS reads the variables when numpy
+# loads, so it does not change the current process if numpy was imported
+# before codedsmooth. Child processes (the spawned `sweep --threads` workers)
+# inherit the variables either way.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .autodiff import (Parameter, Tensor, apply_linear_operator, mse_loss, sgd_momentum_step,
                        softmax_cross_entropy)
 from .coded import CodedSmoothingModule, chebyshev_first, chebyshev_second, get_module

@@ -36,9 +36,10 @@ class PGDSpec:
     random_start: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.steps < 1:
-            raise ValidationError(f"attack.epsilon = {self.epsilon!r} must be > 0 and "
-                                  f"attack.steps = {self.steps} >= 1")
+        if self.epsilon <= 0:
+            raise ValidationError(f"attack.epsilon = {self.epsilon!r} must be > 0")
+        if self.steps < 1:
+            raise ValidationError(f"attack.steps = {self.steps} must be >= 1")
         if self.step_size is not None and self.step_size <= 0:
             raise ValidationError(f"attack.step_size = {self.step_size!r} must be > 0")
 
@@ -58,14 +59,12 @@ class RCI:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_prime < MIN_POINTS or self.n_prime < MIN_POINTS:
-            raise ValidationError(f"attack.k_prime = {self.k_prime} and attack.n_prime = "
-                                  f"{self.n_prime} must both be >= {MIN_POINTS}")
+        for key, value in (("attack.k_prime", self.k_prime), ("attack.n_prime", self.n_prime)):
+            if not MIN_POINTS <= value <= MAX_POINTS:
+                raise ValidationError(f"{key} = {value} must be in [{MIN_POINTS}, {MAX_POINTS}]")
         if self.n_prime < self.k_prime:
             raise ValidationError(f"attack.n_prime = {self.n_prime} must be >= "
                                   f"attack.k_prime = {self.k_prime}")
-        if self.n_prime > MAX_POINTS:
-            raise ValidationError(f"attack.n_prime = {self.n_prime} must be <= {MAX_POINTS}")
 
 
 class Permutation:

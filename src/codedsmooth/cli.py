@@ -27,9 +27,6 @@ from .models import MLPSpec
 from .modelio import csv_table, load_model, model_bytes
 from .train import Coded, ERM, Mixup, TrainPlan, train
 
-# thread-count variables of the BLAS builds numpy may load, and of OpenMP
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 # the architecture keys ``attack`` checks against the model file
 _ARCH_KEYS = ("model.widths", "model.activation")
 
@@ -186,20 +183,24 @@ def cmd_simulate(r: dict, args) -> dict:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_plan(base: TrainPlan, param: str, value: float) -> TrainPlan:
+    if param != "batch_size" and not isinstance(base.method, Coded):
+        raise ValidationError(f"sweep over {param!r} requires train.method=coded")
     if param in ("batch_size", "N") and value != int(value):
         raise ValidationError(f"sweep.values has {value!r}; sweep.param = {param} "
                               f"takes whole numbers")
-    if param == "batch_size":
-        return replace(base, batch_size=int(value))
-    if not isinstance(base.method, Coded):
-        raise ValidationError(f"sweep over {param!r} requires train.method=coded")
-    if param == "N":
-        # target final coded-sample count; reached by ramping gamma = N/K
-        n_target = int(value)
-        if n_target < base.batch_size:
-            raise ValidationError(f"N={n_target} below batch size {base.batch_size}")
-        param, value = "gamma", n_target / base.batch_size
-    return replace(base, method=replace(base.method, **{param: value}))
+    # the plan checks the swept setting; its message then names the value too
+    try:
+        if param == "batch_size":
+            return replace(base, batch_size=int(value))
+        if param == "N":
+            # target final coded-sample count; reached by ramping gamma = N/K
+            if int(value) < base.batch_size:
+                raise ValidationError(f"N = {int(value)} is below train.batch_size = "
+                                      f"{base.batch_size}")
+            return replace(base, method=replace(base.method, gamma=int(value) / base.batch_size))
+        return replace(base, method=replace(base.method, **{param: value}))
+    except ValidationError as err:
+        raise ValidationError(f"sweep.values has {value!r}: {err}") from None
 
 
 def _sweep_cell(args):
@@ -221,17 +222,10 @@ def cmd_sweep(r: dict, args) -> dict:
         # imported here, so that no other command loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
-        # spawned workers load numpy afresh with one BLAS thread each; forked
-        # ones inherit a multithreaded BLAS and oversubscribe the cores
-        saved = {var: os.environ.pop(var) for var in _BLAS_THREAD_VARS if var in os.environ}
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-        try:
-            with ProcessPoolExecutor(threads, mp_context=get_context("spawn")) as pool:
-                rows = list(pool.map(_sweep_cell, cells))
-        finally:
-            for var in _BLAS_THREAD_VARS:
-                del os.environ[var]
-            os.environ.update(saved)
+        # spawned workers load numpy afresh, under the package's BLAS thread
+        # count; forked ones would inherit the parent's BLAS thread pool
+        with ProcessPoolExecutor(threads, mp_context=get_context("spawn")) as pool:
+            rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(c) for c in cells]
 

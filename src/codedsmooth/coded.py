@@ -8,8 +8,9 @@ After the wrapped function runs on the coded batch, a second spline fitted
 at beta is evaluated back at alpha, yielding estimates of the function's
 values on the original samples.
 
-Both stages are precomputed dense linear operators (cached per (K, N)), so a
-round trip is two matrix products and is differentiable end to end.
+Both stages are precomputed dense linear operators (cached per (K, N); the
+encoder's spline fit is shared by every N), so a round trip is two matrix
+products and is differentiable end to end.
 Operands are 2-D: one row per sample. The per-call tridiagonal route
 (``spline.fit_eval``, O((N+K)*d), no operator) backs ``encode_direct`` /
 ``decode_direct``; its batched form ``spline.fit_eval_batch`` backs the
@@ -17,6 +18,7 @@ straggler decoder, whose surviving worker set changes from job to job, so
 a cached operator would serve one call only.
 """
 
+import functools
 import threading
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tensor
 from .errors import ShapeError, ValidationError
-from .spline import MIN_POINTS, Knots, build_operator, fit_eval
+from .spline import MIN_POINTS, Knots, build_operator, fit_eval, fit_identity, operator_at
 
 # most points an encoder or decoder may have: building an operator fits the
 # (N, N) identity, 128 MiB at this bound
@@ -50,6 +52,13 @@ def chebyshev_second(n: int) -> np.ndarray:
     beta[0] = -1.0
     beta[-1] = 1.0
     return beta
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder_basis(k: int):
+    """The identity fit at alpha: every encoder of K points evaluates it, so
+    it is fitted once per K, not once per (K, N)."""
+    return fit_identity(Knots(chebyshev_first(k)))
 
 
 def _apply(mat: np.ndarray, x):
@@ -78,7 +87,7 @@ class CodedSmoothingModule:
         self.identity_mode = identity_mode
         self.alpha = chebyshev_first(k)
         self.beta = self.alpha.copy() if identity_mode else chebyshev_second(n)
-        self.enc_op = build_operator(Knots(self.alpha), self.beta)   # (K, N)
+        self.enc_op = operator_at(_encoder_basis(k), self.beta)      # (K, N)
         self.dec_op = build_operator(Knots(self.beta), self.alpha)   # (N, K)
 
     def encode(self, x):

@@ -58,7 +58,7 @@ class StragglerScenario:
         if s < 0:
             raise ValidationError(f"sim.S_list has S = {s}; must be >= 0")
         if s >= n - (MIN_POINTS - 1):
-            raise ValidationError(f"sim.S_list has S = {s} with N = {n}; "
+            raise ValidationError(f"sim.S_list has S = {s} and sim.N_list has N = {n}; "
                                   f"need S < N - {MIN_POINTS - 1}")
         if self.policy not in POLICIES:
             raise ValidationError(f"unknown policy {self.policy!r}")

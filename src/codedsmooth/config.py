@@ -87,7 +87,7 @@ KEYS = {
     "attack.step_size": Key(_finite, PGDSpec.step_size),
     "attack.random_start": Key(_bool, PGDSpec.random_start),
     "attack.trials": Key(_int_in(1), 20),
-    "attack.k_prime": Key(int, 128),
+    "attack.k_prime": Key(_int_in(MIN_POINTS, MAX_POINTS), 128),
     "attack.n_prime": Key(int, lambda cfg: int(round(1.5 * cfg.get("attack.k_prime")))),
     "attack.seed": Key(int, RCI.seed),
     "sim.fn": Key(str, "sin", BENCH_FUNCTIONS),

@@ -52,9 +52,10 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown dataset kind {self.kind!r}")
-        if self.n_train < 2 or self.n_test < 1:
-            raise ValidationError(f"data.n_train = {self.n_train} must be >= 2 and "
-                                  f"data.n_test = {self.n_test} >= 1")
+        if self.n_train < 2:
+            raise ValidationError(f"data.n_train = {self.n_train} must be >= 2")
+        if self.n_test < 1:
+            raise ValidationError(f"data.n_test = {self.n_test} must be >= 1")
         if self.noise < 0:
             raise ValidationError(f"data.noise = {self.noise!r} must be >= 0")
 

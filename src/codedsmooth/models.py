@@ -25,7 +25,8 @@ class MLPSpec:
 
     def __post_init__(self):
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ValidationError(f"bad layer widths {self.widths}")
+            raise ValidationError(f"model.widths = {self.widths} needs at least 2 widths, "
+                                  f"each >= 1")
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"unknown activation {self.activation!r}")
 

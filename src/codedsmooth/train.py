@@ -75,6 +75,10 @@ class TrainPlan:
             raise ValidationError(f"train.lr = {self.lr!r} must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"train.momentum = {self.momentum!r} must be in [0, 1)")
+        for epoch in self.lr_decay_epochs:
+            if not 0 <= epoch < self.epochs:
+                raise ValidationError(f"train.lr_decay_epochs has {epoch}; entries must be in "
+                                      f"[0, train.epochs = {self.epochs})")
         if self.dataset.n_train < 2 * self.batch_size:
             raise ValidationError(f"data.n_train = {self.dataset.n_train} must be >= "
                                   f"2 * train.batch_size ({2 * self.batch_size})")
@@ -240,10 +244,11 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
         train_targets, test_targets = data.train_y, data.test_y
     widths = plan.model.widths
     if widths[0] != data.train_x.shape[1]:
-        raise ValidationError(f"model input width {widths[0]} != data dim {data.train_x.shape[1]}")
+        raise ValidationError(f"model.widths starts at {widths[0]}, but the data has "
+                              f"{data.train_x.shape[1]} input columns")
     if widths[-1] != train_targets.shape[1]:
-        raise ValidationError(f"model output width {widths[-1]} != task width "
-                              f"{train_targets.shape[1]}")
+        raise ValidationError(f"model.widths ends at {widths[-1]}, but the task has "
+                              f"{train_targets.shape[1]} output columns")
 
     model = MLP(plan.model, stream_rng(plan.seed, "init"))
     params = model.parameters()

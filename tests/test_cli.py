@@ -499,6 +499,20 @@ def test_rerun_from_echoed_config(tmp_path, command):
     ("simulate", SIM_CFG.replace("sim.K = 16", "sim.K = 5000"), "sim.K", "'5000'"),
     ("attack", ATTACK_CFG.replace("attack.n_prime = 24", "attack.n_prime = 5000"),
      "attack.n_prime", "5000"),
+    # K' sizes the batches the test set is cut into, so it is range-checked
+    # when parsed, before anything divides by it
+    ("attack", ATTACK_CFG.replace("attack.k_prime = 16", "attack.k_prime = 0"),
+     "attack.k_prime", "'0'"),
+    ("attack", ATTACK_CFG.replace("attack.k_prime = 16", "attack.k_prime = -16"),
+     "attack.k_prime", "'-16'"),
+    # a decay epoch the run never reaches is a config error, not a no-op
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5) + "train.lr_decay_epochs = -1\n",
+     "train.lr_decay_epochs has -1", "train.epochs = 3"),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5) + "train.lr_decay_epochs = 1,3\n",
+     "train.lr_decay_epochs has 3", "train.epochs = 3"),
+    # a swept value the plan rejects is named as a sweep value
+    ("sweep", SWEEP_CFG.replace("0.2,0.8", "0.2,-1"), "sweep.values has -1.0",
+     "train.mu = -1.0"),
 ], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
         "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
         "train.gamma-nan", "train.gamma-inf", "attack.epsilon-nan", "attack.epsilon-inf",
@@ -506,7 +520,9 @@ def test_rerun_from_echoed_config(tmp_path, command):
         "train.lr-negative", "train.momentum-one", "sweep.values-batch_size-fraction",
         "sweep.values-N-fraction", "train.gamma-oversized", "sweep.values-N-oversized",
         "sweep.values-gamma-oversized", "sim.N_list-oversized", "sim.K-oversized",
-        "attack.n_prime-oversized"])
+        "attack.n_prime-oversized", "attack.k_prime-zero", "attack.k_prime-negative",
+        "train.lr_decay_epochs-negative", "train.lr_decay_epochs-past-end",
+        "sweep.values-mu-negative"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
@@ -516,6 +532,39 @@ def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value)
     assert key in captured.err and value in captured.err
     assert captured.out == ""
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, text, key, other", [
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("n_test = 32", "n_test = 0"),
+     "data.n_test = 0", "data.n_train"),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("n_train = 64", "n_train = 1"),
+     "data.n_train = 1", "data.n_test"),
+    ("attack", ATTACK_CFG + "attack.steps = 0\n", "attack.steps = 0", "attack.epsilon"),
+    ("attack", ATTACK_CFG.replace("attack.n_prime = 24", "attack.n_prime = 3"),
+     "attack.n_prime = 3", "attack.k_prime"),
+], ids=["data.n_test", "data.n_train", "attack.steps", "attack.n_prime"])
+def test_validation_message_names_only_the_bad_key(tmp_path, capsys, command, text, key, other):
+    extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
+    assert main([command, "--config", _write(tmp_path, "d.cfg", text),
+                 "--out", str(tmp_path / "o")] + extra) == 2
+    err = capsys.readouterr().err
+    assert key in err and other not in err, err
+
+
+def test_package_import_defaults_blas_to_one_thread():
+    # the variables are read when numpy loads, which importing codedsmooth
+    # does; a count the caller exported is kept
+    src = os.path.dirname(os.path.dirname(os.path.abspath(codedsmooth.__file__)))
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    probe = ("import os, codedsmooth; "
+             f"print(','.join(os.environ[v] for v in {names!r}))")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    for preset, expected in (({}, "1,1,1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3,1,1")):
+        proc = subprocess.run([sys.executable, "-c", probe], env=dict(env, **preset),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
 
 
 def test_readme_key_table_matches_config_table():

@@ -3,11 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from codedsmooth import Tensor
-from codedsmooth import coded
+from codedsmooth import coded, spline
 from codedsmooth.coded import (CodedSmoothingModule, chebyshev_first,
                                chebyshev_second, get_module)
 from codedsmooth.codedsim import sample_inputs
 from codedsmooth.errors import ShapeError, ValidationError
+from codedsmooth.spline import Knots, build_operator
 
 from conftest import tsum
 
@@ -62,6 +63,37 @@ def test_operator_shapes_and_determinism():
     npt.assert_array_equal(m1.enc_op.matrix, m2.enc_op.matrix)
     npt.assert_array_equal(m1.dec_op.matrix, m2.dec_op.matrix)
     assert get_module(8, 12) is get_module(8, 12)
+
+
+@pytest.mark.parametrize("k", [4, 16, 128])
+def test_shared_encoder_fit_equals_per_module_build(k):
+    # the encoder evaluates one cached fit per K; each operator keeps the
+    # bytes of a fresh fit-and-evaluate build at its own (K, N)
+    for n in (k, k + 1, 3 * k // 2, 2 * k + 3):
+        m = CodedSmoothingModule(k, n)
+        want = build_operator(Knots(m.alpha), m.beta).matrix
+        assert m.enc_op.matrix.tobytes() == want.tobytes()
+    m = CodedSmoothingModule(k, k, identity_mode=True)
+    assert m.enc_op.matrix.tobytes() == build_operator(Knots(m.alpha), m.alpha).matrix.tobytes()
+
+
+def test_encoder_spline_fitted_once_per_k(monkeypatch):
+    # a sweep over N (sweep_mu's ramp: N = 128..192 at K = 128) fits the
+    # alpha spline once; each decoder fits its own beta spline
+    fitted = []
+    real_fit = spline.fit
+
+    def counting_fit(knots, values):
+        fitted.append(len(knots))
+        return real_fit(knots, values)
+
+    monkeypatch.setattr(spline, "fit", counting_fit)
+    coded._encoder_basis.cache_clear()
+    for n in range(128, 193):
+        CodedSmoothingModule(128, n)
+    # alpha has 128 knots; of the decoders, only N = 128 has as many
+    assert fitted.count(128) == 2
+    assert len(fitted) == 1 + 65
 
 
 def test_encode_constant_batch():
