@@ -29,7 +29,7 @@ from .codedsim import (SimReport, StragglerScenario, fit_scaling_exponent,
 from .datasets import Dataset, DatasetSpec, make_dataset, one_hot, task_of
 from .errors import NumericError, ShapeError, ValidationError
 from .models import MLP, MLPSpec
-from .spline import Knots, NaturalCubicSpline, SplineOperator, build_operator, fit, fit_eval
+from .spline import Knots, NaturalCubicSpline, build_operator, fit
 from .train import (Coded, ERM, Metrics, Mixup, TrainPlan, boundary_smoothness,
                     mixup_batch, schedule_n, train)
 from .attack import (FGSMSpec, PGDSpec, Permutation, RCI, Standard, fgsm, pgd,

@@ -249,6 +249,13 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="codedsmooth",
                                 description="coded-smoothing experiments")
@@ -266,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "attack":
             sp.add_argument("--model", required=True)
         if name == "sweep":
-            sp.add_argument("--threads", type=int, default=1)
+            sp.add_argument("--threads", type=_positive_int, default=1)
     return p
 
 

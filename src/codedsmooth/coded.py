@@ -8,14 +8,13 @@ After the wrapped function runs on the coded batch, a second spline fitted
 at beta is evaluated back at alpha, yielding estimates of the function's
 values on the original samples.
 
-Both stages are precomputed dense linear operators (cached per (K, N); the
-encoder's spline fit is shared by every N), so a round trip is two matrix
-products and is differentiable end to end.
-Operands are 2-D: one row per sample. The per-call tridiagonal route
-(``spline.fit_eval``, O((N+K)*d), no operator) backs ``encode_direct`` /
-``decode_direct``; its batched form ``spline.fit_eval_batch`` backs the
-straggler decoder, whose surviving worker set changes from job to job, so
-a cached operator would serve one call only.
+Both stages are precomputed dense linear operators, plain (K, N) and
+(N, K) arrays cached per (K, N); the encoder's spline fit is shared by every
+N. A round trip is two matrix products and is differentiable end to end.
+Operands are 2-D: one row per sample. The straggler decoder instead fits
+and evaluates per call (``spline.fit_eval_batch``, O((N+K)*d), no
+operator): its surviving worker set changes from job to job, so a cached
+operator would serve one call only.
 """
 
 import functools
@@ -26,7 +25,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tensor
 from .errors import ShapeError, ValidationError
-from .spline import MIN_POINTS, Knots, build_operator, fit_eval, fit_identity, operator_at
+from .spline import MIN_POINTS, Knots, build_operator, fit, operator_at
 
 # most points an encoder or decoder may have: building an operator fits the
 # (N, N) identity, 128 MiB at this bound
@@ -36,8 +35,8 @@ MAX_POINTS = 4096
 def chebyshev_first(k: int) -> np.ndarray:
     """Encoding abscissas alpha: cos((2i-1)*pi/2K) for i=1..K, ascending,
     strictly inside (-1, 1)."""
-    if k < MIN_POINTS:
-        raise ValidationError(f"need at least {MIN_POINTS} encoding points, got {k}")
+    if not MIN_POINTS <= k <= MAX_POINTS:
+        raise ValidationError(f"need {MIN_POINTS} to {MAX_POINTS} encoding points, got {k}")
     i = np.arange(1, k + 1)
     return np.cos((2 * i - 1) * np.pi / (2 * k))[::-1].copy()
 
@@ -45,8 +44,8 @@ def chebyshev_first(k: int) -> np.ndarray:
 def chebyshev_second(n: int) -> np.ndarray:
     """Decoding abscissas beta: cos((j-1)*pi/(N-1)) for j=1..N, ascending;
     endpoints assigned exactly -1 and 1."""
-    if n < MIN_POINTS:
-        raise ValidationError(f"need at least {MIN_POINTS} decoding points, got {n}")
+    if not MIN_POINTS <= n <= MAX_POINTS:
+        raise ValidationError(f"need {MIN_POINTS} to {MAX_POINTS} decoding points, got {n}")
     j = np.arange(1, n + 1)
     beta = np.cos((j - 1) * np.pi / (n - 1))[::-1].copy()
     beta[0] = -1.0
@@ -58,7 +57,7 @@ def chebyshev_second(n: int) -> np.ndarray:
 def _encoder_basis(k: int):
     """The identity fit at alpha: every encoder of K points evaluates it, so
     it is fitted once per K, not once per (K, N)."""
-    return fit_identity(Knots(chebyshev_first(k)))
+    return fit(Knots(chebyshev_first(k)), np.eye(k))
 
 
 def _apply(mat: np.ndarray, x):
@@ -92,37 +91,20 @@ class CodedSmoothingModule:
 
     def encode(self, x):
         """K input rows -> N coded rows; Tensor in, Tensor out (or ndarray)."""
-        return _apply(self.enc_op.matrix, x)
+        return _apply(self.enc_op, x)
 
     def decode(self, f_coded):
         """N computed rows -> K estimate rows."""
-        return _apply(self.dec_op.matrix, f_coded)
+        return _apply(self.dec_op, f_coded)
 
     def forward(self, x, f):
         """decode(f(encode(x))): estimates of f on the original batch.
 
-        ``f`` must map an N-row batch to an N-row batch. Gradients flow
-        through f and both (constant) operators when x is a Tensor.
+        ``f`` must map an N-row batch to an N-row batch (``decode`` raises
+        ShapeError otherwise). Gradients flow through f and both (constant)
+        operators when x is a Tensor.
         """
-        coded = self.encode(x)
-        out = f(coded)
-        rows = out.data.shape[0] if isinstance(out, Tensor) else np.asarray(out).shape[0]
-        if rows != self.n:
-            raise ShapeError(f"wrapped function returned {rows} rows, expected {self.n}")
-        return self.decode(out)
-
-    def encode_direct(self, x: np.ndarray) -> np.ndarray:
-        """Per-call tridiagonal encode (no operator matrix); numpy only."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.k:
-            raise ShapeError(f"encode_direct: expected ({self.k}, d), got {x.shape}")
-        return fit_eval(Knots(self.alpha), x, self.beta)
-
-    def decode_direct(self, f_coded: np.ndarray) -> np.ndarray:
-        x = np.asarray(f_coded, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.n:
-            raise ShapeError(f"decode_direct: expected ({self.n}, d), got {x.shape}")
-        return fit_eval(Knots(self.beta), x, self.alpha)
+        return self.decode(f(self.encode(x)))
 
     def estimate_mse(self, x: np.ndarray, f) -> float:
         """Mean squared estimate error vs f(x), over samples and coordinates."""

@@ -113,7 +113,7 @@ def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
     and a list of B floats, each the mean over batch rows of the squared
     output-vector error. S = 0 takes the plain module path, bit-identical to
     ``module.forward``; S > 0 decodes every scenario's N - S survivors in one
-    batched tridiagonal sweep, bit-identical to one ``fit_eval`` each.
+    batched tridiagonal sweep, bit-identical to fitting and evaluating each alone.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < MIN_POINTS:

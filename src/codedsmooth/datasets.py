@@ -40,6 +40,9 @@ _TASKS = {
 
 _N_CLASSES = {"two_moons": 2, "concentric_circles": 2, "spirals": 3}
 
+# most rows a train or test set may have: 16 MB as 2-column float64
+MAX_ROWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -52,10 +55,10 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown dataset kind {self.kind!r}")
-        if self.n_train < 2:
-            raise ValidationError(f"data.n_train = {self.n_train} must be >= 2")
-        if self.n_test < 1:
-            raise ValidationError(f"data.n_test = {self.n_test} must be >= 1")
+        if not 2 <= self.n_train <= MAX_ROWS:
+            raise ValidationError(f"data.n_train = {self.n_train} must be in [2, {MAX_ROWS}]")
+        if not 1 <= self.n_test <= MAX_ROWS:
+            raise ValidationError(f"data.n_test = {self.n_test} must be in [1, {MAX_ROWS}]")
         if self.noise < 0:
             raise ValidationError(f"data.noise = {self.noise!r} must be >= 0")
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Parameter, Tensor, node
+from .coded import MAX_POINTS
 from .errors import ShapeError, ValidationError
 
 ACTIVATIONS = ("relu", "tanh")
@@ -24,9 +25,10 @@ class MLPSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
+        # a MAX_POINTS-square float64 weight is 128 MiB
+        if len(self.widths) < 2 or not all(1 <= w <= MAX_POINTS for w in self.widths):
             raise ValidationError(f"model.widths = {self.widths} needs at least 2 widths, "
-                                  f"each >= 1")
+                                  f"each in [1, {MAX_POINTS}]")
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"unknown activation {self.activation!r}")
 

@@ -11,10 +11,10 @@ makes the minimal-curvature extension linear), which is exactly what lets a
 spline with interior knots be evaluated at the domain endpoints.
 
 Because fit-then-eval is linear in the values, the whole map is also
-available as a dense (n, m) matrix: ``build_operator`` materializes it, and
-``eval(fit(t, Y), v) == operator.matrix.T @ Y`` up to roundoff. Its two
-halves, ``fit_identity`` and ``operator_at``, let one fit serve several
-point sets.
+available as a dense (n, m) matrix: ``build_operator(t, v)`` materializes
+it, and ``fit(t, Y).eval(v) == build_operator(t, v).T @ Y`` up to roundoff.
+``operator_at`` evaluates an existing fit of the identity, so one fit can
+serve several point sets.
 """
 
 import numpy as np
@@ -48,9 +48,6 @@ class Knots:
 
     def __len__(self):
         return len(self.values)
-
-    def __repr__(self):
-        return f"Knots(n={len(self.values)})"
 
 
 def _solve_moments(t: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -148,32 +145,9 @@ def fit(knots: Knots, values) -> NaturalCubicSpline:
     return NaturalCubicSpline(knots, vals, _solve_moments(knots.values, vals))
 
 
-class SplineOperator:
-    """Dense (n, m) matrix form of fit-at-knots / eval-at-points.
-
-    Column structure: ``matrix.T @ Y`` equals ``fit(knots, Y).eval(points)``
-    for any (n, d) values Y; row j is the response of the j-th knot's unit
-    value across all evaluation points. Depends only on the two point sets.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Plain-numpy application: matrix.T @ values."""
-        return self.matrix.T @ values
-
-
-def fit_identity(knots: Knots) -> NaturalCubicSpline:
-    """The spline through all n standard basis vectors at once: one
-    shared-factorization fit that serves every set of evaluation points."""
-    return fit(knots, np.eye(len(knots)))
-
-
-def operator_at(basis: NaturalCubicSpline, eval_points) -> SplineOperator:
-    """The operator of an identity fit (``fit_identity``) at eval_points.
+def operator_at(basis: NaturalCubicSpline, eval_points) -> np.ndarray:
+    """The (n, m) operator of an identity fit, ``fit(knots, np.eye(n))``, at
+    eval_points: ``operator.T @ Y == fit(knots, Y).eval(eval_points)``.
 
     Evaluating the fit gives the (m, n) response table; its transpose is
     the operator. It is allocated before the evaluation's temporaries, so
@@ -183,33 +157,25 @@ def operator_at(basis: NaturalCubicSpline, eval_points) -> SplineOperator:
     pts = np.asarray(eval_points, dtype=np.float64)
     out = np.empty((len(basis.knots), len(pts)))
     out[...] = basis.eval(pts).T
-    return SplineOperator(out)
+    return out
 
 
-def build_operator(knots: Knots, eval_points) -> SplineOperator:
-    """``operator_at`` of a fresh ``fit_identity``, with the output allocated
+def build_operator(knots: Knots, eval_points) -> np.ndarray:
+    """``operator_at`` of a fresh identity fit, with the output allocated
     before the fit too: a fit made first leaves its freed arrays as holes
     below the operator (about 3 MB more peak RSS in a 4-cell sweep)."""
     pts = np.asarray(eval_points, dtype=np.float64)
     out = np.empty((len(knots), len(pts)))
-    out[...] = fit_identity(knots).eval(pts).T
-    return SplineOperator(out)
-
-
-def fit_eval(knots: Knots, values, points) -> np.ndarray:
-    """Direct tridiagonal path: fit then evaluate, no operator materialized.
-
-    O((n + m) * d) per call; the cheap route when the operator would be
-    used once.
-    """
-    return fit(knots, values).eval(points)
+    out[...] = fit(knots, np.eye(len(knots))).eval(pts).T
+    return out
 
 
 def fit_eval_batch(knot_sets, values, points) -> np.ndarray:
-    """``fit_eval`` for B knot sets of one length, fitted in one Thomas sweep.
+    """``fit(knots, values).eval(points)`` for B knot sets of one length,
+    fitted in one Thomas sweep.
 
     ``values`` is (B, n, d), one block per set; the (B, m, d) result holds
-    exactly the bytes ``fit_eval`` gives each set alone.
+    exactly the bytes that fit-and-evaluate gives each set alone.
     """
     vals = np.asarray(values, dtype=np.float64)
     lengths = [len(k) for k in knot_sets]

@@ -165,7 +165,7 @@ def dual_path_terms(model: MLP, module, x: np.ndarray, target: np.ndarray,
         return float(main), None, model.backprop(hs, main_rule(1.0), False)[1:]
     hs_coded = model.activations(module.encode(x))
     coded, coded_rule = loss(module.decode(hs_coded[-1]), target)
-    grads = model.backprop(hs_coded, module.dec_op.matrix @ coded_rule(mu), False)[1:]
+    grads = model.backprop(hs_coded, module.dec_op @ coded_rule(mu), False)[1:]
     if mu < 1.0:
         direct = model.backprop(hs, main_rule(1.0 - mu), False)[1:]
         grads = [a + b for a, b in zip(direct, grads)]

@@ -34,7 +34,7 @@ from codedsmooth.codedsim import (StragglerScenario, fit_scaling_exponent,
 from codedsmooth.datasets import make_dataset, one_hot
 from codedsmooth.models import MLP, MLPSpec
 from codedsmooth.seeding import stream_rng
-from codedsmooth.spline import Knots, build_operator, fit, fit_eval
+from codedsmooth.spline import Knots, build_operator, fit
 from codedsmooth.train import Coded, ERM, dual_path_terms, train
 
 from conftest import CANONICAL_DATA, canonical_plan, fd_grad, rel_err
@@ -82,7 +82,7 @@ def test_criterion_1_spline_exactness():
         pts = rng.uniform(-1, 1, int(rng.integers(1, 20)))
         vals = rng.uniform(-3, 3, (len(kn), int(rng.integers(1, 4))))
         op = build_operator(kn, pts)
-        assert np.max(np.abs(op.apply(vals) - fit_eval(kn, vals, pts))) <= 1e-9
+        assert np.max(np.abs(op.T @ vals - fit(kn, vals).eval(pts))) <= 1e-9
 
     assert time.perf_counter() - start < 5.0
 
@@ -302,8 +302,8 @@ def test_criterion_11_complexity():
         times = []
         for _ in range(20):
             t0 = time.perf_counter()
-            module.encode_direct(x)
-            module.decode_direct(fout)
+            fit(Knots(module.alpha), x).eval(module.beta)
+            fit(Knots(module.beta), fout).eval(module.alpha)
             times.append(time.perf_counter() - t0)
         return float(np.median(times))
 

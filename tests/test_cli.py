@@ -59,6 +59,11 @@ def test_points_prints_tables(capsys):
 def test_points_validation_exit_code(capsys):
     assert main(["points", "3", "8"]) == 2
     assert "error:" in capsys.readouterr().err
+    # the upper bound is checked before any point set is allocated
+    assert main(["points", "100000000000", "8"]) == 2
+    assert "100000000000" in capsys.readouterr().err
+    assert main(["points", "8", "4097"]) == 2
+    assert "4097" in capsys.readouterr().err
 
 
 def test_points_requires_k_and_n(capsys):
@@ -353,6 +358,18 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert _read(out1, "sweep.csv") == _read(out2, "sweep.csv")
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_sweep_threads_must_be_positive(tmp_path, capsys, threads):
+    cfg = _write(tmp_path, "s.cfg", SWEEP_CFG)
+    out = str(tmp_path / "o")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--out", out, "--threads", threads])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err and threads in err
+    assert not os.path.exists(out)
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # only `sweep --threads N` needs a process pool; every other command
     # should not pay for loading multiprocessing
@@ -499,6 +516,16 @@ def test_rerun_from_echoed_config(tmp_path, command):
     ("simulate", SIM_CFG.replace("sim.K = 16", "sim.K = 5000"), "sim.K", "'5000'"),
     ("attack", ATTACK_CFG.replace("attack.n_prime = 24", "attack.n_prime = 5000"),
      "attack.n_prime", "5000"),
+    # the data sizes and the layer widths are bounded, so no array outgrows memory
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("n_train = 64",
+                                                            "n_train = 10000000000000"),
+     "data.n_train", "10000000000000"),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("n_test = 32",
+                                                            "n_test = 1000001"),
+     "data.n_test", "1000001"),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("widths = 2,8,2",
+                                                            "widths = 2,100000000000,2"),
+     "model.widths", "100000000000"),
     # K' sizes the batches the test set is cut into, so it is range-checked
     # when parsed, before anything divides by it
     ("attack", ATTACK_CFG.replace("attack.k_prime = 16", "attack.k_prime = 0"),
@@ -520,7 +547,8 @@ def test_rerun_from_echoed_config(tmp_path, command):
         "train.lr-negative", "train.momentum-one", "sweep.values-batch_size-fraction",
         "sweep.values-N-fraction", "train.gamma-oversized", "sweep.values-N-oversized",
         "sweep.values-gamma-oversized", "sim.N_list-oversized", "sim.K-oversized",
-        "attack.n_prime-oversized", "attack.k_prime-zero", "attack.k_prime-negative",
+        "attack.n_prime-oversized", "data.n_train-oversized", "data.n_test-oversized",
+        "model.widths-oversized", "attack.k_prime-zero", "attack.k_prime-negative",
         "train.lr_decay_epochs-negative", "train.lr_decay_epochs-past-end",
         "sweep.values-mu-negative"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):

@@ -8,7 +8,7 @@ from codedsmooth.coded import (CodedSmoothingModule, chebyshev_first,
                                chebyshev_second, get_module)
 from codedsmooth.codedsim import sample_inputs
 from codedsmooth.errors import ShapeError, ValidationError
-from codedsmooth.spline import Knots, build_operator
+from codedsmooth.spline import Knots, build_operator, fit
 
 from conftest import tsum
 
@@ -58,10 +58,10 @@ def test_point_count_validation():
 def test_operator_shapes_and_determinism():
     m1 = CodedSmoothingModule(8, 12)
     m2 = CodedSmoothingModule(8, 12)
-    assert m1.enc_op.matrix.shape == (8, 12)
-    assert m1.dec_op.matrix.shape == (12, 8)
-    npt.assert_array_equal(m1.enc_op.matrix, m2.enc_op.matrix)
-    npt.assert_array_equal(m1.dec_op.matrix, m2.dec_op.matrix)
+    assert m1.enc_op.shape == (8, 12)
+    assert m1.dec_op.shape == (12, 8)
+    npt.assert_array_equal(m1.enc_op, m2.enc_op)
+    npt.assert_array_equal(m1.dec_op, m2.dec_op)
     assert get_module(8, 12) is get_module(8, 12)
 
 
@@ -71,10 +71,10 @@ def test_shared_encoder_fit_equals_per_module_build(k):
     # bytes of a fresh fit-and-evaluate build at its own (K, N)
     for n in (k, k + 1, 3 * k // 2, 2 * k + 3):
         m = CodedSmoothingModule(k, n)
-        want = build_operator(Knots(m.alpha), m.beta).matrix
-        assert m.enc_op.matrix.tobytes() == want.tobytes()
+        want = build_operator(Knots(m.alpha), m.beta)
+        assert m.enc_op.tobytes() == want.tobytes()
     m = CodedSmoothingModule(k, k, identity_mode=True)
-    assert m.enc_op.matrix.tobytes() == build_operator(Knots(m.alpha), m.alpha).matrix.tobytes()
+    assert m.enc_op.tobytes() == build_operator(Knots(m.alpha), m.alpha).tobytes()
 
 
 def test_encoder_spline_fitted_once_per_k(monkeypatch):
@@ -87,7 +87,9 @@ def test_encoder_spline_fitted_once_per_k(monkeypatch):
         fitted.append(len(knots))
         return real_fit(knots, values)
 
+    # the decoders fit through spline.fit, the encoder through coded's import
     monkeypatch.setattr(spline, "fit", counting_fit)
+    monkeypatch.setattr(coded, "fit", counting_fit)
     coded._encoder_basis.cache_clear()
     for n in range(128, 193):
         CodedSmoothingModule(128, n)
@@ -119,7 +121,7 @@ def test_encode_decode_linear_in_values():
 
 def test_identity_mode_is_exact():
     m = CodedSmoothingModule(8, 8, identity_mode=True)
-    npt.assert_array_equal(m.enc_op.matrix, np.eye(8))
+    npt.assert_array_equal(m.enc_op, np.eye(8))
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, (8, 5))
     npt.assert_array_equal(m.encode(x), x)
@@ -154,6 +156,8 @@ def test_forward_row_count_mismatch():
     x = np.zeros((6, 2))
     with pytest.raises(ShapeError):
         m.forward(x, lambda z: z[:5])
+    with pytest.raises(ShapeError):  # decode checks Tensors too
+        m.forward(Tensor(x), lambda t: Tensor(t.data[:5]))
     with pytest.raises(ShapeError):
         m.encode(np.zeros((5, 2)))
     with pytest.raises(ShapeError):
@@ -210,9 +214,24 @@ def test_direct_paths_match_operator_paths():
     rng = np.random.default_rng(5)
     m = get_module(10, 17)
     x = rng.uniform(-1, 1, (10, 4))
-    npt.assert_allclose(m.encode_direct(x), m.encode(x), atol=1e-9)
+    npt.assert_allclose(fit(Knots(m.alpha), x).eval(m.beta), m.encode(x), atol=1e-9)
     fout = rng.uniform(-1, 1, (17, 4))
-    npt.assert_allclose(m.decode_direct(fout), m.decode(fout), atol=1e-9)
+    npt.assert_allclose(fit(Knots(m.beta), fout).eval(m.alpha), m.decode(fout), atol=1e-9)
+
+
+def test_operators_are_contiguous_float64_arrays():
+    # encode and decode are plain matrices: (K, N) and (N, K), row-major
+    k, n = 8, 13
+    m = CodedSmoothingModule(k, n)
+    basis = coded._encoder_basis(k)
+    ops = [(m.enc_op, (k, n)), (m.dec_op, (n, k)),
+           (build_operator(Knots(m.alpha), m.beta), (k, n)),
+           (build_operator(Knots(m.beta), m.alpha), (n, k)),
+           (spline.operator_at(basis, m.beta), (k, n))]
+    for op, shape in ops:
+        assert type(op) is np.ndarray
+        assert op.dtype == np.float64 and op.shape == shape
+        assert op.flags.c_contiguous
 
 
 def test_forward_differentiable():
@@ -223,7 +242,7 @@ def test_forward_differentiable():
     tsum(out).backward()
     assert x.grad is not None and x.grad.shape == (6, 2)
     # gradient of sum(dec.T @ enc.T @ x) wrt x is enc @ dec @ ones
-    want = m.enc_op.matrix @ (m.dec_op.matrix @ np.ones((6, 2)))
+    want = m.enc_op @ (m.dec_op @ np.ones((6, 2)))
     npt.assert_allclose(x.grad, want, atol=1e-12)
 
 

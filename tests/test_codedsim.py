@@ -8,7 +8,7 @@ from codedsmooth.codedsim import (BENCH_FUNCTIONS, SimReport, StragglerScenario,
                                   SweepRow, fit_scaling_exponent, returned_indices,
                                   run_coded_job, run_coded_jobs, sample_inputs, sweep)
 from codedsmooth.errors import ValidationError
-from codedsmooth.spline import Knots, build_operator, fit_eval
+from codedsmooth.spline import Knots, build_operator, fit
 
 
 def test_scenario_validation():
@@ -82,7 +82,7 @@ def test_straggler_decode_matches_operator_reference(policy):
             est, _ = run_coded_job(np.sin, x, scenario)
             keep = returned_indices(scenario, module.beta)
             dec = build_operator(Knots(module.beta[keep]), module.alpha)
-            want = dec.apply(np.sin(module.encode(x))[keep])
+            want = dec.T @ np.sin(module.encode(x))[keep]
             npt.assert_allclose(est, want, rtol=0, atol=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_sweep_cell_is_one_batched_round_equal_to_single_jobs(policy, s, monkeyp
     outputs = np.sin(module.encode(x))
     for seed, (est, _) in zip(seeds, single):
         keep = returned_indices(StragglerScenario(24, s, policy, seed), module.beta)
-        ref = (fit_eval(Knots(module.beta[keep]), outputs[keep], module.alpha) if s
+        ref = (fit(Knots(module.beta[keep]), outputs[keep]).eval(module.alpha) if s
                else module.forward(x, np.sin))
         assert np.array_equal(est, ref)
 

@@ -45,10 +45,9 @@ BASE = {
 COMMAND = {"data": "train", "model": "train", "train": "train",
            "attack": "attack", "sim": "simulate", "sweep": "sweep"}
 
-# keys whose value sizes the work: a huge value there is a valid request for
-# a long run (or a large allocation), not a config error, so none is drawn
-WORK_SIZED = {"data.n_train", "data.n_test", "model.widths", "train.epochs",
-              "attack.steps", "attack.trials"}
+# keys whose value sizes the run time: a huge value there is a valid request
+# for a long run, not a config error, so none is drawn
+WORK_SIZED = {"train.epochs", "attack.steps", "attack.trials"}
 
 EDGES = ["", "nan", "inf", "-inf", "0", "-0", "-1"]
 INT_EDGES = EDGES + ["2.5", "-2.5", "1e3"]
