@@ -21,8 +21,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .autodiff import (Parameter, Tensor, apply_linear_operator, mse_loss, sgd_momentum_step,
-                       softmax_cross_entropy)
+from .autodiff import Tensor, mse_loss, sgd_momentum_step, softmax_cross_entropy
 from .coded import CodedSmoothingModule, chebyshev_first, chebyshev_second, get_module
 from .codedsim import (SimReport, StragglerScenario, fit_scaling_exponent,
                        run_coded_job, run_coded_jobs, sweep)

@@ -18,6 +18,10 @@ from .errors import ShapeError, ValidationError
 from .models import MLP
 from .seeding import stream_rng
 
+# the attacks run on classification data, which ``datasets`` min-max scales
+# to this box; every crafted input is clipped back into it
+BOX = (-1.0, 1.0)
+
 
 @dataclass(frozen=True)
 class FGSMSpec:
@@ -96,17 +100,16 @@ def _input_grad(model: MLP, x: np.ndarray, target: np.ndarray) -> np.ndarray:
     return model.backprop(hs, rule(1.0))[0]
 
 
-def fgsm(model: MLP, x: np.ndarray, y: np.ndarray, epsilon: float,
-         box=(-1.0, 1.0)) -> np.ndarray:
-    """One signed-gradient step of size epsilon, clipped to the input box."""
+def fgsm(model: MLP, x: np.ndarray, y: np.ndarray, epsilon: float) -> np.ndarray:
+    """One signed-gradient step of size epsilon, clipped to ``BOX``."""
     target = one_hot(y, model.output_dim)
     g = _input_grad(model, x, target)
-    return np.clip(x + epsilon * np.sign(g), box[0], box[1])
+    return np.clip(x + epsilon * np.sign(g), *BOX)
 
 
-def pgd(model: MLP, x: np.ndarray, y: np.ndarray, spec: PGDSpec,
-        box=(-1.0, 1.0), rng=None) -> np.ndarray:
-    """Iterated signed-gradient ascent, projected to the L-inf ball each step.
+def pgd(model: MLP, x: np.ndarray, y: np.ndarray, spec: PGDSpec, rng=None) -> np.ndarray:
+    """Iterated signed-gradient ascent, projected to the L-inf ball and then
+    to ``BOX`` each step.
 
     ``rng`` is only consumed when spec.random_start is set.
     """
@@ -117,13 +120,12 @@ def pgd(model: MLP, x: np.ndarray, y: np.ndarray, spec: PGDSpec,
     if spec.random_start:
         if rng is None:
             raise ValidationError("random_start PGD needs an rng")
-        x_adv = np.clip(x + rng.uniform(-spec.epsilon, spec.epsilon, x.shape),
-                        box[0], box[1])
+        x_adv = np.clip(x + rng.uniform(-spec.epsilon, spec.epsilon, x.shape), *BOX)
     for _ in range(spec.steps):
         g = _input_grad(model, x_adv, target)
         x_adv = x_adv + step * np.sign(g)
         x_adv = np.clip(x_adv, lo, hi)
-        x_adv = np.clip(x_adv, box[0], box[1])
+        x_adv = np.clip(x_adv, *BOX)
     return x_adv
 
 

@@ -9,17 +9,18 @@ one already there, so the accumulation lives in one place.
 The tape keeps only the ops something composes:
 
 - ``node`` builds every op; ``models.MLP.forward`` records the whole network
-  as one node, and ``train.boundary_smoothness`` its summed logit margin;
-- ``apply_linear_operator`` is the coded module's encode and decode on a
-  ``Tensor`` (``coded._apply``);
+  as one node, ``coded._apply`` the coded module's encode and decode of a
+  ``Tensor``, and ``train.boundary_smoothness`` the summed logit margin;
 - ``mse_loss`` and ``softmax_cross_entropy`` are the loss nodes that
   acceptance criteria 4 and 5 compose with the coded module;
 - ``mse`` and ``cross_entropy`` are those losses' array-level rules, which
   training and the attacks call with ``MLP.backprop`` directly, off the tape;
-- ``sgd_momentum_step`` is the training step's parameter update.
+- ``sgd_momentum_step`` is the training step's parameter update; the
+  caller owns the velocity buffers it updates.
 
-Tensors are always float64. Nothing checks the data for finiteness; the
-training loop's NaN guard does that on the losses.
+A trainable parameter is a ``Tensor`` with ``requires_grad=True``; the tape
+holds no optimizer state. Tensors are always float64. Nothing checks the
+data for finiteness; the training loop's NaN guard does that on the losses.
 """
 
 import numpy as np
@@ -76,20 +77,6 @@ class Tensor:
                         p.grad = g if p.grad is None else p.grad + g
 
 
-class Parameter(Tensor):
-    """Trainable tensor carrying a momentum buffer of the same shape."""
-
-    __slots__ = ("momentum",)
-
-    def __init__(self, data):
-        super().__init__(data, requires_grad=True)
-        self.momentum = np.zeros_like(self.data)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def node(data, parents: tuple, grads) -> Tensor:
     """A tape node computed from ``parents``.
 
@@ -102,19 +89,6 @@ def node(data, parents: tuple, grads) -> Tensor:
     out._parents = parents
     out._grads = grads
     return out
-
-
-def apply_linear_operator(mat: np.ndarray, y: Tensor) -> Tensor:
-    """Apply a fixed linear map: returns A.T @ y for an (n, m) matrix A.
-
-    The matrix is a constant of the graph (it depends only on knot/eval
-    point geometry, never on batch values), so no gradient is produced for
-    it; the incoming gradient is carried back to ``y`` as A @ g.
-    """
-    y = _as_tensor(y)
-    if y.data.ndim != 2 or mat.shape[0] != y.data.shape[0]:
-        raise ShapeError(f"apply_linear_operator: operator {mat.shape} vs values {y.data.shape}")
-    return node(mat.T @ y.data, (y,), lambda g: (mat @ g,))
 
 
 def mse(pred: np.ndarray, target) -> tuple:
@@ -144,7 +118,7 @@ def cross_entropy(z: np.ndarray, target) -> tuple:
 
 
 def _loss_node(loss, pred, target) -> Tensor:
-    pred = _as_tensor(pred)
+    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
     value, rule = loss(pred.data, target)
     return node(value, (pred,), lambda g: (rule(g),))
 
@@ -162,13 +136,14 @@ def softmax_cross_entropy(logits, target) -> Tensor:
     return _loss_node(cross_entropy, logits, target)
 
 
-def sgd_momentum_step(params, grads, lr: float, momentum: float) -> None:
+def sgd_momentum_step(params, grads, velocity, lr: float, momentum: float) -> None:
     """One SGD step: v <- momentum*v + g; theta <- theta - lr*v.
 
-    ``grads`` holds one gradient per parameter, in the order of ``params``;
-    the step reads no ``Parameter.grad``. No-op on an empty parameter list.
+    ``grads`` and ``velocity`` hold one array per parameter, in the order of
+    ``params``; each velocity is updated in place. The step reads no
+    ``Tensor.grad``. No-op on an empty parameter list.
     """
-    for p, g in zip(params, grads):
-        p.momentum *= momentum
-        p.momentum += g
-        p.data -= lr * p.momentum
+    for p, g, v in zip(params, grads, velocity):
+        v *= momentum
+        v += g
+        p.data -= lr * v

@@ -21,7 +21,7 @@ from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
 from .coded import chebyshev_first, chebyshev_second
 from .codedsim import BENCH_FUNCTIONS, fit_scaling_exponent, sample_inputs, sweep
 from .config import KEYS, Config, dump_config, load_config
-from .datasets import DatasetSpec, make_dataset, task_of
+from .datasets import DatasetSpec, make_dataset, n_classes, task_of
 from .errors import NumericError, ValidationError
 from .models import MLPSpec
 from .modelio import csv_table, load_model, model_bytes
@@ -120,7 +120,11 @@ def cmd_attack(r: dict, args) -> dict:
     r.update(arch)
     dspec = _dataset_spec(r)
     if task_of(dspec.kind) != "classification":
-        raise ValidationError("attack evaluation needs a classification dataset")
+        raise ValidationError(f"data.kind = {dspec.kind}: attack needs a classification task")
+    if model.output_dim != n_classes(dspec.kind):
+        raise ValidationError(f"model.widths = {model.spec.widths} has {model.output_dim} "
+                              f"outputs, but data.kind = {dspec.kind} has "
+                              f"{n_classes(dspec.kind)} classes")
     if r["attack.k_prime"] > dspec.n_test:
         raise ValidationError(f"attack.k_prime = {r['attack.k_prime']} exceeds data.n_test = "
                               f"{dspec.n_test}; RCI scores whole K' batches of the test set")

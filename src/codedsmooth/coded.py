@@ -22,8 +22,7 @@ import threading
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import Tensor
+from .autodiff import Tensor, node
 from .errors import ShapeError, ValidationError
 from .spline import MIN_POINTS, Knots, build_operator, fit, operator_at
 
@@ -61,13 +60,14 @@ def _encoder_basis(k: int):
 
 
 def _apply(mat: np.ndarray, x):
-    """mat.T @ x for an (n, m) operator and n rows of x, as a tape node for a
-    Tensor; either way a wrong row count raises ShapeError naming both shapes."""
-    if isinstance(x, Tensor):
-        return autodiff.apply_linear_operator(mat, x)
-    arr = np.asarray(x, dtype=np.float64)
+    """mat.T @ x for an (n, m) operator and n rows of x; a wrong row count
+    raises ShapeError naming both shapes. For a Tensor it is a tape node; the
+    operator is a constant of the graph, so the gradient goes to x as mat @ g."""
+    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != mat.shape[0]:
         raise ShapeError(f"operator {mat.shape} vs values {arr.shape}")
+    if isinstance(x, Tensor):
+        return node(mat.T @ arr, (x,), lambda g: (mat @ g,))
     return mat.T @ arr
 
 

@@ -122,8 +122,16 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """Parse a config file; one that cannot be read as UTF-8 text raises
+    ValidationError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ValidationError(f"{path}: cannot read config file: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"{path}: config file is not UTF-8: {err.reason}") from None
+    return parse_config_text(text)
 
 
 def _show(value) -> str:

@@ -55,28 +55,35 @@ def save_model(path, model: MLP, seed: int, method_desc: str) -> None:
 
 
 def load_model(path) -> tuple:
-    """Read a model file; returns (model, header dict)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != MAGIC:
-        raise ValidationError(f"{path}: bad magic, not a model file")
-    end = blob.find(b"\n\n", 8)
-    if end < 0:
-        raise ValidationError(f"{path}: unterminated header")
-    header = {}
-    for line in blob[8:end].decode("ascii").splitlines():
-        key, _, value = line.partition(" ")
-        header[key] = value
-    if header.get("version") != str(VERSION):
-        raise ValidationError(f"{path}: unsupported version {header.get('version')!r}")
-    widths = tuple(int(w) for w in header["widths"].split(","))
-    spec = MLPSpec(widths=widths, activation=header["activation"])
-    model = MLP(spec, rng=None)
-
-    params = np.frombuffer(blob[end + 2:], dtype="<f8")
-    if params.size != model.parameter_count():
-        raise ValidationError(f"{path}: parameter block has {params.size} values, "
-                              f"expected {model.parameter_count()}")
+    """Read a model file; returns (model, header dict). A file that cannot be
+    read or is not a well-formed model file raises ValidationError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise ValidationError(f"{path}: cannot read model file: {err.strerror}") from None
+    try:
+        if blob[:8] != MAGIC:
+            raise ValueError("bad magic, not a model file")
+        end = blob.find(b"\n\n", 8)
+        if end < 0:
+            raise ValueError("unterminated header")
+        header = {}
+        for line in blob[8:end].decode("ascii").splitlines():
+            key, _, value = line.partition(" ")
+            header[key] = value
+        if header.get("version") != str(VERSION):
+            raise ValueError(f"unsupported version {header.get('version')!r}")
+        widths = tuple(int(w) for w in header["widths"].split(","))
+        model = MLP(MLPSpec(widths=widths, activation=header["activation"]), rng=None)
+        block, n_bytes = blob[end + 2:], 8 * model.parameter_count()
+        if len(block) != n_bytes:
+            raise ValueError(f"parameter block has {len(block)} bytes, expected {n_bytes}")
+    except KeyError as err:
+        raise ValidationError(f"{path}: model file header has no {err.args[0]} line") from None
+    except ValueError as err:  # UnicodeDecodeError and ValidationError too
+        raise ValidationError(f"{path}: {err}") from None
+    params = np.frombuffer(block, dtype="<f8")
     pos = 0
     for w, b in zip(model.weights, model.biases):
         w.data[...] = params[pos:pos + w.data.size].reshape(w.data.shape)

@@ -5,14 +5,16 @@ recurrence (``MLP.backprop``) differentiates it. ``MLP.predict`` returns the
 last activation; ``MLP.forward`` records the whole network as one tape node
 whose backward rule is that recurrence, so the network is written once and
 both entry points give the same bits. The training step and the attacks'
-input gradient call the same two methods directly, off the tape.
+input gradient call the same two methods directly, off the tape. The
+parameters are gradient-requiring ``Tensor``s; ``train.train`` keeps their
+momentum buffers, so a model read back from its file equals the saved one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, node
+from .autodiff import Tensor, node
 from .coded import MAX_POINTS
 from .errors import ShapeError, ValidationError
 
@@ -51,8 +53,8 @@ class MLP:
                 w = np.zeros((fan_in, fan_out))
             else:
                 w = rng.normal(0.0, np.sqrt(act_gain / fan_in), (fan_in, fan_out))
-            self.weights.append(Parameter(w))
-            self.biases.append(Parameter(np.zeros(fan_out)))
+            self.weights.append(Tensor(w, requires_grad=True))
+            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
 
     @property
     def input_dim(self) -> int:

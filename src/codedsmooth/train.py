@@ -178,7 +178,7 @@ def boundary_smoothness(model: MLP, grid: np.ndarray) -> float:
     The margin is logit[1] - logit[0]; only models with 2-d inputs (and at
     least two outputs) qualify. The summed margin is one tape node over the
     network's node, and one backward pass gives every grid point's input
-    gradient. Each ``Parameter.grad`` is left as the call found it.
+    gradient. Each parameter's ``grad`` is left as the call found it.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if model.input_dim != 2 or grid.ndim != 2 or grid.shape[1] != 2:
@@ -252,6 +252,7 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
 
     model = MLP(plan.model, stream_rng(plan.seed, "init"))
     params = model.parameters()
+    velocity = [np.zeros_like(p.data) for p in params]  # SGD momentum buffers
     rng_shuffle = stream_rng(plan.seed, "data-shuffle")
     rng_mixup = stream_rng(plan.seed, "mixup")
     method = plan.method
@@ -287,7 +288,7 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
             for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded, mu)):
                 if weight > 0.0 and not np.isfinite(value):
                     raise NumericError(f"non-finite {name} loss at epoch {epoch}, batch {b}")
-            autodiff.sgd_momentum_step(params, grads, lr, plan.momentum)
+            autodiff.sgd_momentum_step(params, grads, velocity, lr, plan.momentum)
 
         metrics.records.append(EpochRecord(
             epoch=epoch,

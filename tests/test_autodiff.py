@@ -3,33 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from codedsmooth import autodiff as ad
-from codedsmooth.autodiff import Parameter, Tensor
+from codedsmooth.autodiff import Tensor
 from codedsmooth.errors import ShapeError
 from codedsmooth.models import MLP, MLPSpec
 
 from conftest import add, fd_grad, matmul, rel_err, scale, tsum
-
-
-def test_apply_linear_operator_identity_and_sum_column():
-    y = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    out = ad.apply_linear_operator(np.eye(3), Tensor(y))
-    npt.assert_array_equal(out.data, y)
-    ones_col = np.ones((3, 1))
-    out = ad.apply_linear_operator(ones_col, Tensor([[1.0], [2.0], [3.0]]))
-    npt.assert_array_equal(out.data, [[6.0]])
-
-
-def test_apply_linear_operator_backward_vs_fd():
-    rng = np.random.default_rng(1)
-    mat = rng.uniform(-1, 1, (5, 4))
-    y = rng.uniform(-1, 1, (5, 3))
-
-    def objective():
-        return tsum(ad.apply_linear_operator(mat, Tensor(y, requires_grad=True))).item()
-
-    yt = Tensor(y, requires_grad=True)
-    tsum(ad.apply_linear_operator(mat, yt)).backward()
-    assert rel_err(yt.grad, fd_grad(objective, y)) <= 1e-6
 
 
 def test_fanout_accumulates_both_contributions():
@@ -110,27 +88,30 @@ def test_mlp_grad_vs_fd(activation):
 
 
 def test_sgd_momentum_examples():
-    p = Parameter([5.0])
-    ad.sgd_momentum_step([p], [np.array([2.0])], lr=1.0, momentum=0.0)
+    p = Tensor([5.0], requires_grad=True)
+    ad.sgd_momentum_step([p], [np.array([2.0])], [np.zeros(1)], lr=1.0, momentum=0.0)
     npt.assert_array_equal(p.data, [3.0])
 
-    q = Parameter([0.0])
-    ad.sgd_momentum_step([q], [np.array([1.0])], lr=1.0, momentum=0.9)
-    ad.sgd_momentum_step([q], [np.array([1.0])], lr=1.0, momentum=0.9)
+    q = Tensor([0.0], requires_grad=True)
+    v = [np.zeros(1)]
+    ad.sgd_momentum_step([q], [np.array([1.0])], v, lr=1.0, momentum=0.9)
+    ad.sgd_momentum_step([q], [np.array([1.0])], v, lr=1.0, momentum=0.9)
     npt.assert_allclose(q.data, [-2.9])
+    npt.assert_allclose(v[0], [1.9])
 
-    ad.sgd_momentum_step([], [], lr=1.0, momentum=0.9)  # no-op
+    ad.sgd_momentum_step([], [], [], lr=1.0, momentum=0.9)  # no-op
 
 
 def test_training_step_determinism():
     def run():
         rng = np.random.default_rng(7)
-        w = Parameter(rng.normal(size=(3, 2)))
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        velocity = [np.zeros_like(w.data)]
         x = rng.normal(size=(5, 3))
         for _ in range(10):
             loss = ad.mse_loss(matmul(Tensor(x), w), np.zeros((5, 2)))
             loss.backward()
-            ad.sgd_momentum_step([w], [w.grad], lr=0.1, momentum=0.9)
+            ad.sgd_momentum_step([w], [w.grad], velocity, lr=0.1, momentum=0.9)
             w.grad = None
         return w.data.copy()
 

@@ -15,7 +15,7 @@ from codedsmooth.codedsim import sample_inputs
 from codedsmooth.config import KEYS, parse_config_text
 from codedsmooth.datasets import DatasetSpec, make_dataset
 from codedsmooth.errors import ValidationError
-from codedsmooth.modelio import load_model, save_model
+from codedsmooth.modelio import load_model, model_bytes, save_model
 from codedsmooth.models import MLP, MLPSpec
 
 TRAIN_CFG = """
@@ -577,6 +577,45 @@ def test_validation_message_names_only_the_bad_key(tmp_path, capsys, command, te
                  "--out", str(tmp_path / "o")] + extra) == 2
     err = capsys.readouterr().err
     assert key in err and other not in err, err
+
+
+def _model_blob():
+    return model_bytes(MLP(MLPSpec(widths=(2, 8, 2)), np.random.default_rng(0)), 0, "erm")
+
+
+# config and model file contents (None: the file does not exist), and the
+# texts the message must hold; {config} and {model} stand for the paths
+@pytest.mark.parametrize("command, config, model, named", [
+    ("attack", ATTACK_CFG.replace("two_moons", "spirals").encode(), _model_blob,
+     ("data.kind = spirals", "model.widths = (2, 8, 2)")),
+    ("attack", ATTACK_CFG.encode(), lambda: _model_blob().replace(b"widths 2,8,2\n", b""),
+     ("{model}", "widths")),
+    ("attack", ATTACK_CFG.encode(), lambda: _model_blob().replace(b"2,8,2", b"2,x,2"),
+     ("{model}", "'x'")),
+    ("attack", ATTACK_CFG.encode(), lambda: _model_blob()[:-5], ("{model}",)),
+    ("attack", ATTACK_CFG.encode(), lambda: _model_blob().replace(b"erm", b"\xe9rm"),
+     ("{model}",)),
+    ("attack", ATTACK_CFG.encode(), None, ("{model}",)),
+    ("train", None, None, ("{config}",)),
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).encode() + b"# \xff\n", None,
+     ("{config}",)),
+    ("attack", ATTACK_CFG.replace("two_moons", "sinusoid_regression").encode(), _model_blob,
+     ("data.kind = sinusoid_regression",)),
+], ids=["attack-class-count", "model-no-widths", "model-widths-not-int",
+        "model-block-not-float64", "model-header-not-ascii", "model-missing",
+        "config-missing", "config-not-utf8", "attack-regression-kind"])
+def test_unusable_input_files_exit_2(tmp_path, capsys, command, config, model, named):
+    cfg_path, model_path, out = tmp_path / "c.cfg", tmp_path / "m.bin", tmp_path / "o"
+    if config is not None:
+        cfg_path.write_bytes(config)
+    if model is not None:
+        model_path.write_bytes(model())
+    extra = ["--model", str(model_path)] if command == "attack" else []
+    assert main([command, "--config", str(cfg_path), "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    for text in named:
+        assert text.format(config=cfg_path, model=model_path) in err, err
+    assert not out.exists()
 
 
 def test_package_import_defaults_blas_to_one_thread():

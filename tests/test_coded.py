@@ -10,7 +10,7 @@ from codedsmooth.codedsim import sample_inputs
 from codedsmooth.errors import ShapeError, ValidationError
 from codedsmooth.spline import Knots, build_operator, fit
 
-from conftest import tsum
+from conftest import fd_grad, rel_err, tsum
 
 
 # ---------------------------------------------------------------- points
@@ -232,6 +232,28 @@ def test_operators_are_contiguous_float64_arrays():
         assert type(op) is np.ndarray
         assert op.dtype == np.float64 and op.shape == shape
         assert op.flags.c_contiguous
+
+
+def test_operator_application_identity_and_sum_column():
+    y = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    out = coded._apply(np.eye(3), Tensor(y))
+    npt.assert_array_equal(out.data, y)
+    ones_col = np.ones((3, 1))
+    out = coded._apply(ones_col, Tensor([[1.0], [2.0], [3.0]]))
+    npt.assert_array_equal(out.data, [[6.0]])
+
+
+def test_operator_application_backward_vs_fd():
+    rng = np.random.default_rng(1)
+    mat = rng.uniform(-1, 1, (5, 4))
+    y = rng.uniform(-1, 1, (5, 3))
+
+    def objective():
+        return tsum(coded._apply(mat, Tensor(y, requires_grad=True))).item()
+
+    yt = Tensor(y, requires_grad=True)
+    tsum(coded._apply(mat, yt)).backward()
+    assert rel_err(yt.grad, fd_grad(objective, y)) <= 1e-6
 
 
 def test_forward_differentiable():

@@ -3,10 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from codedsmooth import autodiff
-from codedsmooth.autodiff import Parameter, Tensor
+from codedsmooth.autodiff import Tensor
 from codedsmooth.coded import get_module
 from codedsmooth.datasets import DatasetSpec, one_hot
 from codedsmooth.errors import NumericError, ShapeError, ValidationError
+from codedsmooth.modelio import load_model, model_bytes
 from codedsmooth.models import MLP, MLPSpec
 from codedsmooth.train import (Coded, ERM, Mixup, TrainPlan, boundary_smoothness,
                                dual_path_terms, margin_grid, mixup_batch,
@@ -215,7 +216,21 @@ def test_coded_method_adds_no_parameters():
     model_c, _ = train(small_plan(Coded(mu=0.5, gamma=1.5)))
     assert model_e.parameter_count() == model_c.parameter_count()
     module = get_module(16, 24)
-    assert not any(isinstance(v, Parameter) for v in vars(module).values())
+    assert not any(isinstance(v, Tensor) and v.requires_grad for v in vars(module).values())
+
+
+def test_trained_model_round_trips_through_model_file(tmp_path):
+    # the model file is the whole model: every slot of every parameter reads
+    # back as it was trained
+    model, _ = train(small_plan(Coded(mu=0.5, gamma=1.5)))
+    path = tmp_path / "m.bin"
+    path.write_bytes(model_bytes(model, 0, "coded mu=0.5 gamma=1.5"))
+    loaded, _ = load_model(str(path))
+    assert loaded.spec == model.spec
+    for a, b in zip(model.parameters(), loaded.parameters(), strict=True):
+        assert type(a) is type(b)
+        for slot in (s for cls in type(a).__mro__ for s in getattr(cls, "__slots__", ())):
+            npt.assert_array_equal(getattr(a, slot), getattr(b, slot), err_msg=slot)
 
 
 def test_plan_validation():
