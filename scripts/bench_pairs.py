@@ -10,8 +10,12 @@ that runs first alternates from pair to pair. For every end-to-end metric
 of the parent's BENCHMARK.json it prints both sides' medians and quartiles,
 the pairs the change won (ties count for neither side) and a verdict:
 
-- ``gain``: the change won at least nine tenths of the pairs and its median
-  is better by more than the parent's interquartile range;
+- ``gain``: at least ``MIN_GAIN_PAIRS`` (10) pairs ran, the change won at
+  least nine tenths of them and its median is better by more than the
+  parent's interquartile range;
+- ``unresolved (fewer than 10 pairs)``: the same result from fewer pairs; a
+  noisy box can give five one-sided pairs for a change that alters no
+  arithmetic;
 - ``worse``: the change's median is worse than the parent's by more than
   the metric's bound;
 - ``unresolved``: neither, and the parent's interquartile range is wider
@@ -32,6 +36,9 @@ import os
 import statistics
 import subprocess
 import sys
+
+# fewest pairs a gain verdict rests on
+MIN_GAIN_PAIRS = 10
 
 
 def run_once(root, workload, seed):
@@ -68,6 +75,8 @@ def verdict(parent, change, higher_better, bound):
     q1, q3 = quartiles(parent)
     gain = sign * (c_med - p_med)
     if wins >= 0.9 * len(parent) and gain > q3 - q1:
+        if len(parent) < MIN_GAIN_PAIRS:
+            return wins, f"unresolved (fewer than {MIN_GAIN_PAIRS} pairs)"
         return wins, "gain"
     if -gain > bound * abs(p_med):
         return wins, "worse"

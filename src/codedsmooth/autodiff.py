@@ -15,8 +15,8 @@ The tape keeps only the ops something composes:
   acceptance criteria 4 and 5 compose with the coded module;
 - ``mse`` and ``cross_entropy`` are those losses' array-level rules, which
   training and the attacks call with ``MLP.backprop`` directly, off the tape;
-- ``sgd_momentum_step`` is the training step's parameter update; the
-  caller owns the velocity buffers it updates.
+- ``sgd_momentum_step`` is the training step's update of the flat
+  parameter vector; the caller owns the velocity vector it updates.
 
 A trainable parameter is a ``Tensor`` with ``requires_grad=True``; the tape
 holds no optimizer state. Tensors are always float64. Nothing checks the
@@ -110,11 +110,11 @@ def cross_entropy(z: np.ndarray, target) -> tuple:
     tgt = np.asarray(target, dtype=np.float64)
     if z.shape != tgt.shape:
         raise ShapeError(f"cross_entropy: {z.shape} vs {tgt.shape}")
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax + np.log(np.sum(np.exp(z - zmax), axis=1, keepdims=True))
+    zmax = np.maximum.reduce(z, axis=1, keepdims=True)
+    lse = zmax + np.log(np.add.reduce(np.exp(z - zmax), axis=1, keepdims=True))
     n = z.shape[0]
     softmax = np.exp(z - lse)
-    return np.sum(tgt * (lse - z)) / n, lambda g: g * (softmax - tgt) / n
+    return np.add.reduce(tgt * (lse - z), axis=None) / n, lambda g: g * (softmax - tgt) / n
 
 
 def _loss_node(loss, pred, target) -> Tensor:
@@ -136,14 +136,13 @@ def softmax_cross_entropy(logits, target) -> Tensor:
     return _loss_node(cross_entropy, logits, target)
 
 
-def sgd_momentum_step(params, grads, velocity, lr: float, momentum: float) -> None:
+def sgd_momentum_step(theta, grad, velocity, lr: float, momentum: float) -> None:
     """One SGD step: v <- momentum*v + g; theta <- theta - lr*v.
 
-    ``grads`` and ``velocity`` hold one array per parameter, in the order of
-    ``params``; each velocity is updated in place. The step reads no
-    ``Tensor.grad``. No-op on an empty parameter list.
+    ``theta``, ``grad`` and ``velocity`` are flat vectors of one shape;
+    ``theta`` and ``velocity`` are updated in place by three whole-vector
+    ops. The step reads no ``Tensor.grad``.
     """
-    for p, g, v in zip(params, grads, velocity):
-        v *= momentum
-        v += g
-        p.data -= lr * v
+    velocity *= momentum
+    velocity += grad
+    theta -= lr * velocity

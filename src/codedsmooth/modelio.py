@@ -9,7 +9,8 @@ Model file: 8-byte magic, text header, little-endian f64 parameters.
         seed 7
         method coded mu=0.5 gamma=1.5
     raw parameter block: per layer, weight matrix (row-major) then bias,
-    as little-endian float64.
+    as little-endian float64; this is ``MLP.theta``'s layout, so the block
+    is written and read as that one vector.
 
 CSV tables (metrics.csv, sim_sweep.csv, sweep.csv, results.csv): a header
 line, then one comma-separated line per row, written by ``csv_table``.
@@ -44,9 +45,7 @@ def model_bytes(model: MLP, seed: int, method_desc: str) -> bytes:
         f"method {method_desc}\n"
         "\n"
     )
-    params = [np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-              for w, b in zip(model.weights, model.biases) for p in (w, b)]
-    return b"".join([MAGIC, header.encode("ascii")] + params)
+    return MAGIC + header.encode("ascii") + model.theta.astype("<f8").tobytes()
 
 
 def save_model(path, model: MLP, seed: int, method_desc: str) -> None:
@@ -83,11 +82,5 @@ def load_model(path) -> tuple:
         raise ValidationError(f"{path}: model file header has no {err.args[0]} line") from None
     except ValueError as err:  # UnicodeDecodeError and ValidationError too
         raise ValidationError(f"{path}: {err}") from None
-    params = np.frombuffer(block, dtype="<f8")
-    pos = 0
-    for w, b in zip(model.weights, model.biases):
-        w.data[...] = params[pos:pos + w.data.size].reshape(w.data.shape)
-        pos += w.data.size
-        b.data[...] = params[pos:pos + b.data.size]
-        pos += b.data.size
+    model.theta[...] = np.frombuffer(block, dtype="<f8")
     return model, header

@@ -6,10 +6,14 @@ last activation; ``MLP.forward`` records the whole network as one tape node
 whose backward rule is that recurrence, so the network is written once and
 both entry points give the same bits. The training step and the attacks'
 input gradient call the same two methods directly, off the tape. The
-parameters are gradient-requiring ``Tensor``s; ``train.train`` keeps their
-momentum buffers, so a model read back from its file equals the saved one.
+parameters are views into one float64 vector, ``MLP.theta``, laid out as the
+model file's parameter block, and ``backprop`` writes a pass's gradients into
+one vector of that layout; ``train.train`` keeps the momentum buffer, so a
+model read back from its file equals the saved one. Both passes work in place
+on arrays they create and never write into their arguments.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +49,29 @@ class MLP:
 
     def __init__(self, spec: MLPSpec, rng=None):
         self.spec = spec
-        self.weights = []
-        self.biases = []
-        act_gain = {"relu": 2.0, "tanh": 1.0}[spec.activation]
+        self._layout, pos = [], 0  # (stretch of theta, shape) per parameter
         for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = rng.normal(0.0, np.sqrt(act_gain / fan_in), (fan_in, fan_out))
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                self._layout.append((slice(pos, pos + math.prod(shape)), shape))
+                pos += math.prod(shape)
+        self.theta = np.zeros(pos)
+        params = [Tensor(v, requires_grad=True) for v in self.split(self.theta)]
+        self.weights, self.biases = params[0::2], params[1::2]
+        if rng is not None:
+            act_gain = {"relu": 2.0, "tanh": 1.0}[spec.activation]
+            for w in self.weights:
+                w.data[...] = rng.normal(0.0, np.sqrt(act_gain / len(w.data)), w.data.shape)
+
+    def __reduce__(self):
+        # copied one by one, the parameter views would stop sharing theta
+        return MLP, (self.spec,), self.theta
+
+    def __setstate__(self, theta):
+        self.theta[...] = theta
+
+    def split(self, flat: np.ndarray) -> list:
+        """Per-parameter views of a ``theta``-sized vector, in ``parameters()`` order."""
+        return [flat[part].reshape(shape) for part, shape in self._layout]
 
     @property
     def input_dim(self) -> int:
@@ -65,14 +82,10 @@ class MLP:
         return self.spec.widths[-1]
 
     def parameters(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
+        return self.theta.size
 
     def activations(self, x: np.ndarray) -> list:
         """[x, h1, ..., out]: the input and every layer's output."""
@@ -83,31 +96,37 @@ class MLP:
         hs = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = hs[-1] @ w.data + b.data
-            if i < last:
-                h = np.maximum(h, 0.0) if relu else np.tanh(h)
+            h = hs[-1] @ w.data
+            h += b.data
+            if i < last and relu:
+                np.maximum(h, 0.0, out=h)
+            elif i < last:
+                np.tanh(h, out=h)
             hs.append(h)
         return hs
 
-    def backprop(self, hs: list, g: np.ndarray, input_grad: bool = True) -> list:
+    def backprop(self, hs: list, g: np.ndarray, input_grad: bool = True,
+                 out: np.ndarray = None) -> list:
         """Gradients of one pass: [input, W1, b1, W2, b2, ...].
 
         ``hs`` is the pass's ``activations`` and ``g`` the gradient of its
         output. The layer recurrence runs from the output: ``g.sum(axis=0)``
         for the bias and ``h.T @ g`` for the weight, then ``g @ W.T`` and the
         activation derivative, read off the layer's output (``h > 0`` for
-        relu, ``1 - h*h`` for tanh). Without ``input_grad`` the first entry
-        is None and the first layer's ``g @ W.T`` is skipped.
+        relu, ``1 - h*h`` for tanh). Parameter gradients are views into one
+        ``theta``-sized vector, ``out`` if given. Without ``input_grad`` the
+        first entry is None and the first layer's ``g @ W.T`` is skipped.
         """
         relu = self.spec.activation == "relu"
-        out = []
+        grads = self.split(np.empty_like(self.theta) if out is None else out)
         for i in range(len(self.weights) - 1, 0, -1):
-            out += [g.sum(axis=0), hs[i].T @ g]
+            np.add.reduce(g, 0, out=grads[2 * i + 1])
+            np.matmul(hs[i].T, g, out=grads[2 * i])
             g = g @ self.weights[i].data.T
-            g = g * (hs[i] > 0.0) if relu else g * (1.0 - hs[i] * hs[i])
-        out += [g.sum(axis=0), hs[0].T @ g,
-                g @ self.weights[0].data.T if input_grad else None]
-        return out[::-1]
+            g *= hs[i] > 0.0 if relu else 1.0 - hs[i] * hs[i]
+        np.add.reduce(g, 0, out=grads[1])
+        np.matmul(hs[0].T, g, out=grads[0])
+        return [g @ self.weights[0].data.T if input_grad else None] + grads
 
     def forward(self, x) -> Tensor:
         """The network as one tape node over the input and every parameter,

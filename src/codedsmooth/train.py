@@ -13,6 +13,7 @@ methods consuming fewer streams stay bit-compatible: a mu=0 coded run
 replays the plain run exactly.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -79,6 +80,9 @@ class TrainPlan:
             if not 0 <= epoch < self.epochs:
                 raise ValidationError(f"train.lr_decay_epochs has {epoch}; entries must be in "
                                       f"[0, train.epochs = {self.epochs})")
+            if self.lr_decay_epochs.count(epoch) > 1:
+                raise ValidationError(f"train.lr_decay_epochs has {epoch} more than once; "
+                                      "each epoch divides train.lr once")
         if self.dataset.n_train < 2 * self.batch_size:
             raise ValidationError(f"data.n_train = {self.dataset.n_train} must be >= "
                                   f"2 * train.batch_size ({2 * self.batch_size})")
@@ -140,17 +144,18 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, alpha: float, rng) -> tuple:
 
 
 def dual_path_terms(model: MLP, module, x: np.ndarray, target: np.ndarray,
-                    mu: float, task: str):
+                    mu: float, task: str, out: np.ndarray = None):
     """(main, coded, grads) for one batch.
 
     ``main`` is the task loss of the model on the batch and ``coded`` the
     task loss of decode(model(encode(batch))), both floats. ``grads`` holds
     one array per parameter, in ``model.parameters()`` order: the gradient
-    of (1 - mu) * main + mu * coded. ``model.backprop`` runs once per path
+    of (1 - mu) * main + mu * coded, as views into one ``theta``-sized
+    vector (``out`` if given). ``model.backprop`` runs once per path
     that carries weight: on the coded rows E.T x, with the coded loss's
     gradient carried back through the decoder as ``D @ g``, and on the
-    batch; the two paths' gradients are added, which equals the op-by-op
-    tape composition bit for bit.
+    batch; one ``+=`` adds the direct path's vector into the coded path's,
+    which equals the op-by-op tape composition bit for bit.
 
     mu = 0 skips the smoothing path entirely (the step is then identical to
     plain training, ``module`` may be None and ``coded`` is None); mu = 1
@@ -159,16 +164,18 @@ def dual_path_terms(model: MLP, module, x: np.ndarray, target: np.ndarray,
     if not 0.0 <= mu <= 1.0:
         raise ValidationError("mu must be in [0, 1]")
     loss = autodiff.cross_entropy if task == "classification" else autodiff.mse
+    out = np.empty_like(model.theta) if out is None else out
     hs = model.activations(x)
     main, main_rule = loss(hs[-1], target)
     if mu == 0.0:
-        return float(main), None, model.backprop(hs, main_rule(1.0), False)[1:]
+        return float(main), None, model.backprop(hs, main_rule(1.0), False, out)[1:]
     hs_coded = model.activations(module.encode(x))
     coded, coded_rule = loss(module.decode(hs_coded[-1]), target)
-    grads = model.backprop(hs_coded, module.dec_op @ coded_rule(mu), False)[1:]
+    grads = model.backprop(hs_coded, module.dec_op @ coded_rule(mu), False, out)[1:]
     if mu < 1.0:
-        direct = model.backprop(hs, main_rule(1.0 - mu), False)[1:]
-        grads = [a + b for a, b in zip(direct, grads)]
+        direct = np.empty_like(out)
+        model.backprop(hs, main_rule(1.0 - mu), False, direct)
+        out += direct
     return float(main), float(coded), grads
 
 
@@ -251,8 +258,8 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
                               f"{train_targets.shape[1]} output columns")
 
     model = MLP(plan.model, stream_rng(plan.seed, "init"))
-    params = model.parameters()
-    velocity = [np.zeros_like(p.data) for p in params]  # SGD momentum buffers
+    grad = np.empty_like(model.theta)
+    velocity = np.zeros_like(model.theta)  # SGD momentum buffer
     rng_shuffle = stream_rng(plan.seed, "data-shuffle")
     rng_mixup = stream_rng(plan.seed, "mixup")
     method = plan.method
@@ -281,14 +288,14 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
             tb = train_targets[idx]
             if isinstance(method, Mixup):
                 xb, tb = mixup_batch(xb, tb, method.alpha, rng_mixup)
-            main, coded, grads = dual_path_terms(model, module, xb, tb, mu, task)
+            main, coded, _ = dual_path_terms(model, module, xb, tb, mu, task, grad)
             main_vals.append(main)
             if coded is not None:
                 coded_vals.append(coded)
             for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded, mu)):
-                if weight > 0.0 and not np.isfinite(value):
+                if weight > 0.0 and not math.isfinite(value):
                     raise NumericError(f"non-finite {name} loss at epoch {epoch}, batch {b}")
-            autodiff.sgd_momentum_step(params, grads, velocity, lr, plan.momentum)
+            autodiff.sgd_momentum_step(model.theta, grad, velocity, lr, plan.momentum)
 
         metrics.records.append(EpochRecord(
             epoch=epoch,

@@ -88,30 +88,30 @@ def test_mlp_grad_vs_fd(activation):
 
 
 def test_sgd_momentum_examples():
-    p = Tensor([5.0], requires_grad=True)
-    ad.sgd_momentum_step([p], [np.array([2.0])], [np.zeros(1)], lr=1.0, momentum=0.0)
-    npt.assert_array_equal(p.data, [3.0])
+    p = np.array([5.0])
+    ad.sgd_momentum_step(p, np.array([2.0]), np.zeros(1), lr=1.0, momentum=0.0)
+    npt.assert_array_equal(p, [3.0])
 
-    q = Tensor([0.0], requires_grad=True)
-    v = [np.zeros(1)]
-    ad.sgd_momentum_step([q], [np.array([1.0])], v, lr=1.0, momentum=0.9)
-    ad.sgd_momentum_step([q], [np.array([1.0])], v, lr=1.0, momentum=0.9)
-    npt.assert_allclose(q.data, [-2.9])
-    npt.assert_allclose(v[0], [1.9])
+    q = np.array([0.0])
+    v = np.zeros(1)
+    ad.sgd_momentum_step(q, np.array([1.0]), v, lr=1.0, momentum=0.9)
+    ad.sgd_momentum_step(q, np.array([1.0]), v, lr=1.0, momentum=0.9)
+    npt.assert_allclose(q, [-2.9])
+    npt.assert_allclose(v, [1.9])
 
-    ad.sgd_momentum_step([], [], [], lr=1.0, momentum=0.9)  # no-op
+    ad.sgd_momentum_step(np.zeros(0), np.zeros(0), np.zeros(0), lr=1.0, momentum=0.9)  # no-op
 
 
 def test_training_step_determinism():
     def run():
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        velocity = [np.zeros_like(w.data)]
+        velocity = np.zeros_like(w.data)
         x = rng.normal(size=(5, 3))
         for _ in range(10):
             loss = ad.mse_loss(matmul(Tensor(x), w), np.zeros((5, 2)))
             loss.backward()
-            ad.sgd_momentum_step([w], [w.grad], velocity, lr=0.1, momentum=0.9)
+            ad.sgd_momentum_step(w.data, w.grad, velocity, lr=0.1, momentum=0.9)
             w.grad = None
         return w.data.copy()
 

@@ -537,6 +537,9 @@ def test_rerun_from_echoed_config(tmp_path, command):
      "train.lr_decay_epochs has -1", "train.epochs = 3"),
     ("train", TRAIN_CFG.format(method="erm", mu=0.5) + "train.lr_decay_epochs = 1,3\n",
      "train.lr_decay_epochs has 3", "train.epochs = 3"),
+    # a repeated decay epoch would decay once and still be echoed twice
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5) + "train.lr_decay_epochs = 1,1\n",
+     "train.lr_decay_epochs has 1", "more than once"),
     # a swept value the plan rejects is named as a sweep value
     ("sweep", SWEEP_CFG.replace("0.2,0.8", "0.2,-1"), "sweep.values has -1.0",
      "train.mu = -1.0"),
@@ -550,7 +553,7 @@ def test_rerun_from_echoed_config(tmp_path, command):
         "attack.n_prime-oversized", "data.n_train-oversized", "data.n_test-oversized",
         "model.widths-oversized", "attack.k_prime-zero", "attack.k_prime-negative",
         "train.lr_decay_epochs-negative", "train.lr_decay_epochs-past-end",
-        "sweep.values-mu-negative"])
+        "train.lr_decay_epochs-repeated", "sweep.values-mu-negative"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
