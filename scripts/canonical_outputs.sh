@@ -1,5 +1,5 @@
 #!/bin/sh
-# Run the nine canonical configs into OUT_DIR, one sub-directory per config,
+# Run the ten canonical configs into OUT_DIR, one sub-directory per config,
 # with each command's stdout saved as OUT_DIR/<config>.stdout, and save the
 # stdout of `points 8 12` as OUT_DIR/points.stdout. `attack` scores the model
 # that train_coded_moons writes. Two trees made from two checkouts are
@@ -34,4 +34,5 @@ run train_coded_gaussian8 train --config "$cfg/train_coded_gaussian8.cfg"
 run attack_moons attack --config "$cfg/attack_moons.cfg" \
     --model "$out/train_coded_moons/model.bin"
 run simulate_stragglers simulate --config "$cfg/simulate_stragglers.cfg"
+run simulate_adversarial simulate --config "$cfg/simulate_adversarial.cfg"
 run sweep_mu sweep --config "$cfg/sweep_mu.cfg"

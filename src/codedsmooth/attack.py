@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import coded
 from .autodiff import cross_entropy
-from .coded import MAX_POINTS, MIN_POINTS, get_module
+from .coded import MAX_POINTS, MIN_POINTS
+from .config import KEYS
 from .datasets import one_hot
 from .errors import ShapeError, ValidationError
 from .models import MLP
@@ -35,9 +37,9 @@ class FGSMSpec:
 @dataclass(frozen=True)
 class PGDSpec:
     epsilon: float
-    steps: int = 10
-    step_size: float = None  # defaults to epsilon / 4
-    random_start: bool = True
+    steps: int = KEYS["attack.steps"].default
+    step_size: float = KEYS["attack.step_size"].default  # None: epsilon / 4
+    random_start: bool = KEYS["attack.random_start"].default
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -60,7 +62,7 @@ class Standard:
 class RCI:
     n_prime: int
     k_prime: int
-    seed: int = 0
+    seed: int = KEYS["attack.seed"].default
 
     def __post_init__(self):
         for key, value in (("attack.k_prime", self.k_prime), ("attack.n_prime", self.n_prime)):
@@ -180,7 +182,7 @@ def robust_eval(model: MLP, x: np.ndarray, y: np.ndarray, attack, mode,
     n_batches = x_adv.shape[0] // kp
     if n_batches == 0:
         raise ValidationError(f"test set smaller than one K'={kp} batch")
-    module = get_module(kp, mode.n_prime)
+    module = coded.get_module(kp, mode.n_prime)
     used = n_batches * kp
     acc = []
     for t in range(trials):

@@ -9,23 +9,20 @@ creates ``--out`` and writes them all, so a failed run leaves no directory.
 Re-running from ``config.resolved`` reproduces every output file bit-exactly.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure (NaN guard).
+
+Each command imports the modules it runs inside its own function, so a
+process loads only those: ``simulate`` loads no ``train``, ``attack``,
+``datasets`` or ``models``, and ``attack`` no ``train`` or ``codedsim``.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields, replace
 
-from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
 from .coded import chebyshev_first, chebyshev_second
-from .codedsim import BENCH_FUNCTIONS, fit_scaling_exponent, sample_inputs, sweep
-from .config import KEYS, Config, dump_config, load_config
-from .datasets import DatasetSpec, make_dataset, n_classes, task_of
+from .config import KEYS, Config, dump_config, load_config, parse_seed
 from .errors import NumericError, ValidationError
-from .models import MLPSpec
-from .modelio import csv_table, load_model, model_bytes
-from .train import Coded, ERM, Mixup, TrainPlan, train
 
 # the architecture keys ``attack`` checks against the model file
 _ARCH_KEYS = ("model.widths", "model.activation")
@@ -65,13 +62,15 @@ def cmd_points(r: dict, args) -> None:
 
 # ---------------------------------------------------------------- train
 
-def _dataset_spec(r: dict) -> DatasetSpec:
+def _dataset_spec(r: dict):
+    from .datasets import DatasetSpec
     return DatasetSpec(kind=r["data.kind"], n_train=r["data.n_train"],
                        n_test=r["data.n_test"], noise=r["data.noise"],
                        seed=r["data.seed"])
 
 
 def _method(r: dict):
+    from .train import Coded, ERM, Mixup
     name = r["train.method"]
     if name == "mixup":
         return Mixup(alpha=r["train.mixup_alpha"])
@@ -86,7 +85,9 @@ def _method_desc(method) -> str:
                     + [f"{f.name}={getattr(method, f.name):g}" for f in fields(method)])
 
 
-def _train_plan(r: dict) -> TrainPlan:
+def _train_plan(r: dict):
+    from .models import MLPSpec
+    from .train import TrainPlan
     return TrainPlan(
         dataset=_dataset_spec(r),
         model=MLPSpec(widths=r["model.widths"], activation=r["model.activation"]),
@@ -101,6 +102,8 @@ def _train_plan(r: dict) -> TrainPlan:
 
 
 def cmd_train(r: dict, args) -> dict:
+    from .modelio import model_bytes
+    from .train import train
     plan = _train_plan(r)
     model, metrics = train(plan)
     print(f"final test metric: {metrics.final_test_metric:.17g}")
@@ -111,6 +114,9 @@ def cmd_train(r: dict, args) -> dict:
 # ---------------------------------------------------------------- attack
 
 def cmd_attack(r: dict, args) -> dict:
+    from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
+    from .datasets import make_dataset, n_classes, task_of
+    from .modelio import csv_table, load_model
     model, header = load_model(args.model)
     arch = dict(zip(_ARCH_KEYS, (model.spec.widths, model.spec.activation)))
     for key, have in arch.items():
@@ -164,6 +170,8 @@ def cmd_attack(r: dict, args) -> dict:
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(r: dict, args) -> dict:
+    import json
+    from .codedsim import BENCH_FUNCTIONS, fit_scaling_exponent, sample_inputs, sweep
     fn_name, k, policy = r["sim.fn"], r["sim.K"], r["sim.policy"]
     n_list, s_list = r["sim.N_list"], r["sim.S_list"]
 
@@ -186,7 +194,8 @@ def cmd_simulate(r: dict, args) -> dict:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_plan(base: TrainPlan, param: str, value: float) -> TrainPlan:
+def _sweep_plan(base, param: str, value: float):
+    from .train import Coded
     if param != "batch_size" and not isinstance(base.method, Coded):
         raise ValidationError(f"sweep over {param!r} requires train.method=coded")
     if param in ("batch_size", "N") and value != int(value):
@@ -208,6 +217,7 @@ def _sweep_plan(base: TrainPlan, param: str, value: float) -> TrainPlan:
 
 
 def _sweep_cell(args):
+    from .train import train
     plan, param, value, seed = args
     # sweep.csv reports the last epoch only, so only it is evaluated
     _, metrics = train(replace(plan, seed=seed), every_epoch=False)
@@ -217,6 +227,7 @@ def _sweep_cell(args):
 
 
 def cmd_sweep(r: dict, args) -> dict:
+    from .modelio import csv_table
     param, threads = r["sweep.param"], args.threads
     base = _train_plan(r)
 
@@ -260,6 +271,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        return parse_seed(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"bad value {text!r} ({err})") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="codedsmooth",
                                 description="coded-smoothing experiments")
@@ -273,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
             continue
         sp.add_argument("--config")
         sp.add_argument("--out", default=f"runs/{name}")
-        sp.add_argument("--seed", type=int)
+        sp.add_argument("--seed", type=_seed)
         if name == "attack":
             sp.add_argument("--model", required=True)
         if name == "sweep":

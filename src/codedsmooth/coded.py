@@ -11,10 +11,11 @@ values on the original samples.
 Both stages are precomputed dense linear operators, plain (K, N) and
 (N, K) arrays cached per (K, N); the encoder's spline fit is shared by every
 N. A round trip is two matrix products and is differentiable end to end.
-Operands are 2-D: one row per sample. The straggler decoder instead fits
-and evaluates per call (``spline.fit_eval_batch``, O((N+K)*d), no
-operator): its surviving worker set changes from job to job, so a cached
-operator would serve one call only.
+Operands are 2-D: one row per sample. The straggler decoder builds no
+operator: its surviving worker set changes from job to job, so a cached
+operator would serve one job only. ``codedsim`` instead fits and evaluates
+the survivors of a whole grid in one ``spline.fit_eval_batch`` call,
+O((N+K)*d) per job.
 """
 
 import functools
@@ -119,7 +120,10 @@ _CACHE_LOCK = threading.Lock()
 
 
 def get_module(k: int, n: int) -> CodedSmoothingModule:
-    """Shared module cache; construction cost is paid once per (K, N)."""
+    """Shared module cache; construction cost is paid once per (K, N).
+
+    Callers look it up as ``coded.get_module`` when they call it, so a
+    replacement set here (a test's counter, a tracer) reaches them all."""
     key = (k, n)
     mod = _CACHE.get(key)
     if mod is None:

@@ -5,7 +5,8 @@ them never return. The decoder spline is fitted only on the surviving
 (point, output) pairs and still evaluated at the original batch abscissas.
 Straggling is simulated by omission, not latency: which results return is
 the only thing the estimate depends on, so the seeds of one (N, S) cell
-share one worker evaluation and one batched decode of their survivors.
+share one worker evaluation, and a sweep decodes the survivors of its whole
+grid, every (N, S, seed) with S > 0, in one batched decode.
 
 Drop policies: ``uniform_random`` removes exactly S uniformly chosen
 workers; ``adversarial_contiguous`` removes the contiguous run of S workers
@@ -18,13 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coded import MAX_POINTS, MIN_POINTS, get_module
+from . import coded
+from .coded import MAX_POINTS, MIN_POINTS
+from .config import KEYS
 from .errors import ValidationError
 from .modelio import csv_table
 from .seeding import stream_rng
 from .spline import Knots, fit_eval_batch
-
-POLICIES = ("uniform_random", "adversarial_contiguous")
 
 _EXACT_FLOOR = 1e-18  # mean MSE below this is exact recovery up to rounding
 
@@ -46,7 +47,7 @@ def sample_inputs(k: int, seed: int) -> np.ndarray:
 class StragglerScenario:
     n_workers: int
     max_stragglers: int = 0
-    policy: str = "uniform_random"
+    policy: str = KEYS["sim.policy"].default
     seed: int = 0
 
     def __post_init__(self):
@@ -60,7 +61,7 @@ class StragglerScenario:
         if s >= n - (MIN_POINTS - 1):
             raise ValidationError(f"sim.S_list has S = {s} and sim.N_list has N = {n}; "
                                   f"need S < N - {MIN_POINTS - 1}")
-        if self.policy not in POLICIES:
+        if self.policy not in KEYS["sim.policy"].allowed:
             raise ValidationError(f"unknown policy {self.policy!r}")
 
 
@@ -106,6 +107,41 @@ def returned_indices(scenario: StragglerScenario, beta: np.ndarray) -> np.ndarra
     return np.flatnonzero(keep)
 
 
+def _run_cells(f, x: np.ndarray, cells) -> list:
+    """(estimates, mses) of each cell, a list of scenarios of one (N, S).
+
+    Each cell looks its module up once and its workers compute once. S = 0
+    cells decode through the module; the survivors of every S > 0 scenario
+    of every cell are decoded together, in one ``fit_eval_batch`` call.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < MIN_POINTS:
+        raise ValidationError(f"need a (K >= {MIN_POINTS}, d) batch, got shape {x.shape}")
+    # per cell: its estimates, or the slice of the batched decode that holds them
+    estimates, survivors, blocks = [], [], []
+    for scenarios in cells:
+        shared = {(sc.n_workers, sc.max_stragglers) for sc in scenarios}
+        if len(shared) != 1:
+            raise ValidationError(f"scenarios must share one (N, S) cell, got {sorted(shared)}")
+        ((n, s),) = shared
+        module = coded.get_module(x.shape[0], n)
+        outputs = f(module.encode(x))
+        # each set keeps >= MIN_POINTS workers by the scenario's check
+        keeps = [returned_indices(sc, module.beta) for sc in scenarios]
+        if s == 0:
+            estimates.append(np.stack([module.decode(outputs)] * len(scenarios)))
+        else:
+            estimates.append(slice(len(survivors), len(survivors) + len(keeps)))
+            survivors += [Knots(module.beta[k]) for k in keeps]
+            blocks += [outputs[k] for k in keeps]
+    if survivors:
+        decoded = fit_eval_batch(survivors, blocks, module.alpha)
+        estimates = [decoded[e] if isinstance(e, slice) else e for e in estimates]
+
+    fx = f(x)
+    return [(e, [float(np.mean(np.sum(d * d, axis=1))) for d in e - fx]) for e in estimates]
+
+
 def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
     """One encode/compute/decode round per scenario, all of one (N, S) cell.
 
@@ -113,28 +149,11 @@ def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
     and a list of B floats, each the mean over batch rows of the squared
     output-vector error. S = 0 takes the plain module path, bit-identical to
     ``module.forward``; S > 0 decodes every scenario's N - S survivors in one
-    batched tridiagonal sweep, bit-identical to fitting and evaluating each alone.
+    batched tridiagonal sweep, bit-identical to fitting and evaluating each
+    alone. It is ``sweep``'s decode applied to one cell.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < MIN_POINTS:
-        raise ValidationError(f"need a (K >= {MIN_POINTS}, d) batch, got shape {x.shape}")
-    cells = {(sc.n_workers, sc.max_stragglers) for sc in scenarios}
-    if len(cells) != 1:
-        raise ValidationError(f"scenarios must share one (N, S) cell, got {sorted(cells)}")
-    ((n, s),) = cells
-    module = get_module(x.shape[0], n)
-    outputs = f(module.encode(x))
-
-    # each set keeps >= MIN_POINTS workers by the scenario's check
-    keeps = [returned_indices(sc, module.beta) for sc in scenarios]
-    if s == 0:
-        estimates = np.stack([module.decode(outputs)] * len(scenarios))
-    else:
-        estimates = fit_eval_batch([Knots(module.beta[k]) for k in keeps],
-                                   np.stack([outputs[k] for k in keeps]), module.alpha)
-
-    diff = estimates - f(x)
-    return estimates, [float(np.mean(np.sum(d * d, axis=1))) for d in diff]
+    ((estimates, mses),) = _run_cells(f, x, [scenarios])
+    return estimates, mses
 
 
 def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
@@ -143,16 +162,18 @@ def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
     return estimates[0], mses[0]
 
 
-def sweep(f, x: np.ndarray, n_list, s_list, seeds, policy: str = "uniform_random") -> SimReport:
-    """Grid over (N, S, seed), one ``run_coded_jobs`` call per cell; deterministic.
+def sweep(f, x: np.ndarray, n_list, s_list, seeds,
+          policy: str = KEYS["sim.policy"].default) -> SimReport:
+    """Grid over (N, S, seed); deterministic. Each (N, S) cell looks its
+    module up once, and the survivors of every S > 0 scenario of the grid
+    are decoded in one batched sweep, as ``run_coded_jobs`` decodes a cell.
 
     Every scenario is checked before the first cell runs.
     """
     cells = [[StragglerScenario(n, s, policy, seed) for seed in seeds]
              for n in n_list for s in s_list]
     report = SimReport()
-    for cell in cells:
-        _, mses = run_coded_jobs(f, x, cell)
+    for cell, (_, mses) in zip(cells, _run_cells(f, x, cells)):
         report.rows += [SweepRow(sc.n_workers, sc.max_stragglers, policy, sc.seed, mse)
                         for sc, mse in zip(cell, mses)]
     return report

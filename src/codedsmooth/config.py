@@ -6,20 +6,18 @@ a typo cannot silently fall back to a default. Every command echoes its
 fully-resolved configuration into the output directory; re-running from
 that echo reproduces the outputs exactly.
 
-``KEYS`` holds each key's parser, default and allowed values.
+``KEYS`` holds each key's parser, default and allowed values. It is the one
+home of every default: the dataclasses the keys configure (``DatasetSpec``,
+``TrainPlan``, ``StragglerScenario`` ...) read their field defaults from it,
+so reading a config loads none of the modules that run a command.
 """
 
 import math
 from collections import namedtuple
 from dataclasses import MISSING
 
-from .attack import PGDSpec, RCI
 from .coded import MAX_POINTS, MIN_POINTS
-from .codedsim import BENCH_FUNCTIONS, POLICIES, StragglerScenario
-from .datasets import DatasetSpec, KINDS
 from .errors import ValidationError
-from .models import ACTIVATIONS, MLPSpec
-from .train import Coded, Mixup, TrainPlan
 
 
 def _int_in(low, high=None):
@@ -31,6 +29,10 @@ def _int_in(low, high=None):
             raise ValueError(f"must be <= {high}")
         return value
     return parse
+
+
+# a seed is one 64-bit word of numpy's SeedSequence entropy
+parse_seed = _int_in(0, 2 ** 64 - 1)
 
 
 def _finite(text):
@@ -64,42 +66,43 @@ Key = namedtuple("Key", "parse default allowed method", defaults=((), None))
 # every key any subcommand understands; one config file may drive several
 # commands (e.g. a train followed by an attack on its model file)
 KEYS = {
-    "data.kind": Key(str, MISSING, KINDS),
-    "data.n_train": Key(int, DatasetSpec.n_train),
-    "data.n_test": Key(int, DatasetSpec.n_test),
-    "data.noise": Key(_finite, DatasetSpec.noise),
-    "data.seed": Key(int, DatasetSpec.seed),
+    "data.kind": Key(str, MISSING, ("two_moons", "concentric_circles", "spirals",
+                                    "sinusoid_regression", "gaussian8_autoencoder")),
+    "data.n_train": Key(int, 1000),
+    "data.n_test": Key(int, 1000),
+    "data.noise": Key(_finite, 0.0),
+    "data.seed": Key(parse_seed, 0),
     "model.widths": Key(_list(int), MISSING),
-    "model.activation": Key(str, MLPSpec.activation, ACTIVATIONS),
+    "model.activation": Key(str, "relu", ("relu", "tanh")),
     "train.method": Key(str.lower, "erm", ("erm", "mixup", "coded")),
-    "train.mu": Key(_finite, Coded.mu, method="coded"),
-    "train.gamma": Key(_finite, Coded.gamma, method="coded"),
-    "train.mixup_alpha": Key(_finite, Mixup.alpha, method="mixup"),
-    "train.epochs": Key(int, TrainPlan.epochs),
-    "train.batch_size": Key(int, TrainPlan.batch_size),
-    "train.lr": Key(_finite, TrainPlan.lr),
-    "train.lr_decay_epochs": Key(_list(int, may_be_empty=True), TrainPlan.lr_decay_epochs),
-    "train.momentum": Key(_finite, TrainPlan.momentum),
-    "train.seed": Key(int, TrainPlan.seed),
+    "train.mu": Key(_finite, 0.5, method="coded"),
+    "train.gamma": Key(_finite, 1.5, method="coded"),
+    "train.mixup_alpha": Key(_finite, 1.0, method="mixup"),
+    "train.epochs": Key(int, 100),
+    "train.batch_size": Key(int, 128),
+    "train.lr": Key(_finite, 0.05),
+    "train.lr_decay_epochs": Key(_list(int, may_be_empty=True), ()),
+    "train.momentum": Key(_finite, 0.9),
+    "train.seed": Key(parse_seed, 0),
     "attack.kind": Key(str.lower, "all", ("all", "none", "fgsm", "pgd")),
     "attack.epsilon": Key(_finite, 0.1),
-    "attack.steps": Key(int, PGDSpec.steps),
-    "attack.step_size": Key(_finite, PGDSpec.step_size),
-    "attack.random_start": Key(_bool, PGDSpec.random_start),
+    "attack.steps": Key(int, 10),
+    "attack.step_size": Key(_finite, None),  # None: attack.epsilon / 4
+    "attack.random_start": Key(_bool, True),
     "attack.trials": Key(_int_in(1), 20),
     "attack.k_prime": Key(_int_in(MIN_POINTS, MAX_POINTS), 128),
     "attack.n_prime": Key(int, lambda cfg: int(round(1.5 * cfg.get("attack.k_prime")))),
-    "attack.seed": Key(int, RCI.seed),
-    "sim.fn": Key(str, "sin", BENCH_FUNCTIONS),
+    "attack.seed": Key(parse_seed, 0),
+    "sim.fn": Key(str, "sin", ("sin", "gauss_bump", "cubic", "const")),
     "sim.K": Key(_int_in(MIN_POINTS, MAX_POINTS), 16),
     "sim.N_list": Key(_list(int), (32, 64, 128, 256)),
     "sim.S_list": Key(_list(int), (0,)),
-    "sim.seeds": Key(_list(int), (0,)),
-    "sim.policy": Key(str, StragglerScenario.policy, POLICIES),
-    "sim.input_seed": Key(int, 0),
+    "sim.seeds": Key(_list(parse_seed), (0,)),
+    "sim.policy": Key(str, "uniform_random", ("uniform_random", "adversarial_contiguous")),
+    "sim.input_seed": Key(parse_seed, 0),
     "sweep.param": Key(str, MISSING, ("mu", "N", "gamma", "batch_size")),
     "sweep.values": Key(_list(_finite), MISSING),
-    "sweep.seeds": Key(_list(int), (0, 1, 2, 3, 4)),
+    "sweep.seeds": Key(_list(parse_seed), (0, 1, 2, 3, 4)),
 }
 
 

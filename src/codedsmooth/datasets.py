@@ -24,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import KEYS
 from .errors import ValidationError
 from .seeding import stream_rng
-
-KINDS = ("two_moons", "concentric_circles", "spirals",
-         "sinusoid_regression", "gaussian8_autoencoder")
 
 _TASKS = {
     "two_moons": "classification",
@@ -47,13 +45,13 @@ MAX_ROWS = 1_000_000
 @dataclass(frozen=True)
 class DatasetSpec:
     kind: str
-    n_train: int = 1000
-    n_test: int = 1000
-    noise: float = 0.0
-    seed: int = 0
+    n_train: int = KEYS["data.n_train"].default
+    n_test: int = KEYS["data.n_test"].default
+    noise: float = KEYS["data.noise"].default
+    seed: int = KEYS["data.seed"].default
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KEYS["data.kind"].allowed:
             raise ValidationError(f"unknown dataset kind {self.kind!r}")
         if not 2 <= self.n_train <= MAX_ROWS:
             raise ValidationError(f"data.n_train = {self.n_train} must be in [2, {MAX_ROWS}]")

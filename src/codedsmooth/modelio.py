@@ -14,12 +14,13 @@ Model file: 8-byte magic, text header, little-endian f64 parameters.
 
 CSV tables (metrics.csv, sim_sweep.csv, sweep.csv, results.csv): a header
 line, then one comma-separated line per row, written by ``csv_table``.
+Only ``load_model`` loads ``models``, so a command that writes tables and
+no model file (``simulate``) does not.
 """
 
 import numpy as np
 
 from .errors import ValidationError
-from .models import MLP, MLPSpec
 
 MAGIC = b"CSMODEL1"
 VERSION = 1
@@ -34,8 +35,8 @@ def csv_table(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_bytes(model: MLP, seed: int, method_desc: str) -> bytes:
-    """The model file's contents."""
+def model_bytes(model, seed: int, method_desc: str) -> bytes:
+    """The model file's contents for an ``MLP``."""
     spec = model.spec
     header = (
         f"version {VERSION}\n"
@@ -48,7 +49,7 @@ def model_bytes(model: MLP, seed: int, method_desc: str) -> bytes:
     return MAGIC + header.encode("ascii") + model.theta.astype("<f8").tobytes()
 
 
-def save_model(path, model: MLP, seed: int, method_desc: str) -> None:
+def save_model(path, model, seed: int, method_desc: str) -> None:
     with open(path, "wb") as fh:
         fh.write(model_bytes(model, seed, method_desc))
 
@@ -56,6 +57,7 @@ def save_model(path, model: MLP, seed: int, method_desc: str) -> None:
 def load_model(path) -> tuple:
     """Read a model file; returns (model, header dict). A file that cannot be
     read or is not a well-formed model file raises ValidationError naming it."""
+    from .models import MLP, MLPSpec
     try:
         with open(path, "rb") as fh:
             blob = fh.read()

@@ -20,22 +20,21 @@ import numpy as np
 
 from .autodiff import Tensor, node
 from .coded import MAX_POINTS
+from .config import KEYS
 from .errors import ShapeError, ValidationError
-
-ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
 class MLPSpec:
     widths: tuple  # (input, hidden..., output)
-    activation: str = "relu"
+    activation: str = KEYS["model.activation"].default
 
     def __post_init__(self):
         # a MAX_POINTS-square float64 weight is 128 MiB
         if len(self.widths) < 2 or not all(1 <= w <= MAX_POINTS for w in self.widths):
             raise ValidationError(f"model.widths = {self.widths} needs at least 2 widths, "
                                   f"each in [1, {MAX_POINTS}]")
-        if self.activation not in ACTIVATIONS:
+        if self.activation not in KEYS["model.activation"].allowed:
             raise ValidationError(f"unknown activation {self.activation!r}")
 
 

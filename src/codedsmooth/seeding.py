@@ -8,14 +8,20 @@ this is what makes e.g. a mu=0 coded run bit-identical to a plain run.
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def stream_rng(seed: int, *key) -> np.random.Generator:
     """Return a fresh Generator for the stream (seed, *key).
 
     Key parts may be ints or strings; strings are folded into the seed
     material byte-wise so the mapping is stable across runs and platforms.
+    The seed is one 64-bit word: one outside [0, 2**64) raises
+    ValidationError, where masking it would alias -3 with 2**64 - 3.
     """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed {seed} must be in [0, 2**64)")
+    entropy = [int(seed)]
     for part in key:
         if isinstance(part, (int, np.integer)):
             entropy.append(int(part))

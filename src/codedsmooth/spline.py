@@ -3,12 +3,17 @@
 A natural cubic spline through (t_i, y_i), i = 1..n, with y_i in R^d is the
 C^2 piecewise cubic with zero second derivative at the end knots. Fitting
 solves the standard tridiagonal moment system once (Thomas algorithm), with
-the factorization shared across all d value columns; ``fit_eval_batch`` runs
-one sweep for B knot sets of equal length. Evaluation anywhere in
+the factorization shared across all d value columns. Evaluation anywhere in
 [-1, 1] is supported: inside the knot hull it is the usual piecewise cubic;
 beyond the end knots the spline continues linearly (the natural boundary
 makes the minimal-curvature extension linear), which is exactly what lets a
 spline with interior knots be evaluated at the domain endpoints.
+
+``fit_eval_batch`` fits and evaluates B knot sets of any lengths at once:
+each is padded to the longest, one Thomas sweep solves them all, and one
+evaluation gathers along the batch axis. ``NaturalCubicSpline.eval`` is
+that evaluation for B = 1, so both give every element the same float
+operations.
 
 Because fit-then-eval is linear in the values, the whole map is also
 available as a dense (n, m) matrix: ``build_operator(t, v)`` materializes
@@ -50,16 +55,19 @@ class Knots:
         return len(self.values)
 
 
-def _solve_moments(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _solve_moments(t: np.ndarray, values: np.ndarray, lengths=None) -> np.ndarray:
     """Second-derivative (moment) columns of the natural spline.
 
     Interior rows satisfy
         h[i-1]*M[i-1] + 2*(h[i-1]+h[i])*M[i] + h[i]*M[i+1]
             = 6*((y[i+1]-y[i])/h[i] - (y[i]-y[i-1])/h[i-1]),
     with M[0] = M[-1] = 0. One Thomas sweep; the elimination coefficients
-    are shared across all value columns. Knots (n, *batch) and values
-    (n, d, *batch) solve one system per batch index in the same sweep, each
-    element by the float operations of the unbatched (scalar) solve.
+    are shared across all value columns. Knots (n, B) and values (n, d, B)
+    solve one system per batch index in the same sweep, each element by the
+    float operations of the unbatched (scalar) solve. With ``lengths`` (B,),
+    set b's rows from ``lengths[b] - 1`` on are padding: the forward sweep
+    reaches them only after the set's real rows, and the back-substitution
+    forces them to exact zeros, so the set's own last knot is its natural end.
     """
     n = values.shape[0]
     moments = np.zeros(values.shape)
@@ -80,10 +88,64 @@ def _solve_moments(t: np.ndarray, values: np.ndarray) -> np.ndarray:
         denom = diag[i] - lower[i] * cp[i - 1]
         cp[i] = upper[i] / denom
         dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+    # row r is padding of set b when r >= lengths[b] - 1; no set pads a row
+    # below first_pad
+    padded = None if lengths is None else np.arange(n)[:, None] >= lengths - 1
+    first_pad = n if lengths is None else int(lengths.min()) - 1
     moments[m] = dp[m - 1]
-    for i in range(m - 2, -1, -1):
-        moments[i + 1] = dp[i] - cp[i] * moments[i + 2]
+    for r in range(m, 0, -1):
+        if r < m:
+            moments[r] = dp[r - 1] - cp[r - 1] * moments[r + 1]
+        if r >= first_pad:
+            np.copyto(moments[r], 0.0, where=padded[r])
     return moments
+
+
+def _evaluate(t, y, mom, lengths, points) -> np.ndarray:
+    """(B, m, d) values of B fitted splines at m points in [-1, 1].
+
+    ``t`` (B, n), ``y`` and ``mom`` (B, n, d) hold set b's knots, values and
+    moments in their first ``lengths[b]`` rows. One interval search per set;
+    every other step gathers along the batch axis, and each element takes
+    the float operations of the one-spline formula.
+    """
+    q = np.asarray(points, dtype=np.float64)
+    if q.ndim != 1:
+        raise ValidationError("evaluation points must be a 1-d sequence")
+    if q.size and (q.min() < -1.0 or q.max() > 1.0):
+        raise ValidationError("evaluation points must lie in [-1, 1]")
+    sets = np.arange(len(t))[:, None]
+    idx = np.empty((len(t), len(q)), dtype=np.intp)
+    for b in range(len(t)):
+        idx[b] = np.searchsorted(t[b, :lengths[b]], q, side="right")
+    idx -= 1
+    np.clip(idx, 0, (lengths - 2)[:, None], out=idx)
+    tl, tr = t[sets, idx], t[sets, idx + 1]
+    h = tr - tl
+    a = (tr - q) / h
+    b = (q - tl) / h
+    cc = (a * a * a - a) * (h * h) / 6.0
+    dd = (b * b * b - b) * (h * h) / 6.0
+    out = (a[..., None] * y[sets, idx] + b[..., None] * y[sets, idx + 1]
+           + cc[..., None] * mom[sets, idx] + dd[..., None] * mom[sets, idx + 1])
+
+    # beyond the end knots: the linear extension, written only where needed
+    below = q < t[:, :1]
+    if np.any(below):
+        g = t[:, 1] - t[:, 0]
+        d0 = (y[:, 1] - y[:, 0]) / g[:, None] - (g / 6.0)[:, None] * (2.0 * mom[:, 0] + mom[:, 1])
+        rows, cols = np.nonzero(below)
+        out[rows, cols] = y[rows, 0] + (q[cols] - t[rows, 0])[:, None] * d0[rows]
+    every, end = sets[:, 0], lengths - 1
+    tn = t[every, end]
+    above = q > tn[:, None]
+    if np.any(above):
+        hn = tn - t[every, end - 1]
+        dn = ((y[every, end] - y[every, end - 1]) / hn[:, None]
+              + (hn / 6.0)[:, None] * (mom[every, end - 1] + 2.0 * mom[every, end]))
+        rows, cols = np.nonzero(above)
+        out[rows, cols] = y[rows, end[rows]] + (q[cols] - tn[rows])[:, None] * dn[rows]
+    return out
 
 
 class NaturalCubicSpline:
@@ -103,36 +165,9 @@ class NaturalCubicSpline:
         natural extension; points outside [-1, 1] are a caller bug and
         raise.
         """
-        q = np.asarray(points, dtype=np.float64)
-        if q.ndim != 1:
-            raise ValidationError("evaluation points must be a 1-d sequence")
-        if q.size and (q.min() < -1.0 or q.max() > 1.0):
-            raise ValidationError("evaluation points must lie in [-1, 1]")
         t = self.knots.values
-        y = self.values
-        mom = self.second_derivatives
-        n = len(t)
-
-        idx = np.clip(np.searchsorted(t, q, side="right") - 1, 0, n - 2)
-        tl, tr = t[idx], t[idx + 1]
-        h = tr - tl
-        a = (tr - q) / h
-        b = (q - tl) / h
-        cc = (a * a * a - a) * (h * h) / 6.0
-        dd = (b * b * b - b) * (h * h) / 6.0
-        out = (a[:, None] * y[idx] + b[:, None] * y[idx + 1]
-               + cc[:, None] * mom[idx] + dd[:, None] * mom[idx + 1])
-
-        below = q < t[0]
-        above = q > t[-1]
-        if np.any(below):
-            d0 = (y[1] - y[0]) / (t[1] - t[0]) - (t[1] - t[0]) / 6.0 * (2.0 * mom[0] + mom[1])
-            out[below] = y[0] + (q[below, None] - t[0]) * d0
-        if np.any(above):
-            hn = t[-1] - t[-2]
-            dn = (y[-1] - y[-2]) / hn + hn / 6.0 * (mom[-2] + 2.0 * mom[-1])
-            out[above] = y[-1] + (q[above, None] - t[-1]) * dn
-        return out
+        return _evaluate(t[None], self.values[None], self.second_derivatives[None],
+                         np.array([len(t)]), points)[0]
 
 
 def fit(knots: Knots, values) -> NaturalCubicSpline:
@@ -171,17 +206,28 @@ def build_operator(knots: Knots, eval_points) -> np.ndarray:
 
 
 def fit_eval_batch(knot_sets, values, points) -> np.ndarray:
-    """``fit(knots, values).eval(points)`` for B knot sets of one length,
-    fitted in one Thomas sweep.
+    """``fit(knots, block).eval(points)`` for B knot sets at once, one (n_b, d)
+    block of ``values`` per set; the sets may differ in length.
 
-    ``values`` is (B, n, d), one block per set; the (B, m, d) result holds
-    exactly the bytes that fit-and-evaluate gives each set alone.
+    Each set is padded to the longest, with knots that continue past 1 and
+    zero values. One Thomas sweep fits every set (``_solve_moments`` keeps
+    the padding out of the real rows) and one evaluation serves them all.
+    The (B, m, d) result holds exactly the bytes that fit-and-evaluate gives
+    each set alone.
     """
-    vals = np.asarray(values, dtype=np.float64)
-    lengths = [len(k) for k in knot_sets]
-    if vals.ndim != 3 or not lengths or lengths != [vals.shape[1]] * vals.shape[0]:
-        raise ShapeError(f"{lengths} knots per set but values of shape {vals.shape}")
-    t = np.stack([k.values for k in knot_sets], axis=-1)
-    moments = _solve_moments(t, np.moveaxis(vals, 0, -1))
-    return np.stack([NaturalCubicSpline(k, v, moments[..., b]).eval(points)
-                     for b, (k, v) in enumerate(zip(knot_sets, vals))])
+    blocks = [np.asarray(v, dtype=np.float64) for v in values]
+    lengths = np.array([len(k) for k in knot_sets], dtype=np.intp)
+    if (not len(lengths) or len(blocks) != len(lengths)
+            or any(v.ndim != 2 or v.shape != (n, blocks[0].shape[1])
+                   for v, n in zip(blocks, lengths))):
+        raise ShapeError(f"{lengths.tolist()} knots per set but value blocks of shapes "
+                         f"{[v.shape for v in blocks]}")
+    n = int(lengths.max())
+    t = np.empty((len(lengths), n))
+    t[:] = np.arange(2.0, n + 2.0)
+    y = np.zeros((len(lengths), n, blocks[0].shape[1]))
+    for b, (knots, block) in enumerate(zip(knot_sets, blocks)):
+        t[b, :lengths[b]] = knots.values
+        y[b, :lengths[b]] = block
+    moments = _solve_moments(t.T, np.moveaxis(y, 0, -1), lengths)
+    return _evaluate(t, y, np.moveaxis(moments, -1, 0), lengths, points)

@@ -19,9 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff
+from . import autodiff, coded
 from .autodiff import Tensor
-from .coded import MAX_POINTS, MIN_POINTS, get_module
+from .coded import MAX_POINTS, MIN_POINTS
+from .config import KEYS
 from .datasets import DatasetSpec, make_dataset, n_classes, one_hot, task_of
 from .errors import NumericError, ValidationError
 from .models import MLP, MLPSpec
@@ -36,7 +37,7 @@ class ERM:
 
 @dataclass(frozen=True)
 class Mixup:
-    alpha: float = 1.0
+    alpha: float = KEYS["train.mixup_alpha"].default
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -45,8 +46,8 @@ class Mixup:
 
 @dataclass(frozen=True)
 class Coded:
-    mu: float = 0.5
-    gamma: float = 1.5
+    mu: float = KEYS["train.mu"].default
+    gamma: float = KEYS["train.gamma"].default
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
@@ -59,12 +60,12 @@ class Coded:
 class TrainPlan:
     dataset: DatasetSpec
     model: MLPSpec
-    epochs: int = 100
-    batch_size: int = 128
-    lr: float = 0.05
-    lr_decay_epochs: tuple = ()
-    momentum: float = 0.9
-    seed: int = 0
+    epochs: int = KEYS["train.epochs"].default
+    batch_size: int = KEYS["train.batch_size"].default
+    lr: float = KEYS["train.lr"].default
+    lr_decay_epochs: tuple = KEYS["train.lr_decay_epochs"].default
+    momentum: float = KEYS["train.momentum"].default
+    seed: int = KEYS["train.seed"].default
     method: object = ERM()
 
     def __post_init__(self):
@@ -274,7 +275,7 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
             lr /= 10.0
         if mu > 0.0:
             n_coded = schedule_n(method, epoch, plan.epochs, k)
-            module = get_module(k, n_coded)
+            module = coded.get_module(k, n_coded)
         else:
             n_coded = k
             module = None
@@ -288,11 +289,11 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
             tb = train_targets[idx]
             if isinstance(method, Mixup):
                 xb, tb = mixup_batch(xb, tb, method.alpha, rng_mixup)
-            main, coded, _ = dual_path_terms(model, module, xb, tb, mu, task, grad)
+            main, coded_loss, _ = dual_path_terms(model, module, xb, tb, mu, task, grad)
             main_vals.append(main)
-            if coded is not None:
-                coded_vals.append(coded)
-            for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded, mu)):
+            if coded_loss is not None:
+                coded_vals.append(coded_loss)
+            for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded_loss, mu)):
                 if weight > 0.0 and not math.isfinite(value):
                     raise NumericError(f"non-finite {name} loss at epoch {epoch}, batch {b}")
             autodiff.sgd_momentum_step(model.theta, grad, velocity, lr, plan.momentum)

@@ -11,7 +11,8 @@ import pytest
 import codedsmooth
 from codedsmooth.cli import main
 from codedsmooth.coded import get_module
-from codedsmooth.codedsim import sample_inputs
+from codedsmooth import datasets
+from codedsmooth.codedsim import BENCH_FUNCTIONS, sample_inputs
 from codedsmooth.config import KEYS, parse_config_text
 from codedsmooth.datasets import DatasetSpec, make_dataset
 from codedsmooth.errors import ValidationError
@@ -307,6 +308,19 @@ def test_simulate_unknown_function(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("value", ["-1", "18446744073709551616", "x"])
+def test_seed_flag_outside_64_bits_rejected(tmp_path, capsys, value):
+    cfg, out = _write(tmp_path, "s.cfg", SIM_CFG), str(tmp_path / "o")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--out", out, "--seed", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and value in err, err
+    assert not os.path.exists(out)
+    assert main(["simulate", "--config", cfg, "--out", out, "--seed", str(2 ** 64 - 1)]) == 0
+    assert "sim.input_seed = 18446744073709551615\n" in _read(out, "config.resolved")
+
+
 def test_simulate_empty_n_list(tmp_path):
     cfg = _write(tmp_path, "e.cfg", "sim.N_list =\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -461,7 +475,22 @@ def test_rerun_from_echoed_config(tmp_path, command):
             assert a.read() == b.read(), name
 
 
-@pytest.mark.parametrize("command, text, key, value", [
+def _set_key(text, key, value):
+    """Config text with ``key = value`` in place of any line that set the key."""
+    return re.sub(rf"^{re.escape(key)} = .*\n", "", text, flags=re.M) + f"{key} = {value}\n"
+
+
+# every seed key takes one 64-bit word; -3 used to run as 2**64 - 3
+SEED_CASES = [(command, _set_key(text, key, value), key, value)
+              for command, text, key in (
+                  ("train", TRAIN_CFG.format(method="erm", mu=0.5), "data.seed"),
+                  ("train", TRAIN_CFG.format(method="erm", mu=0.5), "train.seed"),
+                  ("attack", ATTACK_CFG, "attack.seed"), ("simulate", SIM_CFG, "sim.input_seed"),
+                  ("simulate", SIM_CFG, "sim.seeds"), ("sweep", SWEEP_CFG, "sweep.seeds"))
+              for value in ("-3", "18446744073709551616")]
+
+
+@pytest.mark.parametrize("command, text, key, value", SEED_CASES + [
     ("simulate", SIM_CFG.replace("sim.seeds = 0", "sim.seeds ="), "sim.seeds", "''"),
     ("sweep", SWEEP_CFG.replace("sweep.seeds = 0,1", "sweep.seeds ="), "sweep.seeds", "''"),
     ("attack", ATTACK_CFG.replace("attack.trials = 5", "attack.trials = 0"),
@@ -543,7 +572,8 @@ def test_rerun_from_echoed_config(tmp_path, command):
     # a swept value the plan rejects is named as a sweep value
     ("sweep", SWEEP_CFG.replace("0.2,0.8", "0.2,-1"), "sweep.values has -1.0",
      "train.mu = -1.0"),
-], ids=["sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
+], ids=[f"{key}-{value}" for _, _, key, value in SEED_CASES] + [
+    "sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
         "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
         "train.gamma-nan", "train.gamma-inf", "attack.epsilon-nan", "attack.epsilon-inf",
         "data.noise-nan", "attack.step_size-nan", "sweep.values-nan", "train.lr-nan",
@@ -622,8 +652,9 @@ def test_unusable_input_files_exit_2(tmp_path, capsys, command, config, model, n
 
 
 def test_package_import_defaults_blas_to_one_thread():
-    # the variables are read when numpy loads, which importing codedsmooth
-    # does; a count the caller exported is kept
+    # the variables are read when numpy loads, which the first codedsmooth
+    # module to run does, after the package has set them; a count the
+    # caller exported is kept
     src = os.path.dirname(os.path.dirname(os.path.abspath(codedsmooth.__file__)))
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     probe = ("import os, codedsmooth; "
@@ -635,6 +666,62 @@ def test_package_import_defaults_blas_to_one_thread():
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == expected
+
+
+# ---------------------------------------------------------------- import footprint
+
+def _python(code):
+    """stdout of ``python -c code`` in a fresh process that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(codedsmooth.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _loaded(code):
+    """The codedsmooth modules a fresh process holds after running code."""
+    probe = (code + "\nimport sys\nprint(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('codedsmooth'))))")
+    return set(_python(probe).splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("command, runs, skipped", [
+    ("simulate", ("codedsim",), ("train", "attack", "datasets", "models")),
+    ("attack", ("attack", "datasets", "models"), ("train", "codedsim")),
+])
+def test_command_loads_only_the_modules_it_runs(tmp_path, command, runs, skipped):
+    text = SIM_CFG if command == "simulate" else ATTACK_CFG
+    argv = [command, "--config", _write(tmp_path, "c.cfg", text), "--out", str(tmp_path / "o")]
+    if command == "attack":
+        argv += ["--model", _model_file(tmp_path)]
+    loaded = _loaded(f"from codedsmooth.cli import main\nassert main({argv!r}) == 0")
+    assert {f"codedsmooth.{m}" for m in runs} <= loaded
+    assert not {f"codedsmooth.{m}" for m in skipped} & loaded
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded("import codedsmooth") == {"codedsmooth"}
+
+
+def test_package_names_resolve_on_first_use():
+    # ``train`` is the function, though loading its module binds the
+    # submodule under the same name
+    probe = ("import sys\nfrom codedsmooth import get_module, Tensor, train\n"
+             "from codedsmooth import train as again\nm = sys.modules\n"
+             "print(get_module is m['codedsmooth.coded'].get_module, "
+             "Tensor is m['codedsmooth.autodiff'].Tensor, "
+             "train is again is m['codedsmooth.train'].train)")
+    assert _python(probe).split() == ["True", "True", "True"]
+    with pytest.raises(AttributeError):
+        codedsmooth.no_such_name
+
+
+def test_allowed_names_match_the_code_that_runs_them():
+    # KEYS holds the names, so reading a config loads no command module
+    assert sorted(KEYS["sim.fn"].allowed) == sorted(BENCH_FUNCTIONS)
+    assert sorted(KEYS["data.kind"].allowed) == sorted(datasets._TASKS)
 
 
 def test_readme_key_table_matches_config_table():

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from codedsmooth import codedsim
+from codedsmooth import coded
 from codedsmooth.coded import get_module
 from codedsmooth.codedsim import (BENCH_FUNCTIONS, SimReport, StragglerScenario,
                                   SweepRow, fit_scaling_exponent, returned_indices,
@@ -150,7 +150,7 @@ def test_sweep_cell_is_one_batched_round_equal_to_single_jobs(policy, s, monkeyp
         lookups.append((k, n))
         return get_module(k, n)
 
-    monkeypatch.setattr(codedsim, "get_module", counted)
+    monkeypatch.setattr(coded, "get_module", counted)
     report = sweep(np.sin, x, [24], [s], seeds, policy)
     assert lookups == [(8, 24)]
     assert [r.mse for r in report.rows] == [mse for _, mse in single]
@@ -167,6 +167,22 @@ def test_sweep_cell_is_one_batched_round_equal_to_single_jobs(policy, s, monkeyp
         ref = (fit(Knots(module.beta[keep]), outputs[keep]).eval(module.alpha) if s
                else module.forward(x, np.sin))
         assert np.array_equal(est, ref)
+
+
+@pytest.mark.parametrize("policy", ["uniform_random", "adversarial_contiguous"])
+def test_grid_decode_equals_per_cell_jobs(policy):
+    # the sweep decodes the survivors of every cell together, padded to the
+    # longest set; each row keeps the mse of its cell decoded alone
+    x = sample_inputs(8, 3)
+    n_list, s_list, seeds = [16, 24, 40], [0, 1, 4], [0, 1, 2]
+    report = sweep(np.sin, x, n_list, s_list, seeds, policy)
+    want = []
+    for n in n_list:
+        for s in s_list:
+            _, mses = run_coded_jobs(np.sin, x, [StragglerScenario(n, s, policy, seed)
+                                                 for seed in seeds])
+            want += [SweepRow(n, s, policy, seed, mse) for seed, mse in zip(seeds, mses)]
+    assert report.rows == want
 
 
 def test_batched_jobs_need_one_cell():

@@ -112,6 +112,50 @@ def test_batched_fit_eval_equals_fit_eval_per_set(sets, d):
     assert np.array_equal(got, want)
 
 
+def _former_eval(spline, points):
+    """The one-spline evaluation formula before evaluation was batched."""
+    q = np.asarray(points, dtype=np.float64)
+    t, y, mom = spline.knots.values, spline.values, spline.second_derivatives
+    idx = np.clip(np.searchsorted(t, q, side="right") - 1, 0, len(t) - 2)
+    tl, tr = t[idx], t[idx + 1]
+    h = tr - tl
+    a = (tr - q) / h
+    b = (q - tl) / h
+    cc = (a * a * a - a) * (h * h) / 6.0
+    dd = (b * b * b - b) * (h * h) / 6.0
+    out = (a[:, None] * y[idx] + b[:, None] * y[idx + 1]
+           + cc[:, None] * mom[idx] + dd[:, None] * mom[idx + 1])
+    below, above = q < t[0], q > t[-1]
+    if np.any(below):
+        d0 = (y[1] - y[0]) / (t[1] - t[0]) - (t[1] - t[0]) / 6.0 * (2.0 * mom[0] + mom[1])
+        out[below] = y[0] + (q[below, None] - t[0]) * d0
+    if np.any(above):
+        hn = t[-1] - t[-2]
+        dn = (y[-1] - y[-2]) / hn + hn / 6.0 * (mom[-2] + 2.0 * mom[-1])
+        out[above] = y[-1] + (q[above, None] - t[-1]) * dn
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_padded_batch_equals_each_set_alone(d):
+    # sets of unequal length, padded to the longest, each give the bytes of
+    # fitting and evaluating it alone; the sets that lose their first or
+    # last knot put points beyond their hull, so both linear extensions run
+    rng = np.random.default_rng(20 + d)
+    full = np.linspace(-1.0, 1.0, 13)
+    knot_sets = [Knots(full), Knots(full[1:]), Knots(full[:-1]), Knots(full[2:-3]),
+                 random_knots(rng, 4), random_knots(rng, 30), random_knots(rng, 7)]
+    blocks = [rng.uniform(-3, 3, (len(kn), d)) for kn in knot_sets]
+    pts = np.concatenate([[-1.0, 1.0], rng.uniform(-1, 1, 14)])
+    got = fit_eval_batch(knot_sets, blocks, pts)
+    assert got.shape == (len(knot_sets), 16, d)
+    for b, (kn, y) in enumerate(zip(knot_sets, blocks)):
+        alone = fit(kn, y)
+        assert got[b].tobytes() == alone.eval(pts).tobytes()
+        assert got[b].tobytes() == _former_eval(alone, pts).tobytes()
+        assert fit_eval_batch([kn], [y], pts)[0].tobytes() == got[b].tobytes()
+
+
 def test_batched_fit_eval_shape_errors():
     rng = np.random.default_rng(6)
     knot_sets = [random_knots(rng, 6), random_knots(rng, 6)]
