@@ -7,6 +7,7 @@ Every run is deterministic given its config file (seeds live in the config;
 adds the fully-resolved configuration as ``config.resolved`` and only then
 creates ``--out`` and writes them all, so a failed run leaves no directory.
 Re-running from ``config.resolved`` reproduces every output file bit-exactly.
+An ``--out`` that cannot be a directory is rejected before the command runs.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure (NaN guard).
 
@@ -287,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed_key is None:  # points: prints the point sets, reads no config
             sp.add_argument("K", type=int)
             sp.add_argument("N", type=int)
-            sp.set_defaults(config=None, seed=None)
+            sp.set_defaults(config=None, seed=None, out=None)
             continue
         sp.add_argument("--config")
         sp.add_argument("--out", default=f"runs/{name}")
@@ -299,9 +300,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_out(out: str) -> None:
+    """ValidationError unless ``out`` is a directory or can be made one."""
+    if not out:
+        raise ValidationError("--out '' is empty; name an output directory")
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValidationError(f"--out {out}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         cfg = Config(load_config(args.config) if args.config else {})
         r = _resolve(cfg, args.command, args.seed)
         files = _COMMANDS[args.command][2](r, args)
@@ -313,10 +327,14 @@ def main(argv=None) -> int:
         return 3
     if files is not None:
         files["config.resolved"] = dump_config(r)
-        os.makedirs(args.out, exist_ok=True)
-        for name, content in files.items():
-            with open(os.path.join(args.out, name), "wb") as fh:
-                fh.write(content if isinstance(content, bytes) else content.encode("utf-8"))
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for name, content in files.items():
+                with open(os.path.join(args.out, name), "wb") as fh:
+                    fh.write(content if isinstance(content, bytes) else content.encode("utf-8"))
+        except OSError as err:
+            print(f"error: --out {args.out}: cannot write: {err.strerror}", file=sys.stderr)
+            return 2
     return 0
 
 

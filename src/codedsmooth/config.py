@@ -59,6 +59,15 @@ def _list(item, may_be_empty=False):
     return parse
 
 
+def _default_n_prime(cfg):
+    k_prime = cfg.get("attack.k_prime")
+    n_prime = int(round(1.5 * k_prime))
+    if n_prime > MAX_POINTS:  # named here: the config never set attack.n_prime
+        raise ValidationError(f"attack.n_prime defaults to round(1.5 * attack.k_prime = "
+                              f"{k_prime}) = {n_prime}, above {MAX_POINTS}; set attack.n_prime")
+    return n_prime
+
+
 # default: MISSING marks a required key; a callable derives the default from
 # the config. method: the train.method the key belongs to (None: any).
 Key = namedtuple("Key", "parse default allowed method", defaults=((), None))
@@ -91,7 +100,7 @@ KEYS = {
     "attack.random_start": Key(_bool, True),
     "attack.trials": Key(_int_in(1), 20),
     "attack.k_prime": Key(_int_in(MIN_POINTS, MAX_POINTS), 128),
-    "attack.n_prime": Key(int, lambda cfg: int(round(1.5 * cfg.get("attack.k_prime")))),
+    "attack.n_prime": Key(int, _default_n_prime),
     "attack.seed": Key(parse_seed, 0),
     "sim.fn": Key(str, "sin", ("sin", "gauss_bump", "cubic", "const")),
     "sim.K": Key(_int_in(MIN_POINTS, MAX_POINTS), 16),

@@ -7,9 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from codedsmooth import Coded, DatasetSpec, ERM, MLPSpec, TrainPlan, train
 from codedsmooth.autodiff import node
-from codedsmooth.datasets import make_dataset
+from codedsmooth.datasets import DatasetSpec, make_dataset
+from codedsmooth.models import MLPSpec
+from codedsmooth.train import Coded, ERM, TrainPlan, train
 
 CANONICAL_DATA = DatasetSpec(kind="two_moons", n_train=1000, n_test=1000,
                              noise=0.15, seed=0)

@@ -572,6 +572,10 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
     # a swept value the plan rejects is named as a sweep value
     ("sweep", SWEEP_CFG.replace("0.2,0.8", "0.2,-1"), "sweep.values has -1.0",
      "train.mu = -1.0"),
+    # a derived default too large for a spline names the key it came from
+    ("attack", ATTACK_CFG.replace("attack.k_prime = 16", "attack.k_prime = 4096")
+     .replace("attack.n_prime = 24\n", "").replace("n_test = 32", "n_test = 5000"),
+     "attack.k_prime", "4096"),
 ], ids=[f"{key}-{value}" for _, _, key, value in SEED_CASES] + [
     "sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
         "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
@@ -583,7 +587,8 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
         "attack.n_prime-oversized", "data.n_train-oversized", "data.n_test-oversized",
         "model.widths-oversized", "attack.k_prime-zero", "attack.k_prime-negative",
         "train.lr_decay_epochs-negative", "train.lr_decay_epochs-past-end",
-        "train.lr_decay_epochs-repeated", "sweep.values-mu-negative"])
+        "train.lr_decay_epochs-repeated", "sweep.values-mu-negative",
+        "attack.n_prime-derived-oversized"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
@@ -610,6 +615,36 @@ def test_validation_message_names_only_the_bad_key(tmp_path, capsys, command, te
                  "--out", str(tmp_path / "o")] + extra) == 2
     err = capsys.readouterr().err
     assert key in err and other not in err, err
+
+
+# the --out path, below tmp_path, and a file created there first
+@pytest.mark.parametrize("command, out, existing", [
+    ("simulate", "", None), ("simulate", "f", "f"), ("train", os.path.join("f", "x"), "f"),
+], ids=["empty", "existing-file", "under-a-file"])
+def test_unusable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch, command, out,
+                                             existing):
+    monkeypatch.chdir(tmp_path)
+    if existing is not None:
+        (tmp_path / existing).write_text("keep\n")
+    text = SIM_CFG if command == "simulate" else TRAIN_CFG.format(method="erm", mu=0.5)
+    assert main([command, "--config", _write(tmp_path, "c.cfg", text), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert f"--out {out}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""  # the command never ran
+    assert sorted(os.listdir(tmp_path)) == sorted({"c.cfg", existing} - {None})
+    if existing is not None:
+        assert (tmp_path / existing).read_text() == "keep\n"
+
+
+def test_out_that_fails_at_write_exits_2(tmp_path, capsys, monkeypatch):
+    # a path that passed the check can still fail when the files are written
+    monkeypatch.setattr("codedsmooth.cli._check_out", lambda out: None)
+    out = tmp_path / "f"
+    out.write_text("keep\n")
+    assert main(["simulate", "--config", _write(tmp_path, "c.cfg", SIM_CFG),
+                 "--out", str(out)]) == 2
+    assert f"--out {out}: cannot write" in capsys.readouterr().err
+    assert out.read_text() == "keep\n"
 
 
 def _model_blob():
@@ -687,35 +722,61 @@ def _loaded(code):
     return set(_python(probe).splitlines()[-1].split())
 
 
+# skipped None: the command loads exactly the modules in runs
 @pytest.mark.parametrize("command, runs, skipped", [
     ("simulate", ("codedsim",), ("train", "attack", "datasets", "models")),
     ("attack", ("attack", "datasets", "models"), ("train", "codedsim")),
+    ("points", ("cli", "config", "coded", "spline", "autodiff", "errors"), None),
+    ("train", ("train", "datasets", "models"), ("attack", "codedsim")),
 ])
 def test_command_loads_only_the_modules_it_runs(tmp_path, command, runs, skipped):
-    text = SIM_CFG if command == "simulate" else ATTACK_CFG
-    argv = [command, "--config", _write(tmp_path, "c.cfg", text), "--out", str(tmp_path / "o")]
+    if command == "points":
+        argv = ["points", "8", "12"]
+    else:
+        text = {"simulate": SIM_CFG, "attack": ATTACK_CFG,
+                "train": TRAIN_CFG.format(method="coded", mu=0.5)}[command]
+        argv = [command, "--config", _write(tmp_path, "c.cfg", text),
+                "--out", str(tmp_path / "o")]
     if command == "attack":
         argv += ["--model", _model_file(tmp_path)]
     loaded = _loaded(f"from codedsmooth.cli import main\nassert main({argv!r}) == 0")
-    assert {f"codedsmooth.{m}" for m in runs} <= loaded
-    assert not {f"codedsmooth.{m}" for m in skipped} & loaded
+    expected = {f"codedsmooth.{m}" for m in runs}
+    if skipped is None:
+        assert loaded == {"codedsmooth"} | expected
+    else:
+        assert expected <= loaded
+        assert not {f"codedsmooth.{m}" for m in skipped} & loaded
 
 
 def test_package_import_loads_no_submodule():
     assert _loaded("import codedsmooth") == {"codedsmooth"}
 
 
-def test_package_names_resolve_on_first_use():
-    # ``train`` is the function, though loading its module binds the
-    # submodule under the same name
-    probe = ("import sys\nfrom codedsmooth import get_module, Tensor, train\n"
-             "from codedsmooth import train as again\nm = sys.modules\n"
-             "print(get_module is m['codedsmooth.coded'].get_module, "
-             "Tensor is m['codedsmooth.autodiff'].Tensor, "
-             "train is again is m['codedsmooth.train'].train)")
-    assert _python(probe).split() == ["True", "True", "True"]
+def test_submodule_is_the_only_meaning_of_its_name(tmp_path):
+    # the package binds no names of its own, so ``codedsmooth.train`` is the
+    # submodule whatever ran before: a command, or a name imported from it
+    argv = ["train", "--config", _write(tmp_path, "t.cfg", TRAIN_CFG.format(method="erm", mu=0.5)),
+            "--out", str(tmp_path / "o")]
+    probe = ("import sys, codedsmooth\nfrom codedsmooth import train\nseen = []\n"
+             "def same():\n"
+             "    seen.append(train is codedsmooth.train is sys.modules['codedsmooth.train'])\n"
+             "same()\nfrom codedsmooth.cli import main\n"
+             f"assert main({argv!r}) == 0\nsame()\n"
+             "from codedsmooth.train import Coded\nsame()\n"
+             "try:\n    from codedsmooth import get_module\n"
+             "except ImportError:\n    seen.append('ImportError')\nprint(seen)\n")
+    assert _python(probe).splitlines()[-1] == "[True, True, True, 'ImportError']"
     with pytest.raises(AttributeError):
         codedsmooth.no_such_name
+
+
+def test_readme_library_use_runs_as_written():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    mse = float(_python(code).split()[-1])
+    assert 0 <= mse < 1e-3
 
 
 def test_allowed_names_match_the_code_that_runs_them():

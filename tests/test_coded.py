@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from codedsmooth import Tensor
 from codedsmooth import coded, spline
+from codedsmooth.autodiff import Tensor
 from codedsmooth.coded import (CodedSmoothingModule, chebyshev_first,
                                chebyshev_second, get_module)
 from codedsmooth.codedsim import sample_inputs
