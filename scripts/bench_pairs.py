@@ -22,9 +22,15 @@ the pairs the change won (ties count for neither side) and a verdict:
   than the bound, unless every change run reads better than every parent run;
 - ``within bound``: otherwise.
 
+It also prints each side's CPU seconds per command, which each run's notes
+report (``cpu_s per command (median)``), with medians, quartiles and the
+change's wins but no verdict: on short commands machine load moves the wall
+time a good deal more than the CPU time.
+
 With ``--json PATH`` it also writes the workload, the seed, both checkouts'
 commits (``-dirty`` when a checkout has uncommitted changes) and, per
-metric, each side's runs, median and quartiles, the wins and the verdict.
+metric, each side's runs, median and quartiles, the wins and the verdict,
+and the CPU time as ``cpu_s_per_command``.
 
 Peak RSS depends on the lengths of the paths the benchmark hands the
 program, so the script warns when the two checkout paths differ in length.
@@ -39,10 +45,21 @@ import sys
 
 # fewest pairs a gain verdict rests on
 MIN_GAIN_PAIRS = 10
+# the note of a timed run that reports its commands' CPU time
+CPU_NOTE = "cpu_s per command (median):"
+
+
+def cpu_s(stdout):
+    """The median CPU seconds per command that a run's notes report, or None."""
+    for line in stdout.splitlines():
+        if line.strip().startswith(CPU_NOTE):
+            return float(line.split(":", 1)[1])
+    return None
 
 
 def run_once(root, workload, seed):
-    """Metrics of one untraced benchmark run in the checkout at ``root``."""
+    """Metrics of one untraced benchmark run in the checkout at ``root``, with
+    its CPU seconds per command as ``cpu_s_per_command``."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
@@ -50,7 +67,7 @@ def run_once(root, workload, seed):
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: exit {proc.returncode}\n"
                            f"{proc.stdout[-500:]}{proc.stderr[-500:]}")
-    return json.loads(lines[-1])
+    return dict(json.loads(lines[-1]), cpu_s_per_command=cpu_s(proc.stdout))
 
 
 def commit_of(root):
@@ -67,10 +84,21 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def summary(values):
+    q1, q3 = quartiles(values)
+    return {"runs": values, "median": statistics.median(values), "quartiles": [q1, q3]}
+
+
+def wins_of(parent, change, higher_better):
+    """The pairs the change won; parent and change hold run i of pair i."""
+    sign = 1.0 if higher_better else -1.0
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
 def verdict(parent, change, higher_better, bound):
     """The paired rule for one metric: parent and change hold run i of pair i."""
     sign = 1.0 if higher_better else -1.0
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    wins = wins_of(parent, change, higher_better)
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
     gain = sign * (c_med - p_med)
@@ -84,6 +112,12 @@ def verdict(parent, change, higher_better, bound):
     if q3 - q1 > bound * abs(p_med) and not all_better:
         return wins, "unresolved"
     return wins, "within bound"
+
+
+def describe(sides):
+    """Both sides' medians and quartiles, as one line of the report."""
+    return ", ".join(f"{side} {s['median']:.4g} [{s['quartiles'][0]:.4g}, "
+                     f"{s['quartiles'][1]:.4g}]" for side, s in sides.items())
 
 
 def main(argv=None):
@@ -112,6 +146,9 @@ def main(argv=None):
             runs[side].append(run_once(roots[side], args.workload, args.seed))
         values = " ".join(f"{m['name']} {runs[0][-1]['metrics'][m['name']]['value']:.4g}/"
                           f"{runs[1][-1]['metrics'][m['name']]['value']:.4g}" for m in metrics)
+        cpus = [runs[side][-1]["cpu_s_per_command"] for side in (0, 1)]
+        if None not in cpus:
+            values += f" cpu_s {cpus[0]:.4g}/{cpus[1]:.4g}"
         print(f"pair {pair + 1}/{args.pairs} (parent/change): {values}", flush=True)
 
     print(f"\nworkload {args.workload} seed {args.seed}, {args.pairs} pairs")
@@ -128,18 +165,20 @@ def main(argv=None):
         parent = [r["metrics"][name]["value"] for r in runs[0]]
         change = [r["metrics"][name]["value"] for r in runs[1]]
         wins, what = verdict(parent, change, m["better"] == "higher", m["bound"])
-        sides = {}
-        for side, values in (("parent", parent), ("change", change)):
-            q1, q3 = quartiles(values)
-            sides[side] = {"runs": values, "median": statistics.median(values),
-                           "quartiles": [q1, q3]}
+        sides = {"parent": summary(parent), "change": summary(change)}
         record["metrics"][name] = {"unit": m["unit"], "better": m["better"],
                                    "bound": m["bound"], **sides, "change_wins": wins,
                                    "verdict": what}
-        text = [f"{s['median']:.4g} [{s['quartiles'][0]:.4g}, {s['quartiles'][1]:.4g}]"
-                for s in sides.values()]
         print(f"  {name} ({m['unit']}, {m['better']} is better, bound {m['bound']:g}): "
-              f"parent {text[0]}, change {text[1]}, change wins {wins}/{args.pairs}: {what}")
+              f"{describe(sides)}, change wins {wins}/{args.pairs}: {what}")
+    cpu = [[r["cpu_s_per_command"] for r in side] for side in runs]
+    if None not in cpu[0] + cpu[1]:
+        wins = wins_of(cpu[0], cpu[1], higher_better=False)
+        sides = {"parent": summary(cpu[0]), "change": summary(cpu[1])}
+        record["cpu_s_per_command"] = {"unit": "s", "better": "lower", **sides,
+                                       "change_wins": wins}
+        print(f"  cpu_s per command (s, lower is better, no verdict): {describe(sides)}, "
+              f"change wins {wins}/{args.pairs}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)

@@ -23,6 +23,15 @@ from .seeding import stream_rng
 # the attacks run on classification data, which ``datasets`` min-max scales
 # to this box; every crafted input is clipped back into it
 BOX = (-1.0, 1.0)
+# an L-inf ball of this radius around any point of BOX covers the whole box
+MAX_EPSILON = BOX[1] - BOX[0]
+
+
+def _check_epsilon(epsilon: float):
+    if not 0 < epsilon <= MAX_EPSILON:
+        raise ValidationError(f"attack.epsilon = {epsilon!r} must be in (0, {MAX_EPSILON:g}]: "
+                              f"inputs lie in the box [{BOX[0]:g}, {BOX[1]:g}], which an "
+                              f"L-inf ball of radius {MAX_EPSILON:g} already covers")
 
 
 @dataclass(frozen=True)
@@ -30,8 +39,7 @@ class FGSMSpec:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValidationError(f"attack.epsilon = {self.epsilon!r} must be > 0")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,7 @@ class PGDSpec:
     random_start: bool = KEYS["attack.random_start"].default
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValidationError(f"attack.epsilon = {self.epsilon!r} must be > 0")
+        _check_epsilon(self.epsilon)
         if self.steps < 1:
             raise ValidationError(f"attack.steps = {self.steps} must be >= 1")
         if self.step_size is not None and self.step_size <= 0:

@@ -116,7 +116,7 @@ def cmd_train(r: dict, args) -> dict:
 
 def cmd_attack(r: dict, args) -> dict:
     from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
-    from .datasets import make_dataset, n_classes, task_of
+    from .datasets import CLASS_INPUT_DIM, make_dataset, n_classes, task_of
     from .modelio import csv_table, load_model
     model, header = load_model(args.model)
     arch = dict(zip(_ARCH_KEYS, (model.spec.widths, model.spec.activation)))
@@ -128,6 +128,10 @@ def cmd_attack(r: dict, args) -> dict:
     dspec = _dataset_spec(r)
     if task_of(dspec.kind) != "classification":
         raise ValidationError(f"data.kind = {dspec.kind}: attack needs a classification task")
+    if model.input_dim != CLASS_INPUT_DIM:
+        raise ValidationError(f"model.widths = {model.spec.widths} takes {model.input_dim} "
+                              f"inputs, but data.kind = {dspec.kind} has {CLASS_INPUT_DIM} "
+                              f"input columns")
     if model.output_dim != n_classes(dspec.kind):
         raise ValidationError(f"model.widths = {model.spec.widths} has {model.output_dim} "
                               f"outputs, but data.kind = {dspec.kind} has "

@@ -4,9 +4,9 @@ N workers each evaluate the wrapped function on one coded sample; up to S of
 them never return. The decoder spline is fitted only on the surviving
 (point, output) pairs and still evaluated at the original batch abscissas.
 Straggling is simulated by omission, not latency: which results return is
-the only thing the estimate depends on, so the seeds of one (N, S) cell
-share one worker evaluation, and a sweep decodes the survivors of its whole
-grid, every (N, S, seed) with S > 0, in one batched decode.
+the only thing the estimate depends on, so the scenarios of one N, whatever
+their S, policy and seed, share one worker evaluation, and the survivors of
+every scenario with S > 0 are decoded together in one batched decode.
 
 Drop policies: ``uniform_random`` removes exactly S uniformly chosen
 workers; ``adversarial_contiguous`` removes the contiguous run of S workers
@@ -107,53 +107,43 @@ def returned_indices(scenario: StragglerScenario, beta: np.ndarray) -> np.ndarra
     return np.flatnonzero(keep)
 
 
-def _run_cells(f, x: np.ndarray, cells) -> list:
-    """(estimates, mses) of each cell, a list of scenarios of one (N, S).
+def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
+    """One encode/compute/decode round per scenario, of any N, S, policy and seed.
 
-    Each cell looks its module up once and its workers compute once. S = 0
-    cells decode through the module; the survivors of every S > 0 scenario
-    of every cell are decoded together, in one ``fit_eval_batch`` call.
+    Each N looks its module up once, its workers compute once, and its S = 0
+    scenarios share one decode, bit-identical to ``module.forward``. The
+    survivors of every S > 0 scenario are decoded in one batched tridiagonal
+    sweep, bit-identical to fitting and evaluating each alone. Returns
+    (estimates, mses) in input order: a (B, K, d) array and a list of B
+    floats, each the mean over batch rows of the squared output-vector error.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < MIN_POINTS:
         raise ValidationError(f"need a (K >= {MIN_POINTS}, d) batch, got shape {x.shape}")
-    # per cell: its estimates, or the slice of the batched decode that holds them
-    estimates, survivors, blocks = [], [], []
-    for scenarios in cells:
-        shared = {(sc.n_workers, sc.max_stragglers) for sc in scenarios}
-        if len(shared) != 1:
-            raise ValidationError(f"scenarios must share one (N, S) cell, got {sorted(shared)}")
-        ((n, s),) = shared
+    if not scenarios:
+        raise ValidationError("need at least one straggler scenario")
+    estimates = [None] * len(scenarios)
+    batched, survivors, blocks = [], [], []  # the S > 0 scenarios, decoded together
+    for n in dict.fromkeys(sc.n_workers for sc in scenarios):
         module = coded.get_module(x.shape[0], n)
         outputs = f(module.encode(x))
-        # each set keeps >= MIN_POINTS workers by the scenario's check
-        keeps = [returned_indices(sc, module.beta) for sc in scenarios]
-        if s == 0:
-            estimates.append(np.stack([module.decode(outputs)] * len(scenarios)))
-        else:
-            estimates.append(slice(len(survivors), len(survivors) + len(keeps)))
-            survivors += [Knots(module.beta[k]) for k in keeps]
-            blocks += [outputs[k] for k in keeps]
-    if survivors:
-        decoded = fit_eval_batch(survivors, blocks, module.alpha)
-        estimates = [decoded[e] if isinstance(e, slice) else e for e in estimates]
-
-    fx = f(x)
-    return [(e, [float(np.mean(np.sum(d * d, axis=1))) for d in e - fx]) for e in estimates]
-
-
-def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
-    """One encode/compute/decode round per scenario, all of one (N, S) cell.
-
-    The workers compute once. Returns (estimates, mses): a (B, K, d) array
-    and a list of B floats, each the mean over batch rows of the squared
-    output-vector error. S = 0 takes the plain module path, bit-identical to
-    ``module.forward``; S > 0 decodes every scenario's N - S survivors in one
-    batched tridiagonal sweep, bit-identical to fitting and evaluating each
-    alone. It is ``sweep``'s decode applied to one cell.
-    """
-    ((estimates, mses),) = _run_cells(f, x, [scenarios])
-    return estimates, mses
+        full = None
+        for i, sc in enumerate(scenarios):
+            if sc.n_workers != n:
+                continue
+            # each set keeps >= MIN_POINTS workers by the scenario's check
+            keep = returned_indices(sc, module.beta)
+            if sc.max_stragglers == 0:
+                estimates[i] = full = module.decode(outputs) if full is None else full
+            else:
+                batched.append(i)
+                survivors.append(Knots(module.beta[keep]))
+                blocks.append(outputs[keep])
+    if batched:  # every module shares the batch abscissas alpha, which depend on K only
+        for i, est in zip(batched, fit_eval_batch(survivors, blocks, module.alpha)):
+            estimates[i] = est
+    estimates = np.stack(estimates)
+    return estimates, [float(np.mean(np.sum(d * d, axis=1))) for d in estimates - f(x)]
 
 
 def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
@@ -164,19 +154,15 @@ def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
 
 def sweep(f, x: np.ndarray, n_list, s_list, seeds,
           policy: str = KEYS["sim.policy"].default) -> SimReport:
-    """Grid over (N, S, seed); deterministic. Each (N, S) cell looks its
-    module up once, and the survivors of every S > 0 scenario of the grid
-    are decoded in one batched sweep, as ``run_coded_jobs`` decodes a cell.
-
-    Every scenario is checked before the first cell runs.
+    """Grid over (N, S, seed); deterministic. The whole grid is one
+    ``run_coded_jobs`` call, so each N's workers compute once, and every
+    scenario is checked before the first one runs.
     """
-    cells = [[StragglerScenario(n, s, policy, seed) for seed in seeds]
-             for n in n_list for s in s_list]
-    report = SimReport()
-    for cell, (_, mses) in zip(cells, _run_cells(f, x, cells)):
-        report.rows += [SweepRow(sc.n_workers, sc.max_stragglers, policy, sc.seed, mse)
-                        for sc, mse in zip(cell, mses)]
-    return report
+    scenarios = [StragglerScenario(n, s, policy, seed)
+                 for n in n_list for s in s_list for seed in seeds]
+    _, mses = run_coded_jobs(f, x, scenarios)
+    return SimReport([SweepRow(sc.n_workers, sc.max_stragglers, policy, sc.seed, mse)
+                      for sc, mse in zip(scenarios, mses)])
 
 
 def fit_scaling_exponent(report: SimReport) -> float:

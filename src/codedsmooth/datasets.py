@@ -37,6 +37,8 @@ _TASKS = {
 }
 
 _N_CLASSES = {"two_moons": 2, "concentric_circles": 2, "spirals": 3}
+# input columns of every classification kind: its classes lie in the plane
+CLASS_INPUT_DIM = 2
 
 # most rows a train or test set may have: 16 MB as 2-column float64
 MAX_ROWS = 1_000_000

@@ -88,10 +88,12 @@ class TrainPlan:
             raise ValidationError(f"data.n_train = {self.dataset.n_train} must be >= "
                                   f"2 * train.batch_size ({2 * self.batch_size})")
         if isinstance(self.method, Coded):
-            n = round(self.method.gamma * self.batch_size)
-            if n > MAX_POINTS:
+            # compared as a float: round() of a huge or infinite product
+            # overflows; round(n) <= MAX_POINTS exactly when n <= MAX_POINTS + 0.5
+            n = self.method.gamma * self.batch_size
+            if n > MAX_POINTS + 0.5:
                 raise ValidationError(f"train.gamma = {self.method.gamma!r} with train.batch_size "
-                                      f"= {self.batch_size} codes N = {n} points; "
+                                      f"= {self.batch_size} codes N = {n:g} points; "
                                       f"N must be <= {MAX_POINTS}")
 
 

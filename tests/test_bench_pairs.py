@@ -36,3 +36,16 @@ def test_gain_needs_ten_pairs(bench_pairs):
 def test_worse_needs_no_minimum(bench_pairs):
     parent, change = _runs(5)
     assert bench_pairs.verdict(change, parent, True, 0.25)[1] == "worse"
+
+
+def test_cpu_time_is_read_from_the_run_notes(bench_pairs):
+    stdout = ("workload straggler_sim seed 0 trace 0\n"
+              "  commands: 130\n"
+              "  cpu_s per command (median): 0.2211\n"
+              "  steal s during commands: 0.00\n"
+              '{"metrics": {}}\n')
+    assert bench_pairs.cpu_s(stdout) == 0.2211
+    assert bench_pairs.cpu_s('{"metrics": {}}\n') is None
+    # no verdict: the change's wins and each side's median and quartiles
+    assert bench_pairs.wins_of([0.3, 0.2, 0.25], [0.2, 0.2, 0.3], higher_better=False) == 1
+    assert bench_pairs.summary([0.2, 0.3, 0.25, 0.2])["median"] == 0.225

@@ -223,7 +223,7 @@ def test_attack_scores_both_modes_on_the_same_rows(tmp_path):
     assert float(row.split(",")[-1]) == np.mean(hits[:32])
 
 
-def test_attack_architecture_mismatch(tmp_path):
+def test_attack_architecture_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, "t.cfg", TRAIN_CFG.format(method="erm", mu=0.5))
     train_out = str(tmp_path / "tr")
     assert main(["train", "--config", cfg, "--out", train_out]) == 0
@@ -248,6 +248,16 @@ def test_attack_architecture_mismatch(tmp_path):
     refused = str(tmp_path / "b")
     assert main(["attack", "--config", os.path.join(out, "config.resolved"),
                  "--model", other, "--out", refused]) == 2
+    assert not os.path.exists(refused)
+    # a model of another input width names the widths and the data kind
+    wide = str(tmp_path / "wide.bin")
+    save_model(wide, MLP(MLPSpec(widths=(3, 8, 2)), np.random.default_rng(0)), 0, "erm")
+    capsys.readouterr()
+    refused = str(tmp_path / "c")
+    assert main(["attack", "--config", _write(tmp_path, "a.cfg", attack_cfg),
+                 "--model", wide, "--out", refused]) == 2
+    err = capsys.readouterr().err
+    assert "model.widths = (3, 8, 2)" in err and "data.kind = two_moons" in err, err
     assert not os.path.exists(refused)
 
 
@@ -518,6 +528,9 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
      "attack.epsilon", "'nan'"),
     ("attack", ATTACK_CFG.replace("attack.epsilon = 0.1", "attack.epsilon = inf"),
      "attack.epsilon", "'inf'"),
+    # a ball wider than the input box crafts nothing a radius-2 ball does not
+    ("attack", ATTACK_CFG.replace("attack.epsilon = 0.1", "attack.epsilon = 3"),
+     "attack.epsilon = 3.0", "box [-1, 1]"),
     ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("noise = 0.1", "noise = nan"),
      "data.noise", "'nan'"),
     ("attack", ATTACK_CFG + "attack.step_size = nan\n", "attack.step_size", "'nan'"),
@@ -537,6 +550,8 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
     # each is rejected before the first operator is built
     ("train", TRAIN_CFG.format(method="coded", mu=0.5) + "train.gamma = 1000\n",
      "train.gamma = 1000.0", "N = 16000"),
+    ("train", TRAIN_CFG.format(method="coded", mu=0.5) + "train.gamma = 1e307\n",
+     "train.gamma = 1e+307", "N = 1.6e+308 points"),
     ("sweep", SWEEP_CFG.replace("param = mu", "param = N").replace("0.2,0.8", "24,5000"),
      "train.batch_size = 16", "N = 5000"),
     ("sweep", SWEEP_CFG.replace("param = mu", "param = gamma").replace("0.2,0.8", "1.5,300"),
@@ -580,9 +595,10 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
     "sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
         "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
         "train.gamma-nan", "train.gamma-inf", "attack.epsilon-nan", "attack.epsilon-inf",
-        "data.noise-nan", "attack.step_size-nan", "sweep.values-nan", "train.lr-nan",
-        "train.lr-negative", "train.momentum-one", "sweep.values-batch_size-fraction",
-        "sweep.values-N-fraction", "train.gamma-oversized", "sweep.values-N-oversized",
+        "attack.epsilon-above-box", "data.noise-nan", "attack.step_size-nan",
+        "sweep.values-nan", "train.lr-nan", "train.lr-negative", "train.momentum-one",
+        "sweep.values-batch_size-fraction", "sweep.values-N-fraction",
+        "train.gamma-oversized", "train.gamma-huge", "sweep.values-N-oversized",
         "sweep.values-gamma-oversized", "sim.N_list-oversized", "sim.K-oversized",
         "attack.n_prime-oversized", "data.n_train-oversized", "data.n_test-oversized",
         "model.widths-oversized", "attack.k_prime-zero", "attack.k_prime-negative",

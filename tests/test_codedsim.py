@@ -185,10 +185,31 @@ def test_grid_decode_equals_per_cell_jobs(policy):
     assert report.rows == want
 
 
-def test_batched_jobs_need_one_cell():
+def test_batched_jobs_take_any_mix_of_scenarios(monkeypatch):
+    # a list mixing N, S, policy and seed keeps each scenario's single-job
+    # bits in input order; each N looks its module up once and its workers
+    # compute once, and f runs once more on the batch itself
     x = sample_inputs(8, 0)
-    with pytest.raises(ValidationError):
-        run_coded_jobs(np.sin, x, [StragglerScenario(24, 1), StragglerScenario(24, 2)])
+    scenarios = [StragglerScenario(n, s, policy, seed) for seed in (0, 1)
+                 for policy in ("uniform_random", "adversarial_contiguous")
+                 for s in (2, 0) for n in (32, 24)]
+    single = [run_coded_job(np.sin, x, sc) for sc in scenarios]
+    lookups, rows = [], []
+
+    def counted(k, n):
+        lookups.append((k, n))
+        return get_module(k, n)
+
+    def f(v):
+        rows.append(len(v))
+        return np.sin(v)
+
+    monkeypatch.setattr(coded, "get_module", counted)
+    estimates, mses = run_coded_jobs(f, x, scenarios)
+    assert sorted(lookups) == [(8, 24), (8, 32)]
+    assert sorted(rows) == [8, 24, 32]
+    assert mses == [mse for _, mse in single]
+    assert [e.tobytes() for e in estimates] == [want.tobytes() for want, _ in single]
     with pytest.raises(ValidationError):
         run_coded_jobs(np.sin, x, [])
 

@@ -51,7 +51,7 @@ WORK_SIZED = {"train.epochs", "attack.steps", "attack.trials"}
 
 EDGES = ["", "nan", "inf", "-inf", "0", "-0", "-1"]
 INT_EDGES = EDGES + ["2.5", "-2.5", "1e3"]
-FLOAT_EDGES = EDGES + ["1e300", "-1e300", "5e-324", "-0.5"]
+FLOAT_EDGES = EDGES + ["1e300", "-1e300", "1e308", "-1e308", "5e-324", "-0.5"]
 HUGE_INT = str(2 ** 70)
 
 
