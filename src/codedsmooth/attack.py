@@ -157,7 +157,8 @@ def _accuracy(scores: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.argmax(scores, axis=1) == y))
 
 
-def craft(model: MLP, x: np.ndarray, y: np.ndarray, attack, seed: int = 0) -> np.ndarray:
+def craft(model: MLP, x: np.ndarray, y: np.ndarray, attack,
+          seed: int = KEYS["attack.seed"].default) -> np.ndarray:
     """Adversarial inputs for ``attack`` (None: ``x`` itself), crafted
     white-box against the standard deterministic pass. PGD's random start
     draws from the ``pgd-start`` stream of ``seed``."""
@@ -171,7 +172,8 @@ def craft(model: MLP, x: np.ndarray, y: np.ndarray, attack, seed: int = 0) -> np
 
 
 def robust_eval(model: MLP, x: np.ndarray, y: np.ndarray, attack, mode,
-                trials: int = 20, seed: int = 0) -> float:
+                trials: int = KEYS["attack.trials"].default,
+                seed: int = KEYS["attack.seed"].default) -> float:
     """Accuracy under an attack (or clean, attack=None) and an inference mode.
 
     Adversarial inputs come from ``craft``; the inference mode only changes

@@ -11,10 +11,10 @@ The tape keeps only the ops something composes:
 - ``node`` builds every op; ``models.MLP.forward`` records the whole network
   as one node, ``coded._apply`` the coded module's encode and decode of a
   ``Tensor``, and ``train.boundary_smoothness`` the summed logit margin;
-- ``mse_loss`` and ``softmax_cross_entropy`` are the loss nodes that
-  acceptance criteria 4 and 5 compose with the coded module;
-- ``mse`` and ``cross_entropy`` are those losses' array-level rules, which
+- ``mse`` and ``cross_entropy`` are the losses' array-level rules, which
   training and the attacks call with ``MLP.backprop`` directly, off the tape;
+  the tests that put a loss on the tape (acceptance criteria 4 and 5 among
+  them) wrap a rule in a node with ``loss_node`` in ``tests/conftest.py``;
 - ``sgd_momentum_step`` is the training step's update of the flat
   parameter vector; the caller owns the velocity vector it updates.
 
@@ -45,9 +45,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._grads = None
-
-    def item(self) -> float:
-        return float(self.data.reshape(()))
 
     def backward(self) -> None:
         """Reverse pass from a scalar output; visits each node exactly once."""
@@ -95,7 +92,7 @@ def mse(pred: np.ndarray, target) -> tuple:
     """Mean of squared entrywise differences: (value, rule).
 
     ``rule(g)`` is the gradient with respect to ``pred`` of ``g`` times the
-    value, the backward rule of ``mse_loss``.
+    value.
     """
     tgt = np.asarray(target, dtype=np.float64)
     if pred.shape != tgt.shape:
@@ -115,25 +112,6 @@ def cross_entropy(z: np.ndarray, target) -> tuple:
     n = z.shape[0]
     softmax = np.exp(z - lse)
     return np.add.reduce(tgt * (lse - z), axis=None) / n, lambda g: g * (softmax - tgt) / n
-
-
-def _loss_node(loss, pred, target) -> Tensor:
-    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
-    value, rule = loss(pred.data, target)
-    return node(value, (pred,), lambda g: (rule(g),))
-
-
-def mse_loss(pred, target) -> Tensor:
-    """Mean squared error over the whole batch, as a tape node."""
-    return _loss_node(mse, pred, target)
-
-
-def softmax_cross_entropy(logits, target) -> Tensor:
-    """Mean softmax cross-entropy, as a tape node.
-
-    Targets are one-hot or probability rows and are treated as constants.
-    """
-    return _loss_node(cross_entropy, logits, target)
 
 
 def sgd_momentum_step(theta, grad, velocity, lr: float, momentum: float) -> None:

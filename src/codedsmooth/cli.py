@@ -206,16 +206,16 @@ def _sweep_plan(base, param: str, value: float):
     if param in ("batch_size", "N") and value != int(value):
         raise ValidationError(f"sweep.values has {value!r}; sweep.param = {param} "
                               f"takes whole numbers")
-    # the plan checks the swept setting; its message then names the value too
+    # the plan checks the swept setting, as a float before int(); its message names it
     try:
         if param == "batch_size":
-            return replace(base, batch_size=int(value))
+            return replace(replace(base, batch_size=value), batch_size=int(value))
         if param == "N":
             # target final coded-sample count; reached by ramping gamma = N/K
-            if int(value) < base.batch_size:
-                raise ValidationError(f"N = {int(value)} is below train.batch_size = "
+            if value < base.batch_size:
+                raise ValidationError(f"N = {value:g} is below train.batch_size = "
                                       f"{base.batch_size}")
-            return replace(base, method=replace(base.method, gamma=int(value) / base.batch_size))
+            return replace(base, method=replace(base.method, gamma=value / base.batch_size))
         return replace(base, method=replace(base.method, **{param: value}))
     except ValidationError as err:
         raise ValidationError(f"sweep.values has {value!r}: {err}") from None

@@ -19,7 +19,6 @@ O((N+K)*d) per job.
 """
 
 import functools
-import threading
 
 import numpy as np
 
@@ -115,21 +114,10 @@ class CodedSmoothingModule:
         return float(np.mean(diff * diff))
 
 
-_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def get_module(k: int, n: int) -> CodedSmoothingModule:
     """Shared module cache; construction cost is paid once per (K, N).
 
     Callers look it up as ``coded.get_module`` when they call it, so a
     replacement set here (a test's counter, a tracer) reaches them all."""
-    key = (k, n)
-    mod = _CACHE.get(key)
-    if mod is None:
-        with _CACHE_LOCK:
-            mod = _CACHE.get(key)
-            if mod is None:
-                mod = CodedSmoothingModule(k, n)
-                _CACHE[key] = mod
-    return mod
+    return CodedSmoothingModule(k, n)

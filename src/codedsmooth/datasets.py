@@ -42,6 +42,8 @@ CLASS_INPUT_DIM = 2
 
 # most rows a train or test set may have: 16 MB as 2-column float64
 MAX_ROWS = 1_000_000
+# largest noisy value accepted: min-max scaling doubles a span of twice this
+MAX_VALUE = np.finfo(np.float64).max / 4
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,15 @@ def _arc_points(kind: str, count: int):
     return x, y
 
 
+def _noisy(values: np.ndarray, noise: float, rng) -> np.ndarray:
+    """values + N(0, noise**2); past +-MAX_VALUE, or nan, a ValidationError names data.noise."""
+    out = values + rng.normal(0.0, noise, values.shape)
+    if not np.max(np.abs(out)) <= MAX_VALUE:
+        raise ValidationError(f"data.noise = {noise!r} is too large: noisy values must stay "
+                              f"within +-{MAX_VALUE:.3g}")
+    return out
+
+
 def _minmax_scale(x: np.ndarray) -> np.ndarray:
     lo = x.min(axis=0)
     hi = x.max(axis=0)
@@ -128,19 +139,19 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
         x = np.concatenate([xtr, xte])
         y = np.concatenate([ytr, yte])
         if spec.noise > 0:
-            x = x + rng.normal(0.0, spec.noise, x.shape)
+            x = _noisy(x, spec.noise, rng)
         x = _minmax_scale(x)
     elif kind == "sinusoid_regression":
         x = rng.uniform(-1.0, 1.0, (nt + ne, 1))
         y = np.sin(2 * np.pi * x)
         if spec.noise > 0:
-            y = y + rng.normal(0.0, spec.noise, y.shape)
+            y = _noisy(y, spec.noise, rng)
     else:  # gaussian8_autoencoder
         radius = 1.0 / (2.0 * np.sin(np.pi / 8.0))  # adjacent centers 1 apart
         angles = 2 * np.pi * np.arange(8) / 8.0
         centers = radius * np.column_stack([np.cos(angles), np.sin(angles)])
         modes = rng.integers(0, 8, nt + ne)
-        x = centers[modes] + rng.normal(0.0, spec.noise, (nt + ne, 2))
+        x = _noisy(centers[modes], spec.noise, rng)
         x = _minmax_scale(x)
         y = None
 

@@ -49,11 +49,6 @@ def model_bytes(model, seed: int, method_desc: str) -> bytes:
     return MAGIC + header.encode("ascii") + model.theta.astype("<f8").tobytes()
 
 
-def save_model(path, model, seed: int, method_desc: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_bytes(model, seed, method_desc))
-
-
 def load_model(path) -> tuple:
     """Read a model file; returns (model, header dict). A file that cannot be
     read or is not a well-formed model file raises ValidationError naming it."""

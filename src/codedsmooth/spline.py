@@ -56,7 +56,7 @@ class Knots:
 
 
 def _solve_moments(t: np.ndarray, values: np.ndarray, lengths=None) -> np.ndarray:
-    """Second-derivative (moment) columns of the natural spline.
+    """Second-derivative (moment) columns of the natural spline; n >= 3 knots.
 
     Interior rows satisfy
         h[i-1]*M[i-1] + 2*(h[i-1]+h[i])*M[i] + h[i]*M[i+1]
@@ -71,8 +71,6 @@ def _solve_moments(t: np.ndarray, values: np.ndarray, lengths=None) -> np.ndarra
     """
     n = values.shape[0]
     moments = np.zeros(values.shape)
-    if n < 3:
-        return moments
     h = np.diff(t, axis=0)
     rhs = 6.0 * ((values[2:] - values[1:-1]) / h[1:, None]
                  - (values[1:-1] - values[:-2]) / h[:-1, None])

@@ -86,3 +86,11 @@ def add(a, b):
 def scale(a, c):
     """Multiply by a constant float."""
     return node(a.data * c, (a,), lambda g: (g * c,))
+
+
+def loss_node(rule, pred, target):
+    """A loss of a node against constant targets, as a scalar node: ``rule``
+    is ``autodiff.mse`` or ``autodiff.cross_entropy``, the array rules that
+    training calls off the tape."""
+    value, grad = rule(pred.data, target)
+    return node(value, (pred,), lambda g: (grad(g),))

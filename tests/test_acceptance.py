@@ -37,7 +37,7 @@ from codedsmooth.seeding import stream_rng
 from codedsmooth.spline import Knots, build_operator, fit
 from codedsmooth.train import Coded, ERM, dual_path_terms, train
 
-from conftest import CANONICAL_DATA, canonical_plan, fd_grad, rel_err
+from conftest import CANONICAL_DATA, canonical_plan, fd_grad, loss_node, rel_err
 
 
 def criterion(num, desc):
@@ -131,10 +131,10 @@ def test_criterion_4_gradient_integrity():
 
     def objective():
         est = module.forward(Tensor(x), model)
-        return autodiff.mse_loss(est, target).item()
+        return loss_node(autodiff.mse, est, target).data.item()
 
     xt = Tensor(x, requires_grad=True)
-    autodiff.mse_loss(module.forward(xt, model), target).backward()
+    loss_node(autodiff.mse, module.forward(xt, model), target).backward()
 
     assert rel_err(xt.grad, fd_grad(objective, x)) <= 1e-5
     for p in model.parameters():
@@ -163,7 +163,7 @@ def test_criterion_5_endpoints():
     model = MLP(MLPSpec(widths=(2, 64, 64, 2)), rng)
     _, _, grads_dual = dual_path_terms(model, module, x, t, 1.0, "classification")
 
-    coded_only = autodiff.softmax_cross_entropy(module.forward(Tensor(x), model), t)
+    coded_only = loss_node(autodiff.cross_entropy, module.forward(Tensor(x), model), t)
     coded_only.backward()
     for g_dual, p in zip(grads_dual, model.parameters()):
         npt.assert_array_equal(g_dual, p.grad)

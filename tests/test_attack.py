@@ -6,14 +6,14 @@ import pytest
 
 from codedsmooth.attack import (FGSMSpec, PGDSpec, Permutation, RCI, Standard,
                                 fgsm, pgd, rci_forward, robust_eval)
-from codedsmooth.autodiff import Tensor, softmax_cross_entropy
+from codedsmooth.autodiff import Tensor, cross_entropy
 from codedsmooth.coded import CodedSmoothingModule, get_module
 from codedsmooth.datasets import one_hot
 from codedsmooth.errors import ValidationError
 from codedsmooth.models import MLP, MLPSpec
 from codedsmooth.seeding import stream_rng
 
-from conftest import CANONICAL_DATA
+from conftest import CANONICAL_DATA, loss_node
 
 
 def _linear_model():
@@ -31,7 +31,7 @@ def _identity_model():
 
 
 def _mean_loss(model, x, y):
-    return softmax_cross_entropy(model(Tensor(x)), one_hot(y, model.output_dim)).item()
+    return loss_node(cross_entropy, model(Tensor(x)), one_hot(y, model.output_dim)).data.item()
 
 
 # ---------------------------------------------------------------- permutation

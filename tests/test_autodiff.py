@@ -7,7 +7,7 @@ from codedsmooth.autodiff import Tensor
 from codedsmooth.errors import ShapeError
 from codedsmooth.models import MLP, MLPSpec
 
-from conftest import add, fd_grad, matmul, rel_err, scale, tsum
+from conftest import add, fd_grad, loss_node, matmul, rel_err, scale, tsum
 
 
 def test_fanout_accumulates_both_contributions():
@@ -32,9 +32,9 @@ def test_repeated_backward_keeps_parent_gradients_apart():
 
 def test_losses_trivial_values():
     x = Tensor(np.arange(6.0).reshape(2, 3))
-    assert ad.mse_loss(x, x.data).item() == 0.0
-    loss = ad.softmax_cross_entropy(Tensor([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
-    npt.assert_allclose(loss.item(), np.log(2.0), rtol=1e-12)
+    assert loss_node(ad.mse, x, x.data).data.item() == 0.0
+    loss = loss_node(ad.cross_entropy, Tensor([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+    npt.assert_allclose(loss.data.item(), np.log(2.0), rtol=1e-12)
 
 
 def test_cross_entropy_grad_vs_fd():
@@ -43,10 +43,10 @@ def test_cross_entropy_grad_vs_fd():
     target = np.eye(3)[rng.integers(0, 3, 4)]
 
     def objective():
-        return ad.softmax_cross_entropy(Tensor(logits, requires_grad=True), target).item()
+        return loss_node(ad.cross_entropy, Tensor(logits, requires_grad=True), target).data.item()
 
     lt = Tensor(logits, requires_grad=True)
-    ad.softmax_cross_entropy(lt, target).backward()
+    loss_node(ad.cross_entropy, lt, target).backward()
     assert rel_err(lt.grad, fd_grad(objective, logits)) <= 1e-6
 
 
@@ -72,12 +72,12 @@ def test_mlp_grad_vs_fd(activation):
             h = np.maximum(h @ w.data + b.data, 0.0)
 
     def objective():
-        return ad.mse_loss(model(Tensor(x)), target).item()
+        return loss_node(ad.mse, model(Tensor(x)), target).data.item()
 
     xt = Tensor(x, requires_grad=True)
     out = model(xt)
     npt.assert_array_equal(model.predict(x), out.data)
-    ad.mse_loss(out, target).backward()
+    loss_node(ad.mse, out, target).backward()
     assert rel_err(xt.grad, fd_grad(objective, x)) <= 1e-6
     for p in model.parameters():
         assert rel_err(p.grad, fd_grad(objective, p.data)) <= 1e-6
@@ -109,7 +109,7 @@ def test_training_step_determinism():
         velocity = np.zeros_like(w.data)
         x = rng.normal(size=(5, 3))
         for _ in range(10):
-            loss = ad.mse_loss(matmul(Tensor(x), w), np.zeros((5, 2)))
+            loss = loss_node(ad.mse, matmul(Tensor(x), w), np.zeros((5, 2)))
             loss.backward()
             ad.sgd_momentum_step(w.data, w.grad, velocity, lr=0.1, momentum=0.9)
             w.grad = None

@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +18,7 @@ from codedsmooth.codedsim import BENCH_FUNCTIONS, sample_inputs
 from codedsmooth.config import KEYS, parse_config_text
 from codedsmooth.datasets import DatasetSpec, make_dataset
 from codedsmooth.errors import ValidationError
-from codedsmooth.modelio import load_model, model_bytes, save_model
+from codedsmooth.modelio import load_model, model_bytes
 from codedsmooth.models import MLP, MLPSpec
 
 TRAIN_CFG = """
@@ -152,7 +154,7 @@ def test_model_file_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     model = MLP(MLPSpec(widths=(2, 5, 3), activation="tanh"), rng)
     path = str(tmp_path / "m.bin")
-    save_model(path, model, seed=42, method_desc="mixup alpha=1")
+    Path(path).write_bytes(model_bytes(model, seed=42, method_desc="mixup alpha=1"))
     loaded, header = load_model(path)
     assert header == {"version": "1", "widths": "2,5,3", "activation": "tanh",
                       "seed": "42", "method": "mixup alpha=1"}
@@ -244,14 +246,16 @@ def test_attack_architecture_mismatch(tmp_path, capsys):
     echo = _read(out, "config.resolved")
     assert "model.widths = 2,8,2\n" in echo and "model.activation = relu\n" in echo
     other = str(tmp_path / "other.bin")
-    save_model(other, MLP(MLPSpec(widths=(2, 9, 2)), np.random.default_rng(0)), 0, "erm")
+    model = MLP(MLPSpec(widths=(2, 9, 2)), np.random.default_rng(0))
+    Path(other).write_bytes(model_bytes(model, 0, "erm"))
     refused = str(tmp_path / "b")
     assert main(["attack", "--config", os.path.join(out, "config.resolved"),
                  "--model", other, "--out", refused]) == 2
     assert not os.path.exists(refused)
     # a model of another input width names the widths and the data kind
     wide = str(tmp_path / "wide.bin")
-    save_model(wide, MLP(MLPSpec(widths=(3, 8, 2)), np.random.default_rng(0)), 0, "erm")
+    model = MLP(MLPSpec(widths=(3, 8, 2)), np.random.default_rng(0))
+    Path(wide).write_bytes(model_bytes(model, 0, "erm"))
     capsys.readouterr()
     refused = str(tmp_path / "c")
     assert main(["attack", "--config", _write(tmp_path, "a.cfg", attack_cfg),
@@ -463,7 +467,8 @@ RERUN_CASES = {
 
 def _model_file(tmp_path):
     path = str(tmp_path / "m.bin")
-    save_model(path, MLP(MLPSpec(widths=(2, 8, 2)), np.random.default_rng(0)), 0, "erm")
+    model = MLP(MLPSpec(widths=(2, 8, 2)), np.random.default_rng(0))
+    Path(path).write_bytes(model_bytes(model, 0, "erm"))
     return path
 
 
@@ -591,6 +596,17 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
     ("attack", ATTACK_CFG.replace("attack.k_prime = 16", "attack.k_prime = 4096")
      .replace("attack.n_prime = 24\n", "").replace("n_test = 32", "n_test = 5000"),
      "attack.k_prime", "4096"),
+    # a whole sweep value is range-checked before it becomes an int, so the
+    # message quotes it as a float, not as hundreds of digits
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = batch_size").replace("0.2,0.8", "1e300"),
+     "sweep.values has 1e+300", "train.batch_size (2e+300)"),
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = batch_size").replace("0.2,0.8", "-1e300"),
+     "sweep.values has -1e+300", "train.batch_size = -1e+300"),
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = N").replace("0.2,0.8", "-1e300"),
+     "sweep.values has -1e+300", "N = -1e+300"),
+    # noise that overflows the inputs is named before they are scaled
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("noise = 0.1", "noise = 1e308"),
+     "data.noise", "1e+308"),
 ], ids=[f"{key}-{value}" for _, _, key, value in SEED_CASES] + [
     "sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
         "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
@@ -604,7 +620,9 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
         "model.widths-oversized", "attack.k_prime-zero", "attack.k_prime-negative",
         "train.lr_decay_epochs-negative", "train.lr_decay_epochs-past-end",
         "train.lr_decay_epochs-repeated", "sweep.values-mu-negative",
-        "attack.n_prime-derived-oversized"])
+        "attack.n_prime-derived-oversized", "sweep.values-batch_size-huge",
+        "sweep.values-batch_size-negative-huge", "sweep.values-N-negative-huge",
+        "data.noise-huge"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
@@ -612,6 +630,9 @@ def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value)
                  "--out", out] + extra) == 2
     captured = capsys.readouterr()
     assert key in captured.err and value in captured.err
+    # no number longer than the 20 digits of the 64-bit seed bound: int(1e300)
+    # has 301
+    assert not re.search(r"\d{21}", captured.err), captured.err
     assert captured.out == ""
     assert not os.path.exists(out)
 
@@ -784,6 +805,24 @@ def test_submodule_is_the_only_meaning_of_its_name(tmp_path):
     assert _python(probe).splitlines()[-1] == "[True, True, True, 'ImportError']"
     with pytest.raises(AttributeError):
         codedsmooth.no_such_name
+
+
+def test_package_defines_no_function_it_does_not_use():
+    # a function or method that no module of the package names is kept only
+    # for outside callers; the two below are named by the benchmark's tracer
+    # (run_coded_job) and by the acceptance suite and README (estimate_mse).
+    # A test-only helper belongs in the tests.
+    defined, named = set(), set()
+    for path in Path(codedsmooth.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            body = top.body if isinstance(top, ast.ClassDef) else [top]
+            defined |= {f.name for f in body if isinstance(f, ast.FunctionDef)}
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                named.add(n.id if isinstance(n, ast.Name) else n.attr)
+    unused = {name for name in defined - named if not name.startswith("__")}
+    assert unused == {"run_coded_job", "estimate_mse"}
 
 
 def test_readme_library_use_runs_as_written():

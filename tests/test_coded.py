@@ -249,7 +249,7 @@ def test_operator_application_backward_vs_fd():
     y = rng.uniform(-1, 1, (5, 3))
 
     def objective():
-        return tsum(coded._apply(mat, Tensor(y, requires_grad=True))).item()
+        return tsum(coded._apply(mat, Tensor(y, requires_grad=True))).data.item()
 
     yt = Tensor(y, requires_grad=True)
     tsum(coded._apply(mat, yt)).backward()

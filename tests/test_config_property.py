@@ -13,6 +13,7 @@ import contextlib
 import io
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from codedsmooth.cli import main  # noqa: E402
 from codedsmooth.config import KEYS  # noqa: E402
-from codedsmooth.modelio import save_model  # noqa: E402
+from codedsmooth.modelio import model_bytes  # noqa: E402
 from codedsmooth.models import MLP, MLPSpec  # noqa: E402
 
 # a valid value for every key, sized so each command runs in milliseconds
@@ -76,7 +77,8 @@ def _edges_and_numbers(key):
 @pytest.fixture(scope="module")
 def model_path(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("model") / "m.bin")
-    save_model(path, MLP(MLPSpec(widths=(2, 8, 2)), np.random.default_rng(0)), 0, "erm")
+    model = MLP(MLPSpec(widths=(2, 8, 2)), np.random.default_rng(0))
+    Path(path).write_bytes(model_bytes(model, 0, "erm"))
     return path
 
 

@@ -13,7 +13,7 @@ from codedsmooth.train import (Coded, ERM, Mixup, TrainPlan, boundary_smoothness
                                dual_path_terms, margin_grid, mixup_batch,
                                schedule_n, train)
 
-from conftest import add, matmul, scale, tsum
+from conftest import add, loss_node, matmul, scale, tsum
 
 SMALL_DATA = DatasetSpec(kind="two_moons", n_train=64, n_test=32, noise=0.1, seed=1)
 SMALL_MODEL = MLPSpec(widths=(2, 8, 2), activation="relu")
@@ -109,12 +109,11 @@ def test_mu_one_returns_coded_only():
 
 def _tape_terms(model, module, x, target, mu, task):
     """The dual-path loss composed op by op on the tape: the reference."""
-    loss = (autodiff.softmax_cross_entropy if task == "classification"
-            else autodiff.mse_loss)
-    l_main = loss(model.forward(Tensor(x)), target)
+    rule = autodiff.cross_entropy if task == "classification" else autodiff.mse
+    l_main = loss_node(rule, model.forward(Tensor(x)), target)
     if mu == 0.0:
         return l_main
-    l_coded = loss(module.forward(Tensor(x), model), target)
+    l_coded = loss_node(rule, module.forward(Tensor(x), model), target)
     if mu == 1.0:
         return l_coded
     return add(scale(l_main, 1.0 - mu), scale(l_coded, mu))
@@ -148,9 +147,9 @@ def test_fused_step_equals_tape_composition(mu, task):
     assert len(grads) == len(params)
     for p, g in zip(params, grads):
         assert g.tobytes() == p.grad.tobytes()
-    assert l_main == _tape_terms(model, module, x, target, 0.0, task).item()
+    assert l_main == _tape_terms(model, module, x, target, 0.0, task).data.item()
     if mu > 0.0:
-        assert l_coded == _tape_terms(model, module, x, target, 1.0, task).item()
+        assert l_coded == _tape_terms(model, module, x, target, 1.0, task).data.item()
 
 
 def test_mu_validation():
