@@ -13,8 +13,8 @@ Both stages are precomputed dense linear operators, plain (K, N) and
 N. A round trip is two matrix products and is differentiable end to end.
 Operands are 2-D: one row per sample. The straggler decoder builds no
 operator: its surviving worker set changes from job to job, so a cached
-operator would serve one job only. ``codedsim`` instead fits and evaluates
-the survivors of a whole grid in one ``spline.fit_eval_batch`` call,
+operator would serve one job only. ``codedsim`` instead fits the survivors
+of a whole grid in one ``spline.fit`` call and evaluates them at alpha,
 O((N+K)*d) per job.
 """
 
@@ -56,7 +56,7 @@ def chebyshev_second(n: int) -> np.ndarray:
 def _encoder_basis(k: int):
     """The identity fit at alpha: every encoder of K points evaluates it, so
     it is fitted once per K, not once per (K, N)."""
-    return fit(Knots(chebyshev_first(k)), np.eye(k))
+    return fit([Knots(chebyshev_first(k))], [np.eye(k)])
 
 
 def _apply(mat: np.ndarray, x):

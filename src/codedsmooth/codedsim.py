@@ -25,7 +25,7 @@ from .config import KEYS
 from .errors import ValidationError
 from .modelio import csv_table
 from .seeding import stream_rng
-from .spline import Knots, fit_eval_batch
+from .spline import Knots, fit
 
 _EXACT_FLOOR = 1e-18  # mean MSE below this is exact recovery up to rounding
 
@@ -140,7 +140,7 @@ def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
                 survivors.append(Knots(module.beta[keep]))
                 blocks.append(outputs[keep])
     if batched:  # every module shares the batch abscissas alpha, which depend on K only
-        for i, est in zip(batched, fit_eval_batch(survivors, blocks, module.alpha)):
+        for i, est in zip(batched, fit(survivors, blocks).eval(module.alpha)):
             estimates[i] = est
     estimates = np.stack(estimates)
     return estimates, [float(np.mean(np.sum(d * d, axis=1))) for d in estimates - f(x)]

@@ -272,42 +272,44 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
     lr = plan.lr
     k = plan.batch_size
     n_batches = data.train_x.shape[0] // k
-    for epoch in range(plan.epochs):
-        if epoch in plan.lr_decay_epochs:
-            lr /= 10.0
-        if mu > 0.0:
-            n_coded = schedule_n(method, epoch, plan.epochs, k)
-            module = coded.get_module(k, n_coded)
-        else:
-            n_coded = k
-            module = None
+    # a diverging run is reported by the guard's one line, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(plan.epochs):
+            if epoch in plan.lr_decay_epochs:
+                lr /= 10.0
+            if mu > 0.0:
+                n_coded = schedule_n(method, epoch, plan.epochs, k)
+                module = coded.get_module(k, n_coded)
+            else:
+                n_coded = k
+                module = None
 
-        order = rng_shuffle.permutation(data.train_x.shape[0])
-        main_vals = []
-        coded_vals = []
-        for b in range(n_batches):
-            idx = order[b * k:(b + 1) * k]
-            xb = data.train_x[idx]
-            tb = train_targets[idx]
-            if isinstance(method, Mixup):
-                xb, tb = mixup_batch(xb, tb, method.alpha, rng_mixup)
-            main, coded_loss, _ = dual_path_terms(model, module, xb, tb, mu, task, grad)
-            main_vals.append(main)
-            if coded_loss is not None:
-                coded_vals.append(coded_loss)
-            for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded_loss, mu)):
-                if weight > 0.0 and not math.isfinite(value):
-                    raise NumericError(f"non-finite {name} loss at epoch {epoch}, batch {b}")
-            autodiff.sgd_momentum_step(model.theta, grad, velocity, lr, plan.momentum)
+            order = rng_shuffle.permutation(data.train_x.shape[0])
+            main_vals = []
+            coded_vals = []
+            for b in range(n_batches):
+                idx = order[b * k:(b + 1) * k]
+                xb = data.train_x[idx]
+                tb = train_targets[idx]
+                if isinstance(method, Mixup):
+                    xb, tb = mixup_batch(xb, tb, method.alpha, rng_mixup)
+                main, coded_loss, _ = dual_path_terms(model, module, xb, tb, mu, task, grad)
+                main_vals.append(main)
+                if coded_loss is not None:
+                    coded_vals.append(coded_loss)
+                for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded_loss, mu)):
+                    if weight > 0.0 and not math.isfinite(value):
+                        raise NumericError(f"non-finite {name} loss at epoch {epoch}, batch {b}")
+                autodiff.sgd_momentum_step(model.theta, grad, velocity, lr, plan.momentum)
 
-        metrics.records.append(EpochRecord(
-            epoch=epoch,
-            loss_main=float(np.mean(main_vals)),
-            loss_coded=float(np.mean(coded_vals)) if coded_vals else float("nan"),
-            test_metric=(evaluate_model(model, data.test_x, test_targets, task)
-                         if every_epoch or epoch == plan.epochs - 1 else float("nan")),
-            n_coded=n_coded,
-        ))
+            metrics.records.append(EpochRecord(
+                epoch=epoch,
+                loss_main=float(np.mean(main_vals)),
+                loss_coded=float(np.mean(coded_vals)) if coded_vals else float("nan"),
+                test_metric=(evaluate_model(model, data.test_x, test_targets, task)
+                             if every_epoch or epoch == plan.epochs - 1 else float("nan")),
+                n_coded=n_coded,
+            ))
 
     if model.input_dim == 2 and model.output_dim >= 2:
         metrics.boundary_smoothness = boundary_smoothness(model, margin_grid())

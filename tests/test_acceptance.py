@@ -68,21 +68,21 @@ def test_criterion_1_spline_exactness():
     for _ in range(50):
         kn = rand_knots(int(rng.integers(4, 16)))
         vals = rng.uniform(-5, 5, (len(kn), int(rng.integers(1, 5))))
-        s = fit(kn, vals)
-        assert np.max(np.abs(s.eval(kn.values) - vals)) <= 1e-10
+        s = fit([kn], [vals])
+        assert np.max(np.abs(s.eval(kn.values)[0] - vals)) <= 1e-10
 
     kn = rand_knots(9)
     a, b = 1.7, -0.3
-    s = fit(kn, (a * kn.values + b)[:, None])
+    s = fit([kn], [(a * kn.values + b)[:, None]])
     pts = rng.uniform(-1, 1, 100)
-    assert np.max(np.abs(s.eval(pts).ravel() - (a * pts + b))) <= 1e-10
+    assert np.max(np.abs(s.eval(pts)[0].ravel() - (a * pts + b))) <= 1e-10
 
     for _ in range(100):
         kn = rand_knots(int(rng.integers(4, 12)))
         pts = rng.uniform(-1, 1, int(rng.integers(1, 20)))
         vals = rng.uniform(-3, 3, (len(kn), int(rng.integers(1, 4))))
         op = build_operator(kn, pts)
-        assert np.max(np.abs(op.T @ vals - fit(kn, vals).eval(pts))) <= 1e-9
+        assert np.max(np.abs(op.T @ vals - fit([kn], [vals]).eval(pts)[0])) <= 1e-9
 
     assert time.perf_counter() - start < 5.0
 
@@ -302,8 +302,8 @@ def test_criterion_11_complexity():
         times = []
         for _ in range(20):
             t0 = time.perf_counter()
-            fit(Knots(module.alpha), x).eval(module.beta)
-            fit(Knots(module.beta), fout).eval(module.alpha)
+            fit([Knots(module.alpha)], [x]).eval(module.beta)
+            fit([Knots(module.beta)], [fout]).eval(module.alpha)
             times.append(time.perf_counter() - t0)
         return float(np.median(times))
 

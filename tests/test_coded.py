@@ -83,9 +83,9 @@ def test_encoder_spline_fitted_once_per_k(monkeypatch):
     fitted = []
     real_fit = spline.fit
 
-    def counting_fit(knots, values):
-        fitted.append(len(knots))
-        return real_fit(knots, values)
+    def counting_fit(knot_sets, values):
+        fitted.append(len(knot_sets[0]))
+        return real_fit(knot_sets, values)
 
     # the decoders fit through spline.fit, the encoder through coded's import
     monkeypatch.setattr(spline, "fit", counting_fit)
@@ -214,9 +214,10 @@ def test_direct_paths_match_operator_paths():
     rng = np.random.default_rng(5)
     m = get_module(10, 17)
     x = rng.uniform(-1, 1, (10, 4))
-    npt.assert_allclose(fit(Knots(m.alpha), x).eval(m.beta), m.encode(x), atol=1e-9)
+    npt.assert_allclose(fit([Knots(m.alpha)], [x]).eval(m.beta)[0], m.encode(x), atol=1e-9)
     fout = rng.uniform(-1, 1, (17, 4))
-    npt.assert_allclose(fit(Knots(m.beta), fout).eval(m.alpha), m.decode(fout), atol=1e-9)
+    npt.assert_allclose(fit([Knots(m.beta)], [fout]).eval(m.alpha)[0], m.decode(fout),
+                        atol=1e-9)
 
 
 def test_operators_are_contiguous_float64_arrays():

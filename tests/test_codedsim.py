@@ -164,7 +164,7 @@ def test_sweep_cell_is_one_batched_round_equal_to_single_jobs(policy, s, monkeyp
     outputs = np.sin(module.encode(x))
     for seed, (est, _) in zip(seeds, single):
         keep = returned_indices(StragglerScenario(24, s, policy, seed), module.beta)
-        ref = (fit(Knots(module.beta[keep]), outputs[keep]).eval(module.alpha) if s
+        ref = (fit([Knots(module.beta[keep])], [outputs[keep]]).eval(module.alpha)[0] if s
                else module.forward(x, np.sin))
         assert np.array_equal(est, ref)
 
