@@ -3,11 +3,12 @@
 ``points K N`` prints the two Chebyshev point sets. The error-rate
 experiment is ``simulate`` with no stragglers (``sim.S_list = 0``).
 Every run is deterministic given its config file (seeds live in the config;
---seed overrides). Each command returns its output files by name; ``main``
-adds the fully-resolved configuration as ``config.resolved`` and only then
-creates ``--out`` and writes them all, so a failed run leaves no directory.
-Re-running from ``config.resolved`` reproduces every output file bit-exactly.
-An ``--out`` that cannot be a directory is rejected before the command runs.
+--seed overrides). A command reads its keys from a ``Config`` before its
+first print or unit of work and returns its output files by name; ``main``
+adds the keys it read as ``config.resolved`` and only then creates ``--out``
+and writes them all, so a failed run leaves no directory. Re-running from
+``config.resolved`` reproduces every output file bit-exactly. An ``--out``
+that cannot be a directory is rejected before the command runs.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure (NaN guard).
 
@@ -22,34 +23,12 @@ import sys
 from dataclasses import fields, replace
 
 from .coded import chebyshev_first, chebyshev_second
-from .config import KEYS, Config, dump_config, load_config, parse_seed
+from .config import Config, dump_config, load_config, parse_seed
 from .errors import NumericError, ValidationError
-
-# the architecture keys ``attack`` checks against the model file
-_ARCH_KEYS = ("model.widths", "model.activation")
-
-
-def _resolve(cfg: Config, command: str, seed_override=None) -> dict:
-    """The value of every key ``command`` reads; also its ``config.resolved``.
-
-    Keys of another train.method are left out, so an echo holds only what
-    the run used. ``attack`` also gets the architecture keys the config
-    sets, to check them against the model file.
-    """
-    prefixes, seed_key, _ = _COMMANDS[command]
-    resolved = {key: cfg.get(key) for key, spec in KEYS.items()
-                if key.startswith(prefixes)
-                and (spec.method is None or spec.method == cfg.get("train.method"))}
-    if command == "attack":
-        resolved.update({key: cfg.get(key) for key in _ARCH_KEYS if key in cfg.raw})
-    if seed_override is not None:
-        resolved[seed_key] = seed_override
-    return resolved
-
 
 # ---------------------------------------------------------------- points
 
-def cmd_points(r: dict, args) -> None:
+def cmd_points(cfg: Config, args) -> None:
     k, n = args.K, args.N
     alpha = chebyshev_first(k)
     beta = chebyshev_second(n)
@@ -63,20 +42,18 @@ def cmd_points(r: dict, args) -> None:
 
 # ---------------------------------------------------------------- train
 
-def _dataset_spec(r: dict):
+def _dataset_spec(cfg: Config):
     from .datasets import DatasetSpec
-    return DatasetSpec(kind=r["data.kind"], n_train=r["data.n_train"],
-                       n_test=r["data.n_test"], noise=r["data.noise"],
-                       seed=r["data.seed"])
+    return DatasetSpec(**{f.name: cfg.get(f"data.{f.name}") for f in fields(DatasetSpec)})
 
 
-def _method(r: dict):
+def _method(cfg: Config):
     from .train import Coded, ERM, Mixup
-    name = r["train.method"]
+    name = cfg.get("train.method")
     if name == "mixup":
-        return Mixup(alpha=r["train.mixup_alpha"])
+        return Mixup(alpha=cfg.get("train.mixup_alpha"))
     if name == "coded":
-        return Coded(mu=r["train.mu"], gamma=r["train.gamma"])
+        return Coded(mu=cfg.get("train.mu"), gamma=cfg.get("train.gamma"))
     return ERM()
 
 
@@ -86,26 +63,21 @@ def _method_desc(method) -> str:
                     + [f"{f.name}={getattr(method, f.name):g}" for f in fields(method)])
 
 
-def _train_plan(r: dict):
+def _train_plan(cfg: Config):
     from .models import MLPSpec
     from .train import TrainPlan
     return TrainPlan(
-        dataset=_dataset_spec(r),
-        model=MLPSpec(widths=r["model.widths"], activation=r["model.activation"]),
-        epochs=r["train.epochs"],
-        batch_size=r["train.batch_size"],
-        lr=r["train.lr"],
-        lr_decay_epochs=r["train.lr_decay_epochs"],
-        momentum=r["train.momentum"],
-        seed=r["train.seed"],
-        method=_method(r),
-    )
+        dataset=_dataset_spec(cfg),
+        model=MLPSpec(widths=cfg.get("model.widths"), activation=cfg.get("model.activation")),
+        epochs=cfg.get("train.epochs"), batch_size=cfg.get("train.batch_size"),
+        lr=cfg.get("train.lr"), lr_decay_epochs=cfg.get("train.lr_decay_epochs"),
+        momentum=cfg.get("train.momentum"), seed=cfg.get("train.seed"), method=_method(cfg))
 
 
-def cmd_train(r: dict, args) -> dict:
+def cmd_train(cfg: Config, args) -> dict:
     from .modelio import model_bytes
     from .train import train
-    plan = _train_plan(r)
+    plan = _train_plan(cfg)
     model, metrics = train(plan)
     print(f"final test metric: {metrics.final_test_metric:.17g}")
     return {"metrics.csv": metrics.to_csv(),
@@ -114,18 +86,18 @@ def cmd_train(r: dict, args) -> dict:
 
 # ---------------------------------------------------------------- attack
 
-def cmd_attack(r: dict, args) -> dict:
+def cmd_attack(cfg: Config, args) -> dict:
     from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
     from .datasets import CLASS_INPUT_DIM, make_dataset, n_classes, task_of
     from .modelio import csv_table, load_model
     model, header = load_model(args.model)
-    arch = dict(zip(_ARCH_KEYS, (model.spec.widths, model.spec.activation)))
-    for key, have in arch.items():
-        if r.get(key, have) != have:
-            raise ValidationError(f"model file has {key} = {have!r}, config has {r[key]!r}")
-    # echoed too, so a re-run from config.resolved checks the model file again
-    r.update(arch)
-    dspec = _dataset_spec(r)
+    # echoed from the model file, so a re-run from config.resolved checks it again
+    for key, have in (("model.widths", model.spec.widths),
+                      ("model.activation", model.spec.activation)):
+        if key in cfg.raw and cfg.get(key) != have:
+            raise ValidationError(f"model file has {key} = {have!r}, config has {cfg.read[key]!r}")
+        cfg.read[key] = have
+    dspec = _dataset_spec(cfg)
     if task_of(dspec.kind) != "classification":
         raise ValidationError(f"data.kind = {dspec.kind}: attack needs a classification task")
     if model.input_dim != CLASS_INPUT_DIM:
@@ -136,36 +108,38 @@ def cmd_attack(r: dict, args) -> dict:
         raise ValidationError(f"model.widths = {model.spec.widths} has {model.output_dim} "
                               f"outputs, but data.kind = {dspec.kind} has "
                               f"{n_classes(dspec.kind)} classes")
-    if r["attack.k_prime"] > dspec.n_test:
-        raise ValidationError(f"attack.k_prime = {r['attack.k_prime']} exceeds data.n_test = "
+    k_prime = cfg.get("attack.k_prime")
+    if k_prime > dspec.n_test:
+        raise ValidationError(f"attack.k_prime = {k_prime} exceeds data.n_test = "
                               f"{dspec.n_test}; RCI scores whole K' batches of the test set")
+
+    epsilon, steps = cfg.get("attack.epsilon"), cfg.get("attack.steps")
+    seed, kind, trials = cfg.get("attack.seed"), cfg.get("attack.kind"), cfg.get("attack.trials")
+    # (name, attack, the epsilon and steps its rows report)
+    attacks = [("none", None, 0.0, 0),
+               ("fgsm", FGSMSpec(epsilon=epsilon), epsilon, 1),
+               (f"pgd{steps}", PGDSpec(epsilon=epsilon, steps=steps,
+                                       step_size=cfg.get("attack.step_size"),
+                                       random_start=cfg.get("attack.random_start")),
+                epsilon, steps)]
+    if kind != "all":
+        attacks = [a for a in attacks if a[0].startswith(kind)]
+    # (name, mode, the N' its rows report)
+    n_prime = cfg.get("attack.n_prime")
+    modes = [("standard", Standard(), 0),
+             ("rci", RCI(n_prime=n_prime, k_prime=k_prime, seed=seed), n_prime)]
+
     data = make_dataset(dspec)
     # both modes score the same rows: the whole K' batches RCI can use
-    used = dspec.n_test // r["attack.k_prime"] * r["attack.k_prime"]
+    used = dspec.n_test // k_prime * k_prime
     x, y = data.test_x[:used], data.test_y[:used]
-
-    seed, epsilon, steps = r["attack.seed"], r["attack.epsilon"], r["attack.steps"]
-    n_prime, kind = r["attack.n_prime"], r["attack.kind"]
-    attacks = [("none", None),
-               ("fgsm", FGSMSpec(epsilon=epsilon)),
-               (f"pgd{steps}", PGDSpec(epsilon=epsilon, steps=steps,
-                                       step_size=r["attack.step_size"],
-                                       random_start=r["attack.random_start"]))]
-    if kind != "all":
-        attacks = [(nm, a) for nm, a in attacks if nm.startswith(kind)]
-    modes = [("standard", Standard()),
-             ("rci", RCI(n_prime=n_prime, k_prime=r["attack.k_prime"], seed=seed))]
-
     method = header.get("method", "unknown")
     rows = []
-    for attack_name, attack in attacks:
+    for attack_name, attack, eps_out, n_steps in attacks:
         # crafted once against the standard pass, then scored under each mode
         x_adv = craft(model, x, y, attack, seed)
-        n_steps = steps if attack_name.startswith("pgd") else (1 if attack_name == "fgsm" else 0)
-        eps_out = 0.0 if attack is None else epsilon
-        for mode_name, mode in modes:
-            acc = robust_eval(model, x_adv, y, None, mode, trials=r["attack.trials"], seed=seed)
-            npr = n_prime if mode_name == "rci" else 0
+        for mode_name, mode, npr in modes:
+            acc = robust_eval(model, x_adv, y, None, mode, trials=trials, seed=seed)
             rows.append((method, mode_name, attack_name, eps_out, n_steps, npr, seed, acc))
             print(f"{attack_name:>6s} | {mode_name:>8s} | accuracy {acc:.4f}")
     return {"results.csv": csv_table("method,inference_mode,attack,epsilon,steps,N_prime,"
@@ -174,26 +148,25 @@ def cmd_attack(r: dict, args) -> dict:
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(r: dict, args) -> dict:
+def cmd_simulate(cfg: Config, args) -> dict:
     import json
     from .codedsim import BENCH_FUNCTIONS, fit_scaling_exponent, sample_inputs, sweep
-    fn_name, k, policy = r["sim.fn"], r["sim.K"], r["sim.policy"]
-    n_list, s_list = r["sim.N_list"], r["sim.S_list"]
+    from .modelio import csv_table
+    fn_name, k, policy = cfg.get("sim.fn"), cfg.get("sim.K"), cfg.get("sim.policy")
+    n_list, s_list, seeds = cfg.get("sim.N_list"), cfg.get("sim.S_list"), cfg.get("sim.seeds")
 
-    f = BENCH_FUNCTIONS[fn_name]
-    x = sample_inputs(k, r["sim.input_seed"])
-    report = sweep(f, x, n_list, s_list, r["sim.seeds"], policy)
+    x = sample_inputs(k, cfg.get("sim.input_seed"))
+    rows = sweep(BENCH_FUNCTIONS[fn_name], x, n_list, s_list, seeds, policy)
     try:
-        exponent = fit_scaling_exponent(report)
+        exponent = fit_scaling_exponent(rows)
         print(f"fitted exponent: {exponent:.3f}")
     except ValidationError as err:
         exponent = None
         print(f"fitted exponent: unavailable ({err})")
 
     summary = {"fn": fn_name, "K": k, "policy": policy,
-               "cells": len(report.cell_means()), "runs": len(report.rows),
-               "exponent": exponent}
-    return {"sim_sweep.csv": report.to_csv(),
+               "cells": len(n_list) * len(s_list), "runs": len(rows), "exponent": exponent}
+    return {"sim_sweep.csv": csv_table("N,S,policy,seed,mse", rows),
             "report.json": json.dumps(summary, indent=2, sort_keys=True) + "\n"}
 
 
@@ -231,20 +204,19 @@ def _sweep_cell(args):
             last.loss_coded, last.n_coded)
 
 
-def cmd_sweep(r: dict, args) -> dict:
+def cmd_sweep(cfg: Config, args) -> dict:
     from .modelio import csv_table
-    param, threads = r["sweep.param"], args.threads
-    base = _train_plan(r)
+    param, values, seeds = cfg.get("sweep.param"), cfg.get("sweep.values"), cfg.get("sweep.seeds")
+    base = _train_plan(cfg)
 
-    cells = [(_sweep_plan(base, param, v), param, v, s)
-             for v in r["sweep.values"] for s in r["sweep.seeds"]]
-    if threads > 1:
+    cells = [(_sweep_plan(base, param, v), param, v, s) for v in values for s in seeds]
+    if args.threads > 1:
         # imported here, so that no other command loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
         # spawned workers load numpy afresh, under the package's BLAS thread
         # count; forked ones would inherit the parent's BLAS thread pool
-        with ProcessPoolExecutor(threads, mp_context=get_context("spawn")) as pool:
+        with ProcessPoolExecutor(args.threads, mp_context=get_context("spawn")) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(c) for c in cells]
@@ -257,15 +229,14 @@ def cmd_sweep(r: dict, args) -> dict:
 
 # ---------------------------------------------------------------- main
 
-# command: (key prefixes it reads, the key --seed overrides, its function);
-# a function prints its stdout and returns {file name: str | bytes}, or None
-# when it writes no files
+# command: (the key --seed overrides, its function); a function prints its
+# stdout and returns {file name: str | bytes}, or None when it writes no files
 _COMMANDS = {
-    "points": ((), None, cmd_points),
-    "train": (("data.", "model.", "train."), "train.seed", cmd_train),
-    "attack": (("data.", "attack."), "attack.seed", cmd_attack),
-    "simulate": (("sim.",), "sim.input_seed", cmd_simulate),
-    "sweep": (("data.", "model.", "train.", "sweep."), "train.seed", cmd_sweep),
+    "points": (None, cmd_points),
+    "train": ("train.seed", cmd_train),
+    "attack": ("attack.seed", cmd_attack),
+    "simulate": ("sim.input_seed", cmd_simulate),
+    "sweep": ("train.seed", cmd_sweep),
 }
 
 
@@ -287,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="codedsmooth",
                                 description="coded-smoothing experiments")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, seed_key, _) in _COMMANDS.items():
+    for name, (seed_key, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
         if seed_key is None:  # points: prints the point sets, reads no config
             sp.add_argument("K", type=int)
@@ -321,8 +292,11 @@ def main(argv=None) -> int:
         if args.out is not None:
             _check_out(args.out)
         cfg = Config(load_config(args.config) if args.config else {})
-        r = _resolve(cfg, args.command, args.seed)
-        files = _COMMANDS[args.command][2](r, args)
+        seed_key, command = _COMMANDS[args.command]
+        if args.seed is not None:
+            cfg.get(seed_key)  # the config's own seed is checked all the same
+            cfg.read[seed_key] = args.seed
+        files = command(cfg, args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -330,7 +304,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 3
     if files is not None:
-        files["config.resolved"] = dump_config(r)
+        files["config.resolved"] = dump_config(cfg.read)
         try:
             os.makedirs(args.out, exist_ok=True)
             for name, content in files.items():

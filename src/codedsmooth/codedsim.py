@@ -7,6 +7,8 @@ Straggling is simulated by omission, not latency: which results return is
 the only thing the estimate depends on, so the scenarios of one N, whatever
 their S, policy and seed, share one worker evaluation, and the survivors of
 every scenario with S > 0 are decoded together in one batched decode.
+``sweep`` returns one ``SweepRow`` per scenario of its grid, the rows
+``sim_sweep.csv`` holds.
 
 Drop policies: ``uniform_random`` removes exactly S uniformly chosen
 workers; ``adversarial_contiguous`` removes the contiguous run of S workers
@@ -14,7 +16,7 @@ whose loss widens the decoder's knot gap the most (contiguous holes are the
 worst case for spline interpolation).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +25,6 @@ from . import coded
 from .coded import MAX_POINTS, MIN_POINTS
 from .config import KEYS
 from .errors import ValidationError
-from .modelio import csv_table
 from .seeding import stream_rng
 from .spline import Knots, fit
 
@@ -73,21 +74,14 @@ class SweepRow(NamedTuple):
     mse: float
 
 
-@dataclass
-class SimReport:
-    rows: list = field(default_factory=list)
-
-    def cell_means(self) -> dict:
-        """(N, S) -> mean MSE over seeds."""
-        sums, counts = {}, {}
-        for r in self.rows:
-            key = (r.n_workers, r.stragglers)
-            sums[key] = sums.get(key, 0.0) + r.mse
-            counts[key] = counts.get(key, 0) + 1
-        return {key: sums[key] / counts[key] for key in sums}
-
-    def to_csv(self) -> str:
-        return csv_table("N,S,policy,seed,mse", self.rows)
+def cell_means(rows) -> dict:
+    """(N, S) -> mean MSE over the seeds of ``SweepRow``s."""
+    sums, counts = {}, {}
+    for r in rows:
+        key = (r.n_workers, r.stragglers)
+        sums[key] = sums.get(key, 0.0) + r.mse
+        counts[key] = counts.get(key, 0) + 1
+    return {key: sums[key] / counts[key] for key in sums}
 
 
 def returned_indices(scenario: StragglerScenario, beta: np.ndarray) -> np.ndarray:
@@ -110,12 +104,13 @@ def returned_indices(scenario: StragglerScenario, beta: np.ndarray) -> np.ndarra
 def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
     """One encode/compute/decode round per scenario, of any N, S, policy and seed.
 
-    Each N looks its module up once, its workers compute once, and its S = 0
-    scenarios share one decode, bit-identical to ``module.forward``. The
-    survivors of every S > 0 scenario are decoded in one batched tridiagonal
-    sweep, bit-identical to fitting and evaluating each alone. Returns
-    (estimates, mses) in input order: a (B, K, d) array and a list of B
-    floats, each the mean over batch rows of the squared output-vector error.
+    Each N looks its module up once and its workers compute once; each S = 0
+    scenario is decoded by ``module.decode``, bit-identical to
+    ``module.forward``. The survivors of every S > 0 scenario are decoded in
+    one batched tridiagonal sweep, bit-identical to fitting and evaluating
+    each alone. Returns (estimates, mses) in input order: a (B, K, d) array
+    and a list of B floats, each the mean over batch rows of the squared
+    output-vector error.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < MIN_POINTS:
@@ -127,14 +122,13 @@ def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
     for n in dict.fromkeys(sc.n_workers for sc in scenarios):
         module = coded.get_module(x.shape[0], n)
         outputs = f(module.encode(x))
-        full = None
         for i, sc in enumerate(scenarios):
             if sc.n_workers != n:
                 continue
             # each set keeps >= MIN_POINTS workers by the scenario's check
             keep = returned_indices(sc, module.beta)
             if sc.max_stragglers == 0:
-                estimates[i] = full = module.decode(outputs) if full is None else full
+                estimates[i] = module.decode(outputs)
             else:
                 batched.append(i)
                 survivors.append(Knots(module.beta[keep]))
@@ -153,26 +147,26 @@ def run_coded_job(f, x: np.ndarray, scenario: StragglerScenario) -> tuple:
 
 
 def sweep(f, x: np.ndarray, n_list, s_list, seeds,
-          policy: str = KEYS["sim.policy"].default) -> SimReport:
-    """Grid over (N, S, seed); deterministic. The whole grid is one
-    ``run_coded_jobs`` call, so each N's workers compute once, and every
-    scenario is checked before the first one runs.
+          policy: str = KEYS["sim.policy"].default) -> list:
+    """One ``SweepRow`` per (N, S, seed) of the grid, in that order;
+    deterministic. The whole grid is one ``run_coded_jobs`` call, so each N's
+    workers compute once, and every scenario is checked before the first runs.
     """
     scenarios = [StragglerScenario(n, s, policy, seed)
                  for n in n_list for s in s_list for seed in seeds]
     _, mses = run_coded_jobs(f, x, scenarios)
-    return SimReport([SweepRow(sc.n_workers, sc.max_stragglers, policy, sc.seed, mse)
-                      for sc, mse in zip(scenarios, mses)])
+    return [SweepRow(sc.n_workers, sc.max_stragglers, policy, sc.seed, mse)
+            for sc, mse in zip(scenarios, mses)]
 
 
-def fit_scaling_exponent(report: SimReport) -> float:
-    """Least-squares slope of log mean-MSE against log((S+1)/N).
+def fit_scaling_exponent(rows) -> float:
+    """Least-squares slope of ``SweepRow``s' log mean-MSE against log((S+1)/N).
 
     Needs at least 4 grid cells spanning at least a factor of 8 in
     (S+1)/N. A cell below the rounding floor (mean MSE < 1e-18) is an exact
     recovery, through which no power law can be fitted.
     """
-    means = report.cell_means()
+    means = cell_means(rows)
     if len(means) < 4:
         raise ValidationError("need at least 4 (N, S) grid cells")
     ratios = np.array([(s + 1) / n for (n, s) in means.keys()])

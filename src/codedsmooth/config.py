@@ -2,9 +2,10 @@
 
 One ``key = value`` pair per line, ``#`` starts a comment, keys are dotted
 (``train.lr``, ``attack.epsilon``, ``sim.N_list``). Unknown keys are rejected so
-a typo cannot silently fall back to a default. Every command echoes its
-fully-resolved configuration into the output directory; re-running from
-that echo reproduces the outputs exactly.
+a typo cannot silently fall back to a default. A ``Config`` parses and
+checks a key when a command first reads it, and keeps every key read so far
+with its value; a command's echo holds exactly those keys, and re-running
+from that echo reproduces the outputs exactly.
 
 ``KEYS`` holds each key's parser, default and allowed values. It is the one
 home of every default: the dataclasses the keys configure (``DatasetSpec``,
@@ -59,6 +60,17 @@ def _list(item, may_be_empty=False):
     return parse
 
 
+def _distinct(parse):
+    """``parse`` for a grid key: each entry is one cell, so none may repeat."""
+    def parse_distinct(text):
+        values = parse(text)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"has {value!r} more than once")
+        return values
+    return parse_distinct
+
+
 def _default_n_prime(cfg):
     k_prime = cfg.get("attack.k_prime")
     n_prime = int(round(1.5 * k_prime))
@@ -68,9 +80,8 @@ def _default_n_prime(cfg):
     return n_prime
 
 
-# default: MISSING marks a required key; a callable derives the default from
-# the config. method: the train.method the key belongs to (None: any).
-Key = namedtuple("Key", "parse default allowed method", defaults=((), None))
+# default: MISSING marks a required key; a callable derives it from the config
+Key = namedtuple("Key", "parse default allowed", defaults=((),))
 
 # every key any subcommand understands; one config file may drive several
 # commands (e.g. a train followed by an attack on its model file)
@@ -84,9 +95,9 @@ KEYS = {
     "model.widths": Key(_list(int), MISSING),
     "model.activation": Key(str, "relu", ("relu", "tanh")),
     "train.method": Key(str.lower, "erm", ("erm", "mixup", "coded")),
-    "train.mu": Key(_finite, 0.5, method="coded"),
-    "train.gamma": Key(_finite, 1.5, method="coded"),
-    "train.mixup_alpha": Key(_finite, 1.0, method="mixup"),
+    "train.mu": Key(_finite, 0.5),
+    "train.gamma": Key(_finite, 1.5),
+    "train.mixup_alpha": Key(_finite, 1.0),
     "train.epochs": Key(int, 100),
     "train.batch_size": Key(int, 128),
     "train.lr": Key(_finite, 0.05),
@@ -104,14 +115,14 @@ KEYS = {
     "attack.seed": Key(parse_seed, 0),
     "sim.fn": Key(str, "sin", ("sin", "gauss_bump", "cubic", "const")),
     "sim.K": Key(_int_in(MIN_POINTS, MAX_POINTS), 16),
-    "sim.N_list": Key(_list(int), (32, 64, 128, 256)),
-    "sim.S_list": Key(_list(int), (0,)),
-    "sim.seeds": Key(_list(parse_seed), (0,)),
+    "sim.N_list": Key(_distinct(_list(int)), (32, 64, 128, 256)),
+    "sim.S_list": Key(_distinct(_list(int)), (0,)),
+    "sim.seeds": Key(_distinct(_list(parse_seed)), (0,)),
     "sim.policy": Key(str, "uniform_random", ("uniform_random", "adversarial_contiguous")),
     "sim.input_seed": Key(parse_seed, 0),
     "sweep.param": Key(str, MISSING, ("mu", "N", "gamma", "batch_size")),
-    "sweep.values": Key(_list(_finite), MISSING),
-    "sweep.seeds": Key(_list(parse_seed), (0, 1, 2, 3, 4)),
+    "sweep.values": Key(_distinct(_list(_finite)), MISSING),
+    "sweep.seeds": Key(_distinct(_list(parse_seed)), (0, 1, 2, 3, 4)),
 }
 
 
@@ -161,25 +172,31 @@ def dump_config(cfg: dict) -> str:
 
 
 class Config:
-    """Parsed, validated access with defaults over the flat key/value map."""
+    """Parsed, validated access with defaults over the flat key/value map;
+    ``read`` keeps each key read so far, parsed and checked once, with its value."""
 
     def __init__(self, raw: dict):
         self.raw = dict(raw)
+        self.read = {}
 
     def get(self, key):
+        if key in self.read:
+            return self.read[key]
         spec = KEYS[key]
         if key not in self.raw:
             if spec.default is MISSING:
                 raise ValidationError(f"missing required config key {key!r}")
-            return spec.default(self) if callable(spec.default) else spec.default
-        text = self.raw[key]
-        try:
-            value = spec.parse(text)
-        except ValueError as err:
-            raise ValidationError(f"config key {key!r}: bad value {text!r} ({err})") from None
-        if spec.allowed and value not in spec.allowed:
-            raise ValidationError(f"config key {key!r}: {value!r} is not one of "
-                                  f"{', '.join(spec.allowed)}")
+            value = spec.default(self) if callable(spec.default) else spec.default
+        else:
+            text = self.raw[key]
+            try:
+                value = spec.parse(text)
+            except ValueError as err:
+                raise ValidationError(f"config key {key!r}: bad value {text!r} ({err})") from None
+            if spec.allowed and value not in spec.allowed:
+                raise ValidationError(f"config key {key!r}: {value!r} is not one of "
+                                      f"{', '.join(spec.allowed)}")
+        self.read[key] = value
         return value
 
     # aliases of ``get`` (the key table already fixes the type); nothing in

@@ -29,7 +29,7 @@ from codedsmooth.attack import (FGSMSpec, PGDSpec, Permutation, RCI, Standard,
 from codedsmooth.autodiff import Tensor
 from codedsmooth.cli import main
 from codedsmooth.coded import CodedSmoothingModule, get_module
-from codedsmooth.codedsim import (StragglerScenario, fit_scaling_exponent,
+from codedsmooth.codedsim import (StragglerScenario, cell_means, fit_scaling_exponent,
                                   run_coded_job, sample_inputs, sweep)
 from codedsmooth.datasets import make_dataset, one_hot
 from codedsmooth.models import MLP, MLPSpec
@@ -274,8 +274,8 @@ def test_criterion_10_simulator():
     est_b, _ = run_coded_job(corrupted, x8, scenario)
     npt.assert_array_equal(est_a, est_b)
 
-    report = sweep(np.sin, x, [32, 64, 128, 256], [0, 1, 3, 7], list(range(10)))
-    means = report.cell_means()
+    rows = sweep(np.sin, x, [32, 64, 128, 256], [0, 1, 3, 7], list(range(10)))
+    means = cell_means(rows)
     for s in (0, 1, 3, 7):
         row = [means[(n, s)] for n in (32, 64, 128, 256)]
         assert all(row[i + 1] <= row[i] * 1.1 for i in range(3)), f"not decreasing in N at S={s}"

@@ -492,6 +492,53 @@ def test_rerun_from_echoed_config(tmp_path, command):
             assert a.read() == b.read(), name
 
 
+DATA_KEYS = {f"data.{name}" for name in ("kind", "n_train", "n_test", "noise", "seed")}
+MODEL_KEYS = {"model.widths", "model.activation"}
+TRAIN_KEYS = DATA_KEYS | MODEL_KEYS | {f"train.{name}" for name in (
+    "method", "epochs", "batch_size", "lr", "lr_decay_epochs", "momentum", "seed")}
+METHOD_KEYS = {"erm": set(), "mixup": {"train.mixup_alpha"},
+               "coded": {"train.mu", "train.gamma"}}
+ATTACK_KEYS = DATA_KEYS | MODEL_KEYS | {f"attack.{name}" for name in (
+    "kind", "epsilon", "steps", "random_start", "trials", "k_prime", "n_prime", "seed")}
+SIM_KEYS = {f"sim.{name}" for name in (
+    "fn", "K", "N_list", "S_list", "seeds", "policy", "input_seed")}
+SWEEP_KEYS = {"sweep.param", "sweep.values", "sweep.seeds"}
+# sets every training method's keys, of which a run reads only its own
+ALL_METHODS_CFG = TRAIN_CFG + "train.gamma = 1.5\ntrain.mixup_alpha = 0.4\n"
+NO_MODEL_ATTACK_CFG = "".join(line + "\n" for line in ATTACK_CFG.splitlines()
+                              if not line.startswith("model."))
+
+
+# config.resolved holds exactly the keys the run read: the config's other
+# keys are left out, and attack echoes the model file's architecture
+@pytest.mark.parametrize("command, text, echoed", [
+    ("train", ALL_METHODS_CFG.format(method="erm", mu=0.5), TRAIN_KEYS),
+    ("train", ALL_METHODS_CFG.format(method="mixup", mu=0.5),
+     TRAIN_KEYS | METHOD_KEYS["mixup"]),
+    ("train", ALL_METHODS_CFG.format(method="coded", mu=0.5),
+     TRAIN_KEYS | METHOD_KEYS["coded"]),
+    ("attack", ATTACK_CFG, ATTACK_KEYS),
+    ("attack", NO_MODEL_ATTACK_CFG, ATTACK_KEYS),
+    ("attack", ATTACK_CFG + "attack.step_size = 0.02\n", ATTACK_KEYS | {"attack.step_size"}),
+    ("simulate", SIM_CFG + TRAIN_CFG.format(method="coded", mu=0.5), SIM_KEYS),
+    ("sweep", SWEEP_CFG + "train.mixup_alpha = 0.4\n",
+     TRAIN_KEYS | METHOD_KEYS["coded"] | SWEEP_KEYS),
+    ("sweep", ALL_METHODS_CFG.format(method="erm", mu=0.5) + SIM_CFG
+     + "sweep.param = batch_size\nsweep.values = 16\nsweep.seeds = 0\n",
+     TRAIN_KEYS | SWEEP_KEYS),
+], ids=["train-erm", "train-mixup", "train-coded", "attack", "attack-no-model-keys",
+        "attack-step_size", "simulate", "sweep-coded", "sweep-erm"])
+def test_echo_holds_the_keys_the_run_read(tmp_path, command, text, echoed):
+    out = str(tmp_path / "o")
+    extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
+    assert main([command, "--config", _write(tmp_path, "c.cfg", text), "--out", out]
+                + extra) == 0
+    echo = _read(out, "config.resolved")
+    assert {line.split(" = ")[0] for line in echo.splitlines()} == echoed, echo
+    if command == "attack":
+        assert "model.widths = 2,8,2\n" in echo and "model.activation = relu\n" in echo
+
+
 def _set_key(text, key, value):
     """Config text with ``key = value`` in place of any line that set the key."""
     return re.sub(rf"^{re.escape(key)} = .*\n", "", text, flags=re.M) + f"{key} = {value}\n"
@@ -609,6 +656,17 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
     # noise that overflows the inputs is named before they are scaled
     ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("noise = 0.1", "noise = 1e308"),
      "data.noise", "1e+308"),
+    # each entry of a grid key is one cell, so a repeat would run a cell twice;
+    # entries are compared as parsed values
+    ("simulate", SIM_CFG.replace("32,64,128,256", "32,32,64"), "sim.N_list",
+     "32 more than once"),
+    ("simulate", SIM_CFG.replace("sim.S_list = 0", "sim.S_list = 0,1,1"), "sim.S_list",
+     "1 more than once"),
+    ("simulate", SIM_CFG.replace("sim.seeds = 0", "sim.seeds = 0,0"), "sim.seeds",
+     "0 more than once"),
+    ("sweep", SWEEP_CFG.replace("0.2,0.8", "0.5,0.50"), "sweep.values", "0.5 more than once"),
+    ("sweep", SWEEP_CFG.replace("sweep.seeds = 0,1", "sweep.seeds = 0,0"), "sweep.seeds",
+     "0 more than once"),
 ], ids=[f"{key}-{value}" for _, _, key, value in SEED_CASES] + [
     "sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
         "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
@@ -624,7 +682,8 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
         "train.lr_decay_epochs-repeated", "sweep.values-mu-negative",
         "attack.n_prime-derived-oversized", "sweep.values-batch_size-huge",
         "sweep.values-batch_size-negative-huge", "sweep.values-N-negative-huge",
-        "data.noise-huge"])
+        "data.noise-huge", "sim.N_list-repeated", "sim.S_list-repeated",
+        "sim.seeds-repeated", "sweep.values-repeated", "sweep.seeds-repeated"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []

@@ -4,10 +4,11 @@ import pytest
 
 from codedsmooth import coded
 from codedsmooth.coded import get_module
-from codedsmooth.codedsim import (BENCH_FUNCTIONS, SimReport, StragglerScenario,
-                                  SweepRow, fit_scaling_exponent, returned_indices,
+from codedsmooth.codedsim import (BENCH_FUNCTIONS, StragglerScenario,
+                                  SweepRow, cell_means, fit_scaling_exponent, returned_indices,
                                   run_coded_job, run_coded_jobs, sample_inputs, sweep)
 from codedsmooth.errors import ValidationError
+from codedsmooth.modelio import csv_table
 from codedsmooth.spline import Knots, build_operator, fit
 
 
@@ -128,11 +129,11 @@ def test_adversarial_contiguous_policy():
 def test_sweep_single_cell_matches_run_mean():
     x = sample_inputs(8, 0)
     seeds = [0, 1, 2]
-    report = sweep(np.sin, x, [24], [2], seeds)
+    rows = sweep(np.sin, x, [24], [2], seeds)
     want = np.mean([run_coded_job(np.sin, x, StragglerScenario(24, 2, seed=s))[1]
                     for s in seeds])
-    npt.assert_allclose(report.cell_means()[(24, 2)], want, rtol=1e-15)
-    assert len(report.rows) == 3
+    npt.assert_allclose(cell_means(rows)[(24, 2)], want, rtol=1e-15)
+    assert len(rows) == 3
 
 
 @pytest.mark.parametrize("policy", ["uniform_random", "adversarial_contiguous"])
@@ -151,9 +152,9 @@ def test_sweep_cell_is_one_batched_round_equal_to_single_jobs(policy, s, monkeyp
         return get_module(k, n)
 
     monkeypatch.setattr(coded, "get_module", counted)
-    report = sweep(np.sin, x, [24], [s], seeds, policy)
+    rows = sweep(np.sin, x, [24], [s], seeds, policy)
     assert lookups == [(8, 24)]
-    assert [r.mse for r in report.rows] == [mse for _, mse in single]
+    assert [r.mse for r in rows] == [mse for _, mse in single]
     estimates, mses = run_coded_jobs(np.sin, x, [StragglerScenario(24, s, policy, seed)
                                                  for seed in seeds])
     assert mses == [mse for _, mse in single]
@@ -175,14 +176,14 @@ def test_grid_decode_equals_per_cell_jobs(policy):
     # longest set; each row keeps the mse of its cell decoded alone
     x = sample_inputs(8, 3)
     n_list, s_list, seeds = [16, 24, 40], [0, 1, 4], [0, 1, 2]
-    report = sweep(np.sin, x, n_list, s_list, seeds, policy)
+    rows = sweep(np.sin, x, n_list, s_list, seeds, policy)
     want = []
     for n in n_list:
         for s in s_list:
             _, mses = run_coded_jobs(np.sin, x, [StragglerScenario(n, s, policy, seed)
                                                  for seed in seeds])
             want += [SweepRow(n, s, policy, seed, mse) for seed, mse in zip(seeds, mses)]
-    assert report.rows == want
+    assert rows == want
 
 
 def test_batched_jobs_take_any_mix_of_scenarios(monkeypatch):
@@ -217,8 +218,8 @@ def test_batched_jobs_take_any_mix_of_scenarios(monkeypatch):
 def test_sweep_monotone_in_n_and_s():
     # 10-seed means, 10% slack per adjacent pair (frozen from the rate study)
     x = sample_inputs(16, 0)
-    report = sweep(np.sin, x, [32, 64, 128, 256], [0, 1, 3, 7], list(range(10)))
-    means = report.cell_means()
+    rows = sweep(np.sin, x, [32, 64, 128, 256], [0, 1, 3, 7], list(range(10)))
+    means = cell_means(rows)
     for s in (0, 1, 3, 7):
         row = [means[(n, s)] for n in (32, 64, 128, 256)]
         assert all(row[i + 1] <= row[i] * 1.1 for i in range(3))
@@ -229,8 +230,8 @@ def test_sweep_monotone_in_n_and_s():
 
 def test_sweep_csv_format():
     x = sample_inputs(8, 0)
-    report = sweep(np.sin, x, [16], [0, 1], [0])
-    lines = report.to_csv().strip().splitlines()
+    rows = sweep(np.sin, x, [16], [0, 1], [0])
+    lines = csv_table("N,S,policy,seed,mse", rows).strip().splitlines()
     assert lines[0] == "N,S,policy,seed,mse"
     assert len(lines) == 3
     assert lines[1].startswith("16,0,uniform_random,0,")
@@ -241,7 +242,7 @@ def test_exponent_on_planted_cubic_law():
     for n in (32, 64, 128, 256):
         r = 1.0 / n
         rows.append(SweepRow(n, 0, "uniform_random", 0, 7.0 * r ** 3))
-    slope = fit_scaling_exponent(SimReport(rows=rows))
+    slope = fit_scaling_exponent(rows)
     npt.assert_allclose(slope, 3.0, atol=1e-9)
 
 
@@ -260,14 +261,14 @@ def test_exponent_validation():
             SweepRow(64, 0, "uniform_random", 0, 1e-4),
             SweepRow(128, 0, "uniform_random", 0, 1e-5)]
     with pytest.raises(ValidationError):
-        fit_scaling_exponent(SimReport(rows=rows))  # only 3 cells
+        fit_scaling_exponent(rows)  # only 3 cells
     rows.append(SweepRow(48, 0, "uniform_random", 0, 5e-4))
     with pytest.raises(ValidationError):
-        fit_scaling_exponent(SimReport(rows=rows))  # span 4x < 8x
+        fit_scaling_exponent(rows)  # span 4x < 8x
     for floor in (0.0, 1e-32):  # exact recovery, up to rounding
         exact = [SweepRow(n, 0, "uniform_random", 0, floor) for n in (8, 16, 32, 64)]
         with pytest.raises(ValidationError):
-            fit_scaling_exponent(SimReport(rows=exact))
+            fit_scaling_exponent(exact)
 
 
 def test_run_coded_job_validation():

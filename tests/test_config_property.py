@@ -95,8 +95,8 @@ def test_edge_values_exit_0_2_or_3(model_path, key):
     @given(value=st.one_of(st.sampled_from(edges), numbers))
     def check(value):
         cfg = dict(BASE, **{key: value})
-        if KEYS[key].method is not None:
-            cfg["train.method"] = KEYS[key].method
+        if key == "train.mixup_alpha":  # only a mixup run reads it
+            cfg["train.method"] = "mixup"
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "c.cfg")
             with open(path, "w", encoding="utf-8") as fh:
