@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields, replace
 
 from .coded import chebyshev_first, chebyshev_second
-from .config import Config, dump_config, load_config, parse_seed
+from .config import KEYS, Config, dump_config, load_config, parse_seed
 from .errors import NumericError, ValidationError
 
 # ---------------------------------------------------------------- points
@@ -229,14 +229,14 @@ def cmd_sweep(cfg: Config, args) -> dict:
 
 # ---------------------------------------------------------------- main
 
-# command: (the key --seed overrides, its function); a function prints its
-# stdout and returns {file name: str | bytes}, or None when it writes no files
+# command: (the key --seed overrides, parsed as that key's value, its function); a
+# function prints its stdout and returns {file name: str | bytes}, or None when it writes no files
 _COMMANDS = {
     "points": (None, cmd_points),
     "train": ("train.seed", cmd_train),
     "attack": ("attack.seed", cmd_attack),
     "simulate": ("sim.input_seed", cmd_simulate),
-    "sweep": ("train.seed", cmd_sweep),
+    "sweep": ("sweep.seeds", cmd_sweep),  # --seed S runs every value at seed S only
 }
 
 
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         seed_key, command = _COMMANDS[args.command]
         if args.seed is not None:
             cfg.get(seed_key)  # the config's own seed is checked all the same
-            cfg.read[seed_key] = args.seed
+            cfg.read[seed_key] = KEYS[seed_key].parse(str(args.seed))
         files = command(cfg, args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -9,13 +9,13 @@ at beta is evaluated back at alpha, yielding estimates of the function's
 values on the original samples.
 
 Both stages are precomputed dense linear operators, plain (K, N) and
-(N, K) arrays cached per (K, N); the encoder's spline fit is shared by every
-N. A round trip is two matrix products and is differentiable end to end.
-Operands are 2-D: one row per sample. The straggler decoder builds no
-operator: its surviving worker set changes from job to job, so a cached
-operator would serve one job only. ``codedsim`` instead fits the survivors
-of a whole grid in one ``spline.fit`` call and evaluates them at alpha,
-O((N+K)*d) per job.
+(N, K) arrays cached per (K, N), the two row-major halves of one block per
+module; the encoder's spline fit is shared by every N. A round trip is two
+matrix products and is differentiable end to end. Operands are 2-D: one row
+per sample. The straggler decoder builds no operator: its surviving worker
+set changes from job to job, so a cached operator would serve one job only.
+``codedsim`` instead fits the survivors of a whole grid in one ``spline.fit``
+call and evaluates them at alpha, O((N+K)*d) per job.
 """
 
 import functools
@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, node
 from .errors import ShapeError, ValidationError
-from .spline import MIN_POINTS, Knots, build_operator, fit, operator_at
+from .spline import MIN_POINTS, Knots, build_operator, fit
 
 # most points an encoder or decoder may have: building an operator fits the
 # (N, N) identity, 128 MiB at this bound
@@ -86,8 +86,13 @@ class CodedSmoothingModule:
         self.identity_mode = identity_mode
         self.alpha = chebyshev_first(k)
         self.beta = self.alpha.copy() if identity_mode else chebyshev_second(n)
-        self.enc_op = operator_at(_encoder_basis(k), self.beta)      # (K, N)
-        self.dec_op = build_operator(Knots(self.beta), self.alpha)   # (N, K)
+        # one block for both, allocated before the builds: allocated after, it lands above
+        # their freed temporaries, and a 4-cell mu sweep's 65 modules peak at 69 MB RSS, not 59
+        block = np.empty(2 * k * n)
+        self.enc_op = block[:k * n].reshape(k, n)   # (K, N)
+        self.dec_op = block[k * n:].reshape(n, k)   # (N, K)
+        self.enc_op[...] = _encoder_basis(k).eval(self.beta)[0].T
+        self.dec_op[...] = build_operator(Knots(self.beta), self.alpha)
 
     def encode(self, x):
         """K input rows -> N coded rows; Tensor in, Tensor out (or ndarray)."""

@@ -125,11 +125,11 @@ def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
         for i, sc in enumerate(scenarios):
             if sc.n_workers != n:
                 continue
-            # each set keeps >= MIN_POINTS workers by the scenario's check
-            keep = returned_indices(sc, module.beta)
             if sc.max_stragglers == 0:
                 estimates[i] = module.decode(outputs)
             else:
+                # each set keeps >= MIN_POINTS workers by the scenario's check
+                keep = returned_indices(sc, module.beta)
                 batched.append(i)
                 survivors.append(Knots(module.beta[keep]))
                 blocks.append(outputs[keep])

@@ -16,7 +16,7 @@ evaluating its set alone, so a set's bytes do not depend on its batch.
 
 Fit-then-eval is linear in the values, so it is also a dense (n, m) matrix:
 ``build_operator(t, v).T @ Y == fit([t], [Y]).eval(v)[0]`` up to roundoff.
-``operator_at`` evaluates an existing identity fit at new points.
+A coded module copies its two operators into one block (``coded``).
 """
 
 from typing import NamedTuple
@@ -187,23 +187,7 @@ def fit(knot_sets, values) -> NaturalCubicSplines:
     return NaturalCubicSplines(t, y, np.moveaxis(moments, -1, 0), lengths)
 
 
-def operator_at(basis: NaturalCubicSplines, eval_points) -> np.ndarray:
-    """The (n, m) operator of set 0 of ``fit([knots], [np.eye(n)])`` at
-    eval_points: the transpose of its (m, n) response table. It is allocated
-    before the evaluation's temporaries, so the freed temporaries leave no
-    holes between the operators a cache keeps.
-    """
-    pts = np.asarray(eval_points, dtype=np.float64)
-    out = np.empty((basis.knots.shape[1], len(pts)))
-    out[...] = basis.eval(pts)[0].T
-    return out
-
-
 def build_operator(knots: Knots, eval_points) -> np.ndarray:
-    """``operator_at`` of a fresh identity fit, with the output allocated
-    before the fit too (a fit made first adds about 2 MB of peak RSS to a
-    4-cell sweep)."""
-    pts = np.asarray(eval_points, dtype=np.float64)
-    out = np.empty((len(knots), len(pts)))
-    out[...] = fit([knots], [np.eye(len(knots))]).eval(pts)[0].T
-    return out
+    """The (n, m) operator of ``fit([knots], [np.eye(n)])`` at eval_points:
+    the transpose of its (m, n) response table, row-major."""
+    return np.ascontiguousarray(fit([knots], [np.eye(len(knots))]).eval(eval_points)[0].T)

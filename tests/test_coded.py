@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -224,15 +226,36 @@ def test_operators_are_contiguous_float64_arrays():
     # encode and decode are plain matrices: (K, N) and (N, K), row-major
     k, n = 8, 13
     m = CodedSmoothingModule(k, n)
-    basis = coded._encoder_basis(k)
     ops = [(m.enc_op, (k, n)), (m.dec_op, (n, k)),
            (build_operator(Knots(m.alpha), m.beta), (k, n)),
-           (build_operator(Knots(m.beta), m.alpha), (n, k)),
-           (spline.operator_at(basis, m.beta), (k, n))]
+           (build_operator(Knots(m.beta), m.alpha), (n, k))]
     for op, shape in ops:
         assert type(op) is np.ndarray
         assert op.dtype == np.float64 and op.shape == shape
         assert op.flags.c_contiguous
+
+
+def test_module_operators_are_views_of_one_block():
+    m = CodedSmoothingModule(8, 13)
+    assert m.enc_op.base is not None and m.enc_op.base is m.dec_op.base
+    assert m.enc_op.flags.c_contiguous and m.dec_op.flags.c_contiguous
+
+
+def test_module_cache_holds_the_operators_and_little_else():
+    # sweep_mu's N ramp at K = 128: N = 128..192 hold 20.31 MiB of operators
+    ns = range(128, 193)
+    operators = sum(2 * 128 * n * 8 for n in ns)
+    coded._encoder_basis.cache_clear()
+    coded.get_module.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in ns:
+            get_module(128, n)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(current - operators) < 2 ** 20, current - operators
+    assert abs(peak - operators) < 4 * 2 ** 20, peak - operators
 
 
 def test_operator_application_identity_and_sum_column():

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from codedsmooth import coded
+from codedsmooth import coded, codedsim
+from codedsmooth.cli import main
 from codedsmooth.coded import get_module
 from codedsmooth.codedsim import (BENCH_FUNCTIONS, StragglerScenario,
                                   SweepRow, cell_means, fit_scaling_exponent, returned_indices,
@@ -168,6 +171,21 @@ def test_sweep_cell_is_one_batched_round_equal_to_single_jobs(policy, s, monkeyp
         ref = (fit([Knots(module.beta[keep])], [outputs[keep]]).eval(module.alpha)[0] if s
                else module.forward(x, np.sin))
         assert np.array_equal(est, ref)
+
+
+def test_only_scenarios_with_stragglers_draw_survivors(tmp_path, monkeypatch):
+    # simulate_stragglers.cfg runs 4 N x 4 S x 10 seeds; the 40 scenarios
+    # with S = 0 decode every worker, so they draw no survivor set
+    drawn = []
+
+    def counted(scenario, beta):
+        drawn.append(scenario.max_stragglers)
+        return returned_indices(scenario, beta)
+
+    monkeypatch.setattr(codedsim, "returned_indices", counted)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "simulate_stragglers.cfg"
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(drawn) == 120 and sorted(set(drawn)) == [1, 3, 7]
 
 
 @pytest.mark.parametrize("policy", ["uniform_random", "adversarial_contiguous"])
