@@ -71,16 +71,13 @@ def load_model(path) -> tuple:
         if header.get("version") != str(VERSION):
             raise ValueError(f"unsupported version {header.get('version')!r}")
         widths = tuple(int(w) for w in header["widths"].split(","))
-        spec = MLPSpec(widths=widths, activation=header["activation"])
-        # MLP.theta's length, checked before the model allocates what a header claims
-        n_bytes = 8 * sum((a + 1) * b for a, b in zip(widths, widths[1:]))
-        block = memoryview(blob)[end + 2:]  # read in place, not copied
+        model = MLP(MLPSpec(widths=widths, activation=header["activation"]), rng=None)
+        block, n_bytes = blob[end + 2:], 8 * model.parameter_count()
         if len(block) != n_bytes:
             raise ValueError(f"parameter block has {len(block)} bytes, expected {n_bytes}")
     except KeyError as err:
         raise ValidationError(f"{path}: model file header has no {err.args[0]} line") from None
     except ValueError as err:  # UnicodeDecodeError and ValidationError too
         raise ValidationError(f"{path}: {err}") from None
-    model = MLP(spec, rng=None)
     model.theta[...] = np.frombuffer(block, dtype="<f8")
     return model, header
