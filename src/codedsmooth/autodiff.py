@@ -8,19 +8,20 @@ one already there, so the accumulation lives in one place.
 
 The tape keeps only the ops something composes:
 
-- ``node`` builds every op; ``models.MLP.forward`` records the whole network
-  as one node, ``coded._apply`` the coded module's encode and decode of a
+- ``node`` builds every op: ``MLP.forward`` the network as one node over its
+  input, ``coded._apply`` the coded module's encode and decode of a
   ``Tensor``, and ``train.boundary_smoothness`` the summed logit margin;
 - ``mse`` and ``cross_entropy`` are the losses' array-level rules, which
   training and the attacks call with ``MLP.backprop`` directly, off the tape;
-  the tests that put a loss on the tape (acceptance criteria 4 and 5 among
-  them) wrap a rule in a node with ``loss_node`` in ``tests/conftest.py``;
+  a network's parameters are constants of the graph, and the tests that put
+  a loss or the parameters on the tape (acceptance criteria 4 and 5 among
+  them) use ``loss_node`` and ``model_node`` in ``tests/conftest.py``;
 - ``sgd_momentum_step`` is the training step's update of the flat
   parameter vector; the caller owns the velocity vector it updates.
 
-A trainable parameter is a ``Tensor`` with ``requires_grad=True``; the tape
-holds no optimizer state. Tensors are always float64. Nothing checks the
-data for finiteness; the training loop's NaN guard does that on the losses.
+A leaf that wants a gradient is a ``Tensor`` with ``requires_grad=True``;
+the tape holds no optimizer state. Tensors are always float64. Nothing
+checks the data for finiteness; the training loop's NaN guard does that.
 """
 
 import numpy as np

@@ -12,8 +12,8 @@ every scenario with S > 0 are decoded together in one batched decode.
 
 Drop policies: ``uniform_random`` removes exactly S uniformly chosen
 workers; ``adversarial_contiguous`` removes the contiguous run of S workers
-whose loss widens the decoder's knot gap the most (contiguous holes are the
-worst case for spline interpolation).
+whose loss widens the decoder's knot gap the most, a heuristic: the worst
+contiguous run costs 4x to 19,000x its MSE at K = 16, f = sin, N <= 128.
 """
 
 from dataclasses import dataclass

@@ -9,8 +9,8 @@ Model file: 8-byte magic, text header, little-endian f64 parameters.
         seed 7
         method coded mu=0.5 gamma=1.5
     raw parameter block: per layer, weight matrix (row-major) then bias,
-    as little-endian float64; this is ``MLP.theta``'s layout, so the block
-    is written and read as that one vector.
+    as little-endian float64; this is ``MLP.theta``'s layout
+    (``MLPSpec.layout``), so the block is written and read as that one vector.
 
 CSV tables (metrics.csv, sim_sweep.csv, sweep.csv, results.csv): a header
 line, then one comma-separated line per row, written by ``csv_table``.
@@ -51,7 +51,8 @@ def model_bytes(model, seed: int, method_desc: str) -> bytes:
 
 def load_model(path) -> tuple:
     """Read a model file; returns (model, header dict). A file that cannot be
-    read or is not a well-formed model file raises ValidationError naming it."""
+    read or is not a well-formed model file raises ValidationError naming it;
+    the block's length is checked before a model is allocated."""
     from .models import MLP, MLPSpec
     try:
         with open(path, "rb") as fh:
@@ -71,13 +72,16 @@ def load_model(path) -> tuple:
         if header.get("version") != str(VERSION):
             raise ValueError(f"unsupported version {header.get('version')!r}")
         widths = tuple(int(w) for w in header["widths"].split(","))
-        model = MLP(MLPSpec(widths=widths, activation=header["activation"]), rng=None)
-        block, n_bytes = blob[end + 2:], 8 * model.parameter_count()
-        if len(block) != n_bytes:
-            raise ValueError(f"parameter block has {len(block)} bytes, expected {n_bytes}")
+        spec = MLPSpec(widths=widths, activation=header["activation"])
+        n_block, n_bytes = len(blob) - end - 2, 8 * spec.n_parameters
+        if n_block != n_bytes:
+            raise ValueError(f"parameter block has {n_block} bytes, expected {n_bytes}")
+        model = MLP(spec)
+        model.theta[...] = np.frombuffer(blob, "<f8", offset=end + 2)
+        if not np.isfinite(model.theta).all():
+            raise ValueError("parameter block holds NaN or Inf values")
     except KeyError as err:
         raise ValidationError(f"{path}: model file header has no {err.args[0]} line") from None
     except ValueError as err:  # UnicodeDecodeError and ValidationError too
         raise ValidationError(f"{path}: {err}") from None
-    model.theta[...] = np.frombuffer(block, dtype="<f8")
     return model, header

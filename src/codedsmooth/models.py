@@ -1,16 +1,14 @@
-"""Small fully-connected networks on the autodiff tape.
+"""Small fully-connected networks: plain functions of one parameter vector.
 
 One numpy pass computes every layer's activations and one closed-form layer
-recurrence (``MLP.backprop``) differentiates it. ``MLP.predict`` returns the
-last activation; ``MLP.forward`` records the whole network as one tape node
-whose backward rule is that recurrence, so the network is written once and
-both entry points give the same bits. The training step and the attacks'
-input gradient call the same two methods directly, off the tape. The
-parameters are views into one float64 vector, ``MLP.theta``, laid out as the
-model file's parameter block, and ``backprop`` writes a pass's gradients into
-one vector of that layout; ``train.train`` keeps the momentum buffer, so a
-model read back from its file equals the saved one. Both passes work in place
-on arrays they create and never write into their arguments.
+recurrence (``MLP.backprop``) differentiates it, both in place on arrays they
+create, never on their arguments. ``MLP.predict`` returns the last activation;
+``MLP.forward`` records the network as one tape node over its input, with the
+recurrence's input gradient as its rule. Training and the attacks call the
+two passes directly. The parameters are ``MLP.theta``, laid out by
+``MLPSpec.layout`` as the model file's parameter block: ``weights`` and
+``biases`` are views into it, and ``backprop`` writes a pass's gradients
+into one vector of that layout.
 """
 
 import math
@@ -37,6 +35,19 @@ class MLPSpec:
         if self.activation not in KEYS["model.activation"].allowed:
             raise ValidationError(f"unknown activation {self.activation!r}")
 
+    def layout(self) -> list:
+        """(stretch of ``theta``, shape) per parameter: W1 (w0, w1), b1, W2, b2, ..."""
+        parts, pos = [], 0
+        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                parts.append((slice(pos, pos + math.prod(shape)), shape))
+                pos += math.prod(shape)
+        return parts
+
+    @property
+    def n_parameters(self) -> int:
+        return self.layout()[-1][0].stop  # the length of theta
+
 
 class MLP:
     """Plain multilayer perceptron; hidden activations, linear output layer.
@@ -48,18 +59,14 @@ class MLP:
 
     def __init__(self, spec: MLPSpec, rng=None):
         self.spec = spec
-        self._layout, pos = [], 0  # (stretch of theta, shape) per parameter
-        for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-            for shape in ((fan_in, fan_out), (fan_out,)):
-                self._layout.append((slice(pos, pos + math.prod(shape)), shape))
-                pos += math.prod(shape)
-        self.theta = np.zeros(pos)
-        params = [Tensor(v, requires_grad=True) for v in self.split(self.theta)]
+        self._layout = spec.layout()  # read once: ``split`` runs every step
+        self.theta = np.zeros(spec.n_parameters)
+        params = self.split(self.theta)
         self.weights, self.biases = params[0::2], params[1::2]
         if rng is not None:
             act_gain = {"relu": 2.0, "tanh": 1.0}[spec.activation]
             for w in self.weights:
-                w.data[...] = rng.normal(0.0, np.sqrt(act_gain / len(w.data)), w.data.shape)
+                w[...] = rng.normal(0.0, np.sqrt(act_gain / len(w)), w.shape)
 
     def __reduce__(self):
         # copied one by one, the parameter views would stop sharing theta
@@ -69,7 +76,7 @@ class MLP:
         self.theta[...] = theta
 
     def split(self, flat: np.ndarray) -> list:
-        """Per-parameter views of a ``theta``-sized vector, in ``parameters()`` order."""
+        """Per-parameter views of a ``theta``-sized vector: W1, b1, W2, b2, ..."""
         return [flat[part].reshape(shape) for part, shape in self._layout]
 
     @property
@@ -80,23 +87,17 @@ class MLP:
     def output_dim(self) -> int:
         return self.spec.widths[-1]
 
-    def parameters(self):
-        return [p for wb in zip(self.weights, self.biases) for p in wb]
-
-    def parameter_count(self) -> int:
-        return self.theta.size
-
     def activations(self, x: np.ndarray) -> list:
         """[x, h1, ..., out]: the input and every layer's output."""
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"MLP input {x.shape} does not fit first layer "
-                             f"{self.weights[0].data.shape}")
+                             f"{self.weights[0].shape}")
         relu = self.spec.activation == "relu"
         hs = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = hs[-1] @ w.data
-            h += b.data
+            h = hs[-1] @ w
+            h += b
             if i < last and relu:
                 np.maximum(h, 0.0, out=h)
             elif i < last:
@@ -121,19 +122,18 @@ class MLP:
         for i in range(len(self.weights) - 1, 0, -1):
             np.add.reduce(g, 0, out=grads[2 * i + 1])
             np.matmul(hs[i].T, g, out=grads[2 * i])
-            g = g @ self.weights[i].data.T
+            g = g @ self.weights[i].T
             g *= hs[i] > 0.0 if relu else 1.0 - hs[i] * hs[i]
         np.add.reduce(g, 0, out=grads[1])
         np.matmul(hs[0].T, g, out=grads[0])
-        return [g @ self.weights[0].data.T if input_grad else None] + grads
+        return [g @ self.weights[0].T if input_grad else None] + grads
 
     def forward(self, x) -> Tensor:
-        """The network as one tape node over the input and every parameter,
-        with ``backprop`` as its backward rule."""
+        """The network as one tape node over the input, with ``backprop``'s
+        input gradient as its backward rule; the parameters are constants."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         hs = self.activations(x.data)
-        return node(hs[-1], (x, *self.parameters()),
-                    lambda g: self.backprop(hs, g, x.requires_grad))
+        return node(hs[-1], (x,), lambda g: (self.backprop(hs, g)[0],))
 
     __call__ = forward
 

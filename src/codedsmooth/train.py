@@ -152,9 +152,9 @@ def dual_path_terms(model: MLP, module, x: np.ndarray, target: np.ndarray,
 
     ``main`` is the task loss of the model on the batch and ``coded`` the
     task loss of decode(model(encode(batch))), both floats. ``grads`` holds
-    one array per parameter, in ``model.parameters()`` order: the gradient
-    of (1 - mu) * main + mu * coded, as views into one ``theta``-sized
-    vector (``out`` if given). ``model.backprop`` runs once per path
+    one array per parameter, in ``theta``'s order (W1, b1, W2, b2, ...): the
+    gradient of (1 - mu) * main + mu * coded, as views into one
+    ``theta``-sized vector (``out`` if given). ``model.backprop`` runs once per path
     that carries weight: on the coded rows E.T x, with the coded loss's
     gradient carried back through the decoder as ``D @ g``, and on the
     batch; one ``+=`` adds the direct path's vector into the coded path's,
@@ -188,7 +188,7 @@ def boundary_smoothness(model: MLP, grid: np.ndarray) -> float:
     The margin is logit[1] - logit[0]; only models with 2-d inputs (and at
     least two outputs) qualify. The summed margin is one tape node over the
     network's node, and one backward pass gives every grid point's input
-    gradient. Each parameter's ``grad`` is left as the call found it.
+    gradient; the parameters are constants of that graph.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if model.input_dim != 2 or grid.ndim != 2 or grid.shape[1] != 2:
@@ -202,13 +202,7 @@ def boundary_smoothness(model: MLP, grid: np.ndarray) -> float:
     logits = model(x)
     margin = autodiff.node(np.sum(logits.data @ row), (logits,),
                            lambda g: (g * np.broadcast_to(row, logits.data.shape),))
-    params = model.parameters()
-    saved = [p.grad for p in params]
-    try:
-        margin.backward()
-    finally:
-        for p, grad in zip(params, saved):
-            p.grad = grad
+    margin.backward()
     return float(np.mean(np.sqrt(np.sum(x.grad * x.grad, axis=1))))
 
 

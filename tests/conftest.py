@@ -88,6 +88,20 @@ def scale(a, c):
     return node(a.data * c, (a,), lambda g: (g * c,))
 
 
+def model_node(model, x, theta):
+    """``model`` on the node ``x`` as one node over ``x`` and ``theta``, a leaf
+    on ``model.theta`` (``Tensor(model.theta, requires_grad=True)`` shares
+    its memory). The rule is ``model.backprop``, so ``theta.grad`` is the
+    parameter gradient laid out as ``theta``; ``model.split`` views it per
+    parameter. ``MLP.forward`` is the same node without the ``theta`` leaf."""
+    hs = model.activations(x.data)
+
+    def rule(g):
+        grad = np.empty_like(model.theta)
+        return model.backprop(hs, g, x.requires_grad, grad)[0], grad
+    return node(hs[-1], (x, theta), rule)
+
+
 def loss_node(rule, pred, target):
     """A loss of a node against constant targets, as a scalar node: ``rule``
     is ``autodiff.mse`` or ``autodiff.cross_entropy``, the array rules that

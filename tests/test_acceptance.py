@@ -37,7 +37,7 @@ from codedsmooth.seeding import stream_rng
 from codedsmooth.spline import Knots, build_operator, fit
 from codedsmooth.train import Coded, ERM, dual_path_terms, train
 
-from conftest import CANONICAL_DATA, canonical_plan, fd_grad, loss_node, rel_err
+from conftest import CANONICAL_DATA, canonical_plan, fd_grad, loss_node, model_node, rel_err
 
 
 def criterion(num, desc):
@@ -134,13 +134,14 @@ def test_criterion_4_gradient_integrity():
         return loss_node(autodiff.mse, est, target).data.item()
 
     xt = Tensor(x, requires_grad=True)
-    loss_node(autodiff.mse, module.forward(xt, model), target).backward()
+    theta = Tensor(model.theta, requires_grad=True)  # one leaf for every parameter
+    est = module.forward(xt, lambda t: model_node(model, t, theta))
+    loss_node(autodiff.mse, est, target).backward()
 
     assert rel_err(xt.grad, fd_grad(objective, x)) <= 1e-5
-    for p in model.parameters():
-        analytic = p.grad.copy()
-        p.grad = None
-        assert rel_err(analytic, fd_grad(objective, p.data)) <= 1e-5
+    numeric = fd_grad(objective, model.theta)
+    for analytic, want in zip(model.split(theta.grad), model.split(numeric), strict=True):
+        assert rel_err(analytic, want) <= 1e-5
     assert time.perf_counter() - start < 5.0
 
 
@@ -150,8 +151,7 @@ def test_criterion_5_endpoints():
     model_e, metrics_e = train(canonical_plan(0, ERM()))
     model_c, metrics_c = train(canonical_plan(0, Coded(mu=0.0, gamma=1.5)))
     assert metrics_e.to_csv() == metrics_c.to_csv()
-    for pe, pc in zip(model_e.parameters(), model_c.parameters()):
-        npt.assert_array_equal(pe.data, pc.data)
+    npt.assert_array_equal(model_e.theta, model_c.theta)
 
     # mu=1: gradients identical to a coded-only objective, main path untouched
     rng = np.random.default_rng(103)
@@ -163,13 +163,15 @@ def test_criterion_5_endpoints():
     model = MLP(MLPSpec(widths=(2, 64, 64, 2)), rng)
     _, _, grads_dual = dual_path_terms(model, module, x, t, 1.0, "classification")
 
-    coded_only = loss_node(autodiff.cross_entropy, module.forward(Tensor(x), model), t)
+    theta = Tensor(model.theta, requires_grad=True)
+    est = module.forward(Tensor(x), lambda z: model_node(model, z, theta))
+    coded_only = loss_node(autodiff.cross_entropy, est, t)
     coded_only.backward()
-    for g_dual, p in zip(grads_dual, model.parameters()):
-        npt.assert_array_equal(g_dual, p.grad)
+    for g_dual, g_tape in zip(grads_dual, model.split(theta.grad), strict=True):
+        npt.assert_array_equal(g_dual, g_tape)
 
-    assert model.parameter_count() == MLP(MLPSpec(widths=(2, 64, 64, 2)),
-                                          np.random.default_rng(0)).parameter_count()
+    assert model.theta.size == MLP(MLPSpec(widths=(2, 64, 64, 2)),
+                                   np.random.default_rng(0)).theta.size
     assert time.perf_counter() - start < 120.0
 
 

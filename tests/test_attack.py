@@ -20,13 +20,13 @@ def _linear_model():
     # logits = (0, x0 + x1): gradient of the class-0 loss is positive in both
     # coordinates everywhere
     model = MLP(MLPSpec(widths=(2, 2)), rng=None)
-    model.weights[0].data[...] = np.array([[0.0, 1.0], [0.0, 1.0]])
+    model.weights[0][...] = np.array([[0.0, 1.0], [0.0, 1.0]])
     return model
 
 
 def _identity_model():
     model = MLP(MLPSpec(widths=(2, 2)), rng=None)
-    model.weights[0].data[...] = np.eye(2)
+    model.weights[0][...] = np.eye(2)
     return model
 
 
@@ -151,13 +151,11 @@ def test_pgd_linf_constraint(moons_runs, moons_data):
 
 def test_attacks_leave_the_model_alone(moons_runs, moons_data):
     model = copy.deepcopy(moons_runs[0].coded_model)
-    before = [p.data.copy() for p in model.parameters()]
+    before = model.theta.copy()
     x, y = moons_data.test_x[:200], moons_data.test_y[:200]
     fgsm(model, x, y, 0.1)
     pgd(model, x, y, PGDSpec(epsilon=0.1, steps=3), rng=stream_rng(0, "s"))
-    for p, data in zip(model.parameters(), before):
-        assert p.grad is None
-        npt.assert_array_equal(p.data, data)
+    npt.assert_array_equal(model.theta, before)
 
 
 def test_pgd_stronger_than_fgsm(moons_runs, moons_data):

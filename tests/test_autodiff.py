@@ -7,7 +7,7 @@ from codedsmooth.autodiff import Tensor
 from codedsmooth.errors import ShapeError
 from codedsmooth.models import MLP, MLPSpec
 
-from conftest import add, fd_grad, loss_node, matmul, rel_err, scale, tsum
+from conftest import add, fd_grad, loss_node, matmul, model_node, rel_err, scale, tsum
 
 
 def test_fanout_accumulates_both_contributions():
@@ -55,7 +55,7 @@ def test_mlp_grad_vs_fd(activation):
     rng = np.random.default_rng(4)
     model = MLP(MLPSpec(widths=(3, 5, 4, 2), activation=activation), rng)
     for b in model.biases:
-        b.data[:] = rng.uniform(-0.5, 0.5, b.data.shape)
+        b[:] = rng.uniform(-0.5, 0.5, b.shape)
     x = rng.uniform(-1, 1, (6, 3))
     target = rng.uniform(-1, 1, (6, 2))
 
@@ -65,11 +65,11 @@ def test_mlp_grad_vs_fd(activation):
         # middle of the widest gap between its column's values
         h = x
         for w, b in zip(model.weights[:-1], model.biases[:-1]):
-            pre = np.sort(h @ w.data, axis=0)
+            pre = np.sort(h @ w, axis=0)
             k = np.argmax(np.diff(pre, axis=0), axis=0)
             cols = np.arange(pre.shape[1])
-            b.data[:] = -0.5 * (pre[k, cols] + pre[k + 1, cols])
-            h = np.maximum(h @ w.data + b.data, 0.0)
+            b[:] = -0.5 * (pre[k, cols] + pre[k + 1, cols])
+            h = np.maximum(h @ w + b, 0.0)
 
     def objective():
         return loss_node(ad.mse, model(Tensor(x)), target).data.item()
@@ -79,8 +79,12 @@ def test_mlp_grad_vs_fd(activation):
     npt.assert_array_equal(model.predict(x), out.data)
     loss_node(ad.mse, out, target).backward()
     assert rel_err(xt.grad, fd_grad(objective, x)) <= 1e-6
-    for p in model.parameters():
-        assert rel_err(p.grad, fd_grad(objective, p.data)) <= 1e-6
+    # the parameters through a leaf on theta, checked one parameter at a time
+    theta = Tensor(model.theta, requires_grad=True)
+    loss_node(ad.mse, model_node(model, Tensor(x), theta), target).backward()
+    numeric = fd_grad(objective, model.theta)
+    for analytic, want in zip(model.split(theta.grad), model.split(numeric), strict=True):
+        assert rel_err(analytic, want) <= 1e-6
 
     for call in (model.forward, model.predict):
         with pytest.raises(ShapeError):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -160,8 +161,7 @@ def test_model_file_roundtrip(tmp_path):
     loaded, header = load_model(path)
     assert header == {"version": "1", "widths": "2,5,3", "activation": "tanh",
                       "seed": "42", "method": "mixup alpha=1"}
-    for a, b in zip(model.parameters(), loaded.parameters()):
-        npt.assert_array_equal(a.data, b.data)
+    npt.assert_array_equal(model.theta, loaded.theta)
     with open(path, "rb") as fh:
         assert fh.read(8) == b"CSMODEL1"
 
@@ -762,6 +762,14 @@ def _model_blob():
     return model_bytes(MLP(MLPSpec(widths=(2, 8, 2)), np.random.default_rng(0)), 0, "erm")
 
 
+def _huge_widths_blob():
+    """A 5 KB header claiming 1,001 widths of 4096 (125 GiB of parameters),
+    then an 8-byte block."""
+    blob = _model_blob()
+    header = blob[:blob.index(b"\n\n") + 2]
+    return header.replace(b"2,8,2", b",".join([b"4096"] * 1001)) + bytes(8)
+
+
 # config and model file contents (None: the file does not exist), and the
 # texts the message must hold; {config} and {model} stand for the paths
 @pytest.mark.parametrize("command, config, model, named", [
@@ -772,6 +780,10 @@ def _model_blob():
     ("attack", ATTACK_CFG.encode(), lambda: _model_blob().replace(b"2,8,2", b"2,x,2"),
      ("{model}", "'x'")),
     ("attack", ATTACK_CFG.encode(), lambda: _model_blob()[:-5], ("{model}",)),
+    ("attack", ATTACK_CFG.encode(), lambda: _model_blob()[:-8] + np.float64(np.nan).tobytes(),
+     ("{model}", "NaN or Inf")),
+    # 8 * 1000 * (4096 + 1) * 4096 bytes
+    ("attack", ATTACK_CFG.encode(), _huge_widths_blob, ("{model}", "expected 134250496000")),
     ("attack", ATTACK_CFG.encode(), lambda: _model_blob().replace(b"erm", b"\xe9rm"),
      ("{model}",)),
     ("attack", ATTACK_CFG.encode(), None, ("{model}",)),
@@ -781,7 +793,8 @@ def _model_blob():
     ("attack", ATTACK_CFG.replace("two_moons", "sinusoid_regression").encode(), _model_blob,
      ("data.kind = sinusoid_regression",)),
 ], ids=["attack-class-count", "model-no-widths", "model-widths-not-int",
-        "model-block-not-float64", "model-header-not-ascii", "model-missing",
+        "model-block-not-float64", "model-block-not-finite", "model-huge-widths",
+        "model-header-not-ascii", "model-missing",
         "config-missing", "config-not-utf8", "attack-regression-kind"])
 def test_unusable_input_files_exit_2(tmp_path, capsys, command, config, model, named):
     cfg_path, model_path, out = tmp_path / "c.cfg", tmp_path / "m.bin", tmp_path / "o"
@@ -790,7 +803,13 @@ def test_unusable_input_files_exit_2(tmp_path, capsys, command, config, model, n
     if model is not None:
         model_path.write_bytes(model())
     extra = ["--model", str(model_path)] if command == "attack" else []
-    assert main([command, "--config", str(cfg_path), "--out", str(out)] + extra) == 2
+    # nothing sized by a file's header is allocated before the file is checked
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", str(cfg_path), "--out", str(out)] + extra) == 2
+        assert tracemalloc.get_traced_memory()[1] < 10 * 2 ** 20
+    finally:
+        tracemalloc.stop()
     err = capsys.readouterr().err
     for text in named:
         assert text.format(config=cfg_path, model=model_path) in err, err

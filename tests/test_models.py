@@ -26,7 +26,7 @@ def _ref_activations(model, x):
     hs = [x]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = hs[-1] @ w.data + b.data
+        h = hs[-1] @ w + b
         if i < last:
             h = np.maximum(h, 0.0) if relu else np.tanh(h)
         hs.append(h)
@@ -38,9 +38,9 @@ def _ref_backprop(model, hs, g, input_grad):
     out = []
     for i in range(len(model.weights) - 1, 0, -1):
         out += [g.sum(axis=0), hs[i].T @ g]
-        g = g @ model.weights[i].data.T
+        g = g @ model.weights[i].T
         g = g * (hs[i] > 0.0) if relu else g * (1.0 - hs[i] * hs[i])
-    out += [g.sum(axis=0), hs[0].T @ g, g @ model.weights[0].data.T if input_grad else None]
+    out += [g.sum(axis=0), hs[0].T @ g, g @ model.weights[0].T if input_grad else None]
     return out[::-1]
 
 
@@ -72,7 +72,7 @@ def _case(activation, task, rng):
     n_out = 2 if task == "classification" else 1
     model = MLP(MLPSpec(widths=(2, 8, 8, n_out), activation=activation), rng)
     for b in model.biases:
-        b.data[:] = rng.uniform(-0.3, 0.3, b.data.shape)
+        b[:] = rng.uniform(-0.3, 0.3, b.shape)
     x = rng.uniform(-1, 1, (16, 2))
     if task == "classification":
         target = one_hot(rng.integers(0, 2, 16), 2)
@@ -81,17 +81,22 @@ def _case(activation, task, rng):
     return model, x, target
 
 
+def _params(model):
+    """W1, b1, W2, b2, ...: the order of theta."""
+    return [p for wb in zip(model.weights, model.biases) for p in wb]
+
+
 def _assert_views_of_theta(model):
-    """Each parameter's data is the next stretch of theta, in parameters() order."""
+    """Each parameter is the next stretch of theta, in W1, b1, W2, b2, ... order."""
     pos = 0
-    for p in model.parameters():
-        assert p.data.flags.c_contiguous and p.data.dtype == np.float64
-        assert p.data.ctypes.data == model.theta[pos:].ctypes.data
-        pos += p.data.size
-    assert pos == model.theta.size == model.parameter_count()
+    for p in _params(model):
+        assert p.flags.c_contiguous and p.dtype == np.float64
+        assert p.ctypes.data == model.theta[pos:].ctypes.data
+        pos += p.size
+    assert pos == model.theta.size == model.spec.n_parameters
     saved = model.theta.copy()
     model.theta[:] = np.arange(model.theta.size)
-    flat = np.concatenate([p.data.ravel() for p in model.parameters()])
+    flat = np.concatenate([p.ravel() for p in _params(model)])
     assert flat.tobytes() == model.theta.tobytes()
     model.theta[:] = saved
 
@@ -100,9 +105,9 @@ def _assert_views_of_theta(model):
 def test_parameters_are_views_into_theta(widths):
     model = MLP(MLPSpec(widths=widths), np.random.default_rng(0))
     _assert_views_of_theta(model)
-    model.weights[0].data[0, 0] = 7.0
+    model.weights[0][0, 0] = 7.0
     assert model.theta[0] == 7.0
-    model.biases[-1].data[-1] = -3.0
+    model.biases[-1][-1] = -3.0
     assert model.theta[-1] == -3.0
 
 
@@ -150,7 +155,7 @@ def test_dual_path_equals_out_of_place_formulas(activation, task, mu):
 def test_flat_step_equals_per_parameter_step():
     rng = np.random.default_rng(6)
     model = MLP(MLPSpec(widths=(2, 8, 8, 2)), rng)
-    params = [p.data.copy() for p in model.parameters()]
+    params = [p.copy() for p in _params(model)]
     velocity = [np.zeros_like(p) for p in params]
     flat_velocity = np.zeros_like(model.theta)
     for lr in (0.05, 0.05, 0.005):
@@ -185,5 +190,5 @@ def test_copied_model_owns_its_theta(clone):
     assert not np.shares_memory(other.theta, model.theta)
     assert other.theta.tobytes() == model.theta.tobytes()
     _assert_views_of_theta(other)
-    other.weights[0].data[...] += 1.0
+    other.weights[0][...] += 1.0
     assert other.theta.tobytes() != model.theta.tobytes()

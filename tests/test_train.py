@@ -13,7 +13,7 @@ from codedsmooth.train import (Coded, ERM, Mixup, TrainPlan, boundary_smoothness
                                dual_path_terms, margin_grid, mixup_batch,
                                schedule_n, train)
 
-from conftest import add, loss_node, matmul, scale, tsum
+from conftest import add, loss_node, matmul, model_node, scale, tsum
 
 SMALL_DATA = DatasetSpec(kind="two_moons", n_train=64, n_test=32, noise=0.1, seed=1)
 SMALL_MODEL = MLPSpec(widths=(2, 8, 2), activation="relu")
@@ -95,7 +95,7 @@ def test_mu_zero_returns_main_only_without_module():
     l_main, l_coded, grads = dual_path_terms(model, None, x, target, 0.0,
                                              "classification")
     assert isinstance(l_main, float) and l_coded is None
-    assert len(grads) == len(model.parameters())
+    assert len(grads) == len(model.spec.layout())
 
 
 def test_mu_one_returns_coded_only():
@@ -107,13 +107,18 @@ def test_mu_one_returns_coded_only():
     assert l_main != pytest.approx(l_coded)  # genuinely different paths
 
 
-def _tape_terms(model, module, x, target, mu, task):
-    """The dual-path loss composed op by op on the tape: the reference."""
+def _tape_terms(model, theta, module, x, target, mu, task):
+    """The dual-path loss composed op by op on the tape: the reference.
+    ``theta`` is the leaf on ``model.theta`` that the network's nodes share."""
     rule = autodiff.cross_entropy if task == "classification" else autodiff.mse
-    l_main = loss_node(rule, model.forward(Tensor(x)), target)
+
+    def net(t):
+        return model_node(model, t, theta)
+
+    l_main = loss_node(rule, net(Tensor(x)), target)
     if mu == 0.0:
         return l_main
-    l_coded = loss_node(rule, module.forward(Tensor(x), model), target)
+    l_coded = loss_node(rule, module.forward(Tensor(x), net), target)
     if mu == 1.0:
         return l_coded
     return add(scale(l_main, 1.0 - mu), scale(l_coded, mu))
@@ -130,7 +135,7 @@ def _task_batch(task, rng):
         x = rng.uniform(-1, 1, (16, 2))
         target = one_hot(rng.integers(0, 2, 16), 2) if task == "classification" else x
     for b in model.biases:
-        b.data[:] = rng.uniform(-0.3, 0.3, b.data.shape)
+        b[:] = rng.uniform(-0.3, 0.3, b.shape)
     return model, x, target
 
 
@@ -139,17 +144,18 @@ def _task_batch(task, rng):
 def test_fused_step_equals_tape_composition(mu, task):
     model, x, target = _task_batch(task, np.random.default_rng(5))
     module = get_module(16, 24)
-    params = model.parameters()
+    theta = Tensor(model.theta, requires_grad=True)
 
-    _tape_terms(model, module, x, target, mu, task).backward()
+    _tape_terms(model, theta, module, x, target, mu, task).backward()
+    tape_grads = model.split(theta.grad)
 
     l_main, l_coded, grads = dual_path_terms(model, module, x, target, mu, task)
-    assert len(grads) == len(params)
-    for p, g in zip(params, grads):
-        assert g.tobytes() == p.grad.tobytes()
-    assert l_main == _tape_terms(model, module, x, target, 0.0, task).data.item()
+    assert len(grads) == len(tape_grads)
+    for t, g in zip(tape_grads, grads):
+        assert g.tobytes() == t.tobytes()
+    assert l_main == _tape_terms(model, theta, module, x, target, 0.0, task).data.item()
     if mu > 0.0:
-        assert l_coded == _tape_terms(model, module, x, target, 1.0, task).data.item()
+        assert l_coded == _tape_terms(model, theta, module, x, target, 1.0, task).data.item()
 
 
 def test_mu_validation():
@@ -185,8 +191,7 @@ def test_mu_zero_run_bit_identical_to_erm():
     model_e, metrics_e = train(small_plan(ERM()))
     model_c, metrics_c = train(small_plan(Coded(mu=0.0, gamma=1.5)))
     assert metrics_e.to_csv() == metrics_c.to_csv()
-    for pe, pc in zip(model_e.parameters(), model_c.parameters()):
-        npt.assert_array_equal(pe.data, pc.data)
+    npt.assert_array_equal(model_e.theta, model_c.theta)
 
 
 def test_training_deterministic():
@@ -215,23 +220,20 @@ def test_nan_guard_aborts_with_diagnostic():
 def test_coded_method_adds_no_parameters():
     model_e, _ = train(small_plan(ERM()))
     model_c, _ = train(small_plan(Coded(mu=0.5, gamma=1.5)))
-    assert model_e.parameter_count() == model_c.parameter_count()
+    assert model_e.theta.size == model_c.theta.size
     module = get_module(16, 24)
     assert not any(isinstance(v, Tensor) and v.requires_grad for v in vars(module).values())
 
 
 def test_trained_model_round_trips_through_model_file(tmp_path):
-    # the model file is the whole model: every slot of every parameter reads
-    # back as it was trained
+    # the model file is the whole model: every parameter reads back as it
+    # was trained
     model, _ = train(small_plan(Coded(mu=0.5, gamma=1.5)))
     path = tmp_path / "m.bin"
     path.write_bytes(model_bytes(model, 0, "coded mu=0.5 gamma=1.5"))
     loaded, _ = load_model(str(path))
     assert loaded.spec == model.spec
-    for a, b in zip(model.parameters(), loaded.parameters(), strict=True):
-        assert type(a) is type(b)
-        for slot in (s for cls in type(a).__mro__ for s in getattr(cls, "__slots__", ())):
-            npt.assert_array_equal(getattr(a, slot), getattr(b, slot), err_msg=slot)
+    npt.assert_array_equal(loaded.theta, model.theta)
 
 
 def test_plan_validation():
@@ -259,7 +261,7 @@ def test_boundary_smoothness_constant_model_is_zero():
 
 def test_boundary_smoothness_linear_model():
     model = MLP(MLPSpec(widths=(2, 2)), rng=None)
-    model.weights[0].data[...] = np.array([[1.0, 3.0], [0.5, -1.5]])
+    model.weights[0][...] = np.array([[1.0, 3.0], [0.5, -1.5]])
     # margin weight = column 1 - column 0 = (2.0, -2.0); norm everywhere
     want = np.hypot(2.0, 2.0)
     npt.assert_allclose(boundary_smoothness(model, margin_grid(9)), want, rtol=1e-12)
@@ -277,7 +279,7 @@ def test_boundary_smoothness_equals_tape_composition(widths, activation):
     rng = np.random.default_rng(8)
     model = MLP(MLPSpec(widths=widths, activation=activation), rng)
     for b in model.biases:
-        b.data[:] = rng.uniform(-0.3, 0.3, b.data.shape)
+        b[:] = rng.uniform(-0.3, 0.3, b.shape)
     grid = margin_grid(7)
     sel = np.zeros((widths[-1], 1))
     sel[0, 0] = -1.0
@@ -288,25 +290,13 @@ def test_boundary_smoothness_equals_tape_composition(widths, activation):
     assert boundary_smoothness(model, grid) == want
 
 
-def test_boundary_smoothness_leaves_parameter_gradients_alone():
-    model = MLP(SMALL_MODEL, np.random.default_rng(9))
-    params = model.parameters()
-    boundary_smoothness(model, margin_grid(5))
-    assert all(p.grad is None for p in params)
-    held = [np.full(p.data.shape, 0.5) for p in params]
-    for p, g in zip(params, held):
-        p.grad = g
-    boundary_smoothness(model, margin_grid(5))
-    for p, g in zip(params, held):
-        assert p.grad is g
-        npt.assert_array_equal(g, 0.5)
-
-
 @pytest.mark.parametrize("method", [ERM(), Coded(mu=0.5, gamma=1.5)])
 def test_trained_model_holds_no_parameter_gradients(method):
     model, metrics = train(small_plan(method))
     assert np.isfinite(metrics.boundary_smoothness)
-    assert all(p.grad is None for p in model.parameters())
+    # the parameters are plain views of theta: nothing can hold a gradient
+    assert all(type(p) is np.ndarray for p in model.weights + model.biases)
+    assert not any(isinstance(v, Tensor) for v in vars(model).values())
 
 
 # ---------------------------------------------------------------- csv
