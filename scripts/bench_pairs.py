@@ -12,7 +12,10 @@ the pairs the change won (ties count for neither side) and a verdict:
 
 - ``gain``: at least ``MIN_GAIN_PAIRS`` (10) pairs ran, the change won at
   least nine tenths of them and its median is better by more than the
-  parent's interquartile range;
+  parent's interquartile range and by more than ``GAIN_FLOOR`` (a tenth)
+  of the metric's bound: 2.5% for a bound of 0.25, 1% for 0.1. Without the
+  floor a parent whose runs all read the same value (``ru_maxrss`` pages)
+  has a range of 0, and a 0.05% move would pass;
 - ``unresolved (fewer than 10 pairs)``: the same result from fewer pairs; a
   noisy box can give five one-sided pairs for a change that alters no
   arithmetic;
@@ -45,6 +48,8 @@ import sys
 
 # fewest pairs a gain verdict rests on
 MIN_GAIN_PAIRS = 10
+# least gain, as a fraction of the metric's bound, a gain verdict rests on
+GAIN_FLOOR = 0.1
 # the note of a timed run that reports its commands' CPU time
 CPU_NOTE = "cpu_s per command (median):"
 
@@ -102,7 +107,7 @@ def verdict(parent, change, higher_better, bound):
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
     gain = sign * (c_med - p_med)
-    if wins >= 0.9 * len(parent) and gain > q3 - q1:
+    if wins >= 0.9 * len(parent) and gain > max(q3 - q1, GAIN_FLOOR * bound * abs(p_med)):
         if len(parent) < MIN_GAIN_PAIRS:
             return wins, f"unresolved (fewer than {MIN_GAIN_PAIRS} pairs)"
         return wins, "gain"

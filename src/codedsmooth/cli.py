@@ -88,7 +88,7 @@ def cmd_train(cfg: Config, args) -> dict:
 
 def cmd_attack(cfg: Config, args) -> dict:
     from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
-    from .datasets import CLASS_INPUT_DIM, make_dataset, n_classes, task_of
+    from .datasets import KINDS, make_dataset
     from .modelio import csv_table, load_model
     model, header = load_model(args.model)
     # echoed from the model file, so a re-run from config.resolved checks it again
@@ -98,16 +98,9 @@ def cmd_attack(cfg: Config, args) -> dict:
             raise ValidationError(f"model file has {key} = {have!r}, config has {cfg.read[key]!r}")
         cfg.read[key] = have
     dspec = _dataset_spec(cfg)
-    if task_of(dspec.kind) != "classification":
+    if KINDS[dspec.kind].task != "classification":
         raise ValidationError(f"data.kind = {dspec.kind}: attack needs a classification task")
-    if model.input_dim != CLASS_INPUT_DIM:
-        raise ValidationError(f"model.widths = {model.spec.widths} takes {model.input_dim} "
-                              f"inputs, but data.kind = {dspec.kind} has {CLASS_INPUT_DIM} "
-                              f"input columns")
-    if model.output_dim != n_classes(dspec.kind):
-        raise ValidationError(f"model.widths = {model.spec.widths} has {model.output_dim} "
-                              f"outputs, but data.kind = {dspec.kind} has "
-                              f"{n_classes(dspec.kind)} classes")
+    dspec.check_fits(model.spec.widths)
     k_prime = cfg.get("attack.k_prime")
     if k_prime > dspec.n_test:
         raise ValidationError(f"attack.k_prime = {k_prime} exceeds data.n_test = "

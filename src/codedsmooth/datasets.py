@@ -18,9 +18,14 @@ inputs before scaling. Inputs of every kind except sinusoid_regression are
 min-max scaled per coordinate over train+test jointly, so features land in
 [-1, 1] exactly; sinusoid x is sampled in [-1, 1] directly and its targets
 are left unscaled.
+
+``KINDS`` holds each kind's task and its input and output columns (the
+classes, the targets, or the inputs an autoencoder rebuilds), and
+``DatasetSpec.check_fits`` is the one place that compares widths with them.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,17 +33,20 @@ from .config import KEYS
 from .errors import ValidationError
 from .seeding import stream_rng
 
-_TASKS = {
-    "two_moons": "classification",
-    "concentric_circles": "classification",
-    "spirals": "classification",
-    "sinusoid_regression": "regression",
-    "gaussian8_autoencoder": "autoencoder",
-}
 
-_N_CLASSES = {"two_moons": 2, "concentric_circles": 2, "spirals": 3}
-# input columns of every classification kind: its classes lie in the plane
-CLASS_INPUT_DIM = 2
+class Kind(NamedTuple):
+    task: str
+    inputs: int
+    outputs: int  # classes, target columns, or the input columns rebuilt
+
+
+KINDS = {
+    "two_moons": Kind("classification", 2, 2),
+    "concentric_circles": Kind("classification", 2, 2),
+    "spirals": Kind("classification", 2, 3),
+    "sinusoid_regression": Kind("regression", 1, 1),
+    "gaussian8_autoencoder": Kind("autoencoder", 2, 2),
+}
 
 # most rows a train or test set may have: 16 MB as 2-column float64
 MAX_ROWS = 1_000_000
@@ -55,14 +63,23 @@ class DatasetSpec:
     seed: int = KEYS["data.seed"].default
 
     def __post_init__(self):
-        if self.kind not in KEYS["data.kind"].allowed:
-            raise ValidationError(f"unknown dataset kind {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValidationError(f"data.kind = {self.kind!r} must be one of {', '.join(KINDS)}")
         if not 2 <= self.n_train <= MAX_ROWS:
             raise ValidationError(f"data.n_train = {self.n_train} must be in [2, {MAX_ROWS}]")
         if not 1 <= self.n_test <= MAX_ROWS:
             raise ValidationError(f"data.n_test = {self.n_test} must be in [1, {MAX_ROWS}]")
         if self.noise < 0:
             raise ValidationError(f"data.noise = {self.noise!r} must be >= 0")
+
+    def check_fits(self, widths: tuple) -> None:
+        """ValidationError unless a network of ``widths`` maps this kind's
+        input columns to its output columns."""
+        kind = KINDS[self.kind]
+        if (widths[0], widths[-1]) != (kind.inputs, kind.outputs):
+            raise ValidationError(f"model.widths = {tuple(widths)} does not fit data.kind = "
+                                  f"{self.kind}, which has {kind.inputs} input and "
+                                  f"{kind.outputs} output columns")
 
 
 @dataclass(frozen=True)
@@ -71,14 +88,6 @@ class Dataset:
     train_y: np.ndarray  # int labels, float targets, or None (autoencoder)
     test_x: np.ndarray
     test_y: np.ndarray
-
-
-def task_of(kind: str) -> str:
-    return _TASKS[kind]
-
-
-def n_classes(kind: str) -> int:
-    return _N_CLASSES[kind]
 
 
 def _class_curve(kind: str, c: int, n: int) -> np.ndarray:
@@ -103,7 +112,7 @@ def _arc_points(kind: str, count: int):
     Each of the C classes gets count // C points, and the first count % C
     classes one more; rows are grouped by class in label order.
     """
-    n_cls = _N_CLASSES[kind]
+    n_cls = KINDS[kind].outputs
     sizes = [count // n_cls + (c < count % n_cls) for c in range(n_cls)]
     x = np.concatenate([_class_curve(kind, c, n) for c, n in enumerate(sizes)])
     y = np.repeat(np.arange(n_cls, dtype=np.int64), sizes)
@@ -133,7 +142,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     nt, ne = spec.n_train, spec.n_test
     kind = spec.kind
 
-    if task_of(kind) == "classification":
+    if KINDS[kind].task == "classification":
         xtr, ytr = _arc_points(kind, nt)
         xte, yte = _arc_points(kind, ne)
         x = np.concatenate([xtr, xte])

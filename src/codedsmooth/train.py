@@ -23,7 +23,7 @@ from . import autodiff, coded
 from .autodiff import Tensor
 from .coded import MAX_POINTS, MIN_POINTS
 from .config import KEYS
-from .datasets import DatasetSpec, make_dataset, n_classes, one_hot, task_of
+from .datasets import KINDS, DatasetSpec, make_dataset, one_hot
 from .errors import NumericError, ValidationError
 from .models import MLP, MLPSpec
 from .modelio import csv_table
@@ -87,6 +87,7 @@ class TrainPlan:
         if self.dataset.n_train < 2 * self.batch_size:
             raise ValidationError(f"data.n_train = {self.dataset.n_train} must be >= "
                                   f"2 * train.batch_size ({2 * self.batch_size})")
+        self.dataset.check_fits(self.model.widths)
         if isinstance(self.method, Coded):
             # compared as a float: round() of a huge or infinite product
             # overflows; round(n) <= MAX_POINTS exactly when n <= MAX_POINTS + 0.5
@@ -236,23 +237,19 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
     only the last epoch is evaluated and the other records hold nan as
     their test metric. Evaluation draws no random numbers, so the trained
     bits are the same either way.
+
+    ``TrainPlan`` fitted the widths to the data kind's columns when it was
+    built, so no width is checked here against the generated arrays.
     """
     data = make_dataset(plan.dataset)
-    task = task_of(plan.dataset.kind)
+    task, _, outputs = KINDS[plan.dataset.kind]
     if task == "classification":
-        train_targets = one_hot(data.train_y, n_classes(plan.dataset.kind))
+        train_targets = one_hot(data.train_y, outputs)
         test_targets = data.test_y
     elif task == "autoencoder":
         train_targets, test_targets = data.train_x, data.test_x
     else:
         train_targets, test_targets = data.train_y, data.test_y
-    widths = plan.model.widths
-    if widths[0] != data.train_x.shape[1]:
-        raise ValidationError(f"model.widths starts at {widths[0]}, but the data has "
-                              f"{data.train_x.shape[1]} input columns")
-    if widths[-1] != train_targets.shape[1]:
-        raise ValidationError(f"model.widths ends at {widths[-1]}, but the task has "
-                              f"{train_targets.shape[1]} output columns")
 
     model = MLP(plan.model, stream_rng(plan.seed, "init"))
     grad = np.empty_like(model.theta)

@@ -33,6 +33,15 @@ def test_gain_needs_ten_pairs(bench_pairs):
     assert bench_pairs.verdict(change, parent, False, 0.25) == (10, "gain")
 
 
+def test_gain_needs_a_tenth_of_the_bound(bench_pairs):
+    # every parent run reads the same page count, so its range is 0; a
+    # 0.02 MB (0.05%) drop in all 10 pairs is allocation noise, not a gain
+    parent, change = [39.33] * 10, [39.31] * 10
+    assert bench_pairs.verdict(parent, change, False, 0.1) == (10, "within bound")
+    # past 1% of the parent's median (a tenth of the 0.1 bound) it is one
+    assert bench_pairs.verdict(parent, [38.9] * 10, False, 0.1) == (10, "gain")
+
+
 def test_worse_needs_no_minimum(bench_pairs):
     parent, change = _runs(5)
     assert bench_pairs.verdict(change, parent, True, 0.25)[1] == "worse"

@@ -680,6 +680,11 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
     ("sweep", SWEEP_CFG.replace("0.2,0.8", "0.5,0.50"), "sweep.values", "0.5 more than once"),
     ("sweep", SWEEP_CFG.replace("sweep.seeds = 0,1", "sweep.seeds = 0,0"), "sweep.seeds",
      "0 more than once"),
+    # a network that does not fit the data kind is refused before any data is made
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("widths = 2,8,2", "widths = 3,8,2"),
+     "model.widths = (3, 8, 2)", "data.kind = two_moons"),
+    ("sweep", SWEEP_CFG.replace("widths = 2,8,2", "widths = 2,8,3"),
+     "model.widths = (2, 8, 3)", "data.kind = two_moons"),
 ], ids=[f"{key}-{value}" for _, _, key, value in SEED_CASES] + [
     "sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
         "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
@@ -696,7 +701,8 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
         "attack.n_prime-derived-oversized", "sweep.values-batch_size-huge",
         "sweep.values-batch_size-negative-huge", "sweep.values-N-negative-huge",
         "data.noise-huge", "sim.N_list-repeated", "sim.S_list-repeated",
-        "sim.seeds-repeated", "sweep.values-repeated", "sweep.seeds-repeated"])
+        "sim.seeds-repeated", "sweep.values-repeated", "sweep.seeds-repeated",
+        "model.widths-input-misfit", "model.widths-output-misfit"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
@@ -931,7 +937,7 @@ def test_readme_library_use_runs_as_written():
 def test_allowed_names_match_the_code_that_runs_them():
     # KEYS holds the names, so reading a config loads no command module
     assert sorted(KEYS["sim.fn"].allowed) == sorted(BENCH_FUNCTIONS)
-    assert sorted(KEYS["data.kind"].allowed) == sorted(datasets._TASKS)
+    assert sorted(KEYS["data.kind"].allowed) == sorted(datasets.KINDS)
 
 
 def test_readme_key_table_matches_config_table():

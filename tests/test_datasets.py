@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from codedsmooth.datasets import DatasetSpec, make_dataset, one_hot, task_of
+from codedsmooth.datasets import KINDS, DatasetSpec, make_dataset, one_hot
 from codedsmooth.errors import ValidationError
 
 
@@ -64,9 +64,23 @@ def test_labels_and_tasks():
     auto = make_dataset(DatasetSpec(kind="gaussian8_autoencoder", n_train=30,
                                     n_test=10, noise=0.05, seed=0))
     assert auto.train_y is None and auto.test_y is None
-    assert task_of("two_moons") == "classification"
-    assert task_of("sinusoid_regression") == "regression"
-    assert task_of("gaussian8_autoencoder") == "autoencoder"
+    assert KINDS["two_moons"].task == "classification"
+    assert KINDS["sinusoid_regression"].task == "regression"
+    assert KINDS["gaussian8_autoencoder"].task == "autoencoder"
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_kind_table_matches_the_generators(kind):
+    task, inputs, outputs = KINDS[kind]
+    data = make_dataset(DatasetSpec(kind=kind, n_train=12, n_test=6, noise=0.05, seed=0))
+    assert data.train_x.shape == (12, inputs) and data.test_x.shape == (6, inputs)
+    if task == "classification":
+        labels = np.concatenate([data.train_y, data.test_y])
+        assert sorted(set(labels.tolist())) == list(range(outputs))
+    elif task == "regression":
+        assert data.train_y.shape == (12, outputs) and data.test_y.shape == (6, outputs)
+    else:
+        assert task == "autoencoder" and data.train_y is None and outputs == inputs
 
 
 def test_unknown_kind_rejected():
