@@ -87,6 +87,7 @@ def cmd_train(cfg: Config, args) -> dict:
 # ---------------------------------------------------------------- attack
 
 def cmd_attack(cfg: Config, args) -> dict:
+    from . import coded
     from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
     from .datasets import KINDS, make_dataset
     from .modelio import csv_table, load_model
@@ -121,6 +122,7 @@ def cmd_attack(cfg: Config, args) -> dict:
     n_prime = cfg.get("attack.n_prime")
     modes = [("standard", Standard(), 0),
              ("rci", RCI(n_prime=n_prime, k_prime=k_prime, seed=seed), n_prime)]
+    held = coded.get_module(k_prime, n_prime)  # for the whole command: built once for RCI
 
     data = make_dataset(dspec)
     # both modes score the same rows: the whole K' batches RCI can use
@@ -187,14 +189,21 @@ def _sweep_plan(base, param: str, value: float):
         raise ValidationError(f"sweep.values has {value!r}: {err}") from None
 
 
-def _sweep_cell(args):
+def _sweep_rows(cells):
+    """Train the cells in lockstep; one sweep.csv row per cell, in order."""
     from .train import train
-    plan, param, value, seed = args
-    # sweep.csv reports the last epoch only, so only it is evaluated
-    _, metrics = train(replace(plan, seed=seed), every_epoch=False)
-    last = metrics.records[-1]
-    return (param, value, seed, last.test_metric, last.loss_main,
-            last.loss_coded, last.n_coded)
+    try:
+        # sweep.csv reports the last epoch only, so only it is evaluated
+        runs = train([replace(plan, seed=seed) for plan, _, _, seed in cells], every_epoch=False)
+    except NumericError as err:
+        _, param, value, seed = cells[err.index]
+        raise NumericError(f"sweep cell {param} = {value:g}, seed {seed}: {err}") from None
+    rows = []
+    for (_, param, value, seed), (_, metrics) in zip(cells, runs):
+        last = metrics.records[-1]
+        rows.append((param, value, seed, last.test_metric, last.loss_main,
+                     last.loss_coded, last.n_coded))
+    return rows
 
 
 def cmd_sweep(cfg: Config, args) -> dict:
@@ -203,18 +212,23 @@ def cmd_sweep(cfg: Config, args) -> dict:
     base = _train_plan(cfg)
 
     cells = [(_sweep_plan(base, param, v), param, v, s) for v in values for s in seeds]
-    if args.threads > 1:
+    workers = min(args.threads, len(cells))
+    if workers > 1:
         # imported here, so that no other command loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
         # spawned workers load numpy afresh, under the package's BLAS thread
         # count; forked ones would inherit the parent's BLAS thread pool
-        with ProcessPoolExecutor(args.threads, mp_context=get_context("spawn")) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+        rows = [None] * len(cells)
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            # worker i trains cells i, i + workers, ... in lockstep
+            groups = pool.map(_sweep_rows, [cells[i::workers] for i in range(workers)])
+            for i, group in enumerate(groups):
+                rows[i::workers] = group
     else:
-        rows = [_sweep_cell(c) for c in cells]
+        rows = _sweep_rows(cells)
 
-    # rows come back in cell order, which is deterministic parameter order
+    # rows are in cell order, which is deterministic parameter order
     print(f"sweep over {param}: {len(rows)} cells")
     return {"sweep.csv": csv_table("param,value,seed,test_metric,loss_main,loss_coded,N_final",
                                    rows)}
@@ -264,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "attack":
             sp.add_argument("--model", required=True)
         if name == "sweep":
-            sp.add_argument("--threads", type=_positive_int, default=1)
+            sp.add_argument("--threads", type=_positive_int, default=1,
+                            help="processes; process i trains cells i, i + N, ... in lockstep")
     return p
 
 

@@ -9,16 +9,18 @@ at beta is evaluated back at alpha, yielding estimates of the function's
 values on the original samples.
 
 Both stages are precomputed dense linear operators, plain (K, N) and
-(N, K) arrays cached per (K, N), the two row-major halves of one block per
-module; the encoder's spline fit is shared by every N. A round trip is two
-matrix products and is differentiable end to end. Operands are 2-D: one row
-per sample. The straggler decoder builds no operator: its surviving worker
-set changes from job to job, so a cached operator would serve one job only.
+(N, K) arrays, the two row-major halves of one block per module, which
+lives while a caller holds it; the encoder's spline fit is shared by every
+N. A round trip is two matrix products and is differentiable end to end.
+Operands are 2-D: one row per sample. The straggler decoder builds no
+operator: its surviving worker set changes from job to job, so a cached
+operator would serve one job only.
 ``codedsim`` instead fits the survivors of a whole grid in one ``spline.fit``
 call and evaluates them at alpha, O((N+K)*d) per job.
 """
 
 import functools
+import weakref
 
 import numpy as np
 
@@ -86,8 +88,8 @@ class CodedSmoothingModule:
         self.identity_mode = identity_mode
         self.alpha = chebyshev_first(k)
         self.beta = self.alpha.copy() if identity_mode else chebyshev_second(n)
-        # one block for both, allocated before the builds: allocated after, it lands above
-        # their freed temporaries, and a 4-cell mu sweep's 65 modules peak at 69 MB RSS, not 59
+        # one block for both, allocated before the builds: allocated after, it lands above their
+        # freed temporaries, and the benchmark's mu sweep takes 46k minor page faults, not 27k
         block = np.empty(2 * k * n)
         self.enc_op = block[:k * n].reshape(k, n)   # (K, N)
         self.dec_op = block[k * n:].reshape(n, k)   # (N, K)
@@ -119,10 +121,16 @@ class CodedSmoothingModule:
         return float(np.mean(diff * diff))
 
 
-@functools.lru_cache(maxsize=None)
+_live = weakref.WeakValueDictionary()  # (K, N) -> the module callers hold
+
+
 def get_module(k: int, n: int) -> CodedSmoothingModule:
-    """Shared module cache; construction cost is paid once per (K, N).
+    """The (K, N) module some caller holds, or a new one; a module is freed
+    when its last holder drops it, so a caller that reuses one holds it.
 
     Callers look it up as ``coded.get_module`` when they call it, so a
     replacement set here (a test's counter, a tracer) reaches them all."""
-    return CodedSmoothingModule(k, n)
+    module = _live.get((k, n))
+    if module is None:
+        module = _live[k, n] = CodedSmoothingModule(k, n)
+    return module

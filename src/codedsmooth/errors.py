@@ -11,3 +11,5 @@ class ShapeError(ValidationError):
 
 class NumericError(RuntimeError):
     """Runtime numeric failure (NaN/Inf guard tripped)."""
+
+    index = None  # set by a lockstep ``train``: the failing plan's place in its list

@@ -224,23 +224,9 @@ def evaluate_model(model: MLP, x: np.ndarray, y, task: str) -> float:
     return float(np.mean(diff * diff))
 
 
-def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
-    """Run the plan; returns (model, metrics). Bit-deterministic given the plan.
-
-    Epochs shuffle the training set; a trailing partial batch (< K rows) is
-    dropped since the smoothing module needs exactly K rows. Every loss term
-    that carries weight is guarded against NaN/Inf every step. With mu = 0
-    the smoothing path is never instantiated, so the run (and its metrics
-    CSV) is identical to plain training.
-
-    ``every_epoch`` evaluates the test set after every epoch; without it
-    only the last epoch is evaluated and the other records hold nan as
-    their test metric. Evaluation draws no random numbers, so the trained
-    bits are the same either way.
-
-    ``TrainPlan`` fitted the widths to the data kind's columns when it was
-    built, so no width is checked here against the generated arrays.
-    """
+def _epochs(plan: TrainPlan, every_epoch: bool):
+    """``plan``'s run for ``train``: yields (model, metrics) after each epoch,
+    holding that epoch's coded module until the next."""
     data = make_dataset(plan.dataset)
     task, _, outputs = KINDS[plan.dataset.kind]
     if task == "classification":
@@ -263,45 +249,80 @@ def train(plan: TrainPlan, every_epoch: bool = True) -> tuple:
     lr = plan.lr
     k = plan.batch_size
     n_batches = data.train_x.shape[0] // k
-    # a diverging run is reported by the guard's one line, not numpy's warnings
+    for epoch in range(plan.epochs):
+        if epoch in plan.lr_decay_epochs:
+            lr /= 10.0
+        if mu > 0.0:
+            n_coded = schedule_n(method, epoch, plan.epochs, k)
+            module = coded.get_module(k, n_coded)
+        else:
+            n_coded = k
+            module = None
+
+        order = rng_shuffle.permutation(data.train_x.shape[0])
+        main_vals = []
+        coded_vals = []
+        for b in range(n_batches):
+            idx = order[b * k:(b + 1) * k]
+            xb = data.train_x[idx]
+            tb = train_targets[idx]
+            if isinstance(method, Mixup):
+                xb, tb = mixup_batch(xb, tb, method.alpha, rng_mixup)
+            main, coded_loss, _ = dual_path_terms(model, module, xb, tb, mu, task, grad)
+            main_vals.append(main)
+            if coded_loss is not None:
+                coded_vals.append(coded_loss)
+            for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded_loss, mu)):
+                if weight > 0.0 and not math.isfinite(value):
+                    raise NumericError(f"non-finite {name} loss at epoch {epoch}, batch {b}")
+            autodiff.sgd_momentum_step(model.theta, grad, velocity, lr, plan.momentum)
+
+        metrics.records.append(EpochRecord(
+            epoch=epoch,
+            loss_main=float(np.mean(main_vals)),
+            loss_coded=float(np.mean(coded_vals)) if coded_vals else float("nan"),
+            test_metric=(evaluate_model(model, data.test_x, test_targets, task)
+                         if every_epoch or epoch == plan.epochs - 1 else float("nan")),
+            n_coded=n_coded,
+        ))
+        yield model, metrics
+
+
+def train(plans, every_epoch: bool = True):
+    """Train a plan, or a list of plans in lockstep (epoch e of each before
+    epoch e + 1 of any); returns (model, metrics), or a list of them.
+    Bit-deterministic given each plan. The plans on one N ramp share each
+    coded module, built once and freed when the last of them moves past it.
+
+    Epochs shuffle the training set; a trailing partial batch (< K rows) is
+    dropped since the smoothing module needs exactly K rows. Every loss term
+    that carries weight is guarded against NaN/Inf every step. With mu = 0
+    the smoothing path is never instantiated, so the run (and its metrics
+    CSV) is identical to plain training.
+
+    ``every_epoch`` evaluates the test set after every epoch; without it
+    only the last epoch is evaluated and the other records hold nan as
+    their test metric. Evaluation draws no random numbers, so the trained
+    bits are the same either way.
+
+    ``TrainPlan`` fitted the widths to the data kind's columns when it was
+    built, so no width is checked here against the generated arrays.
+    """
+    one = isinstance(plans, TrainPlan)
+    plans = [plans] if one else list(plans)
+    runs = [_epochs(plan, every_epoch) for plan in plans]
+    results = [None] * len(runs)
+    # a diverging run is reported by the guard's one line, not numpy's warnings; one
+    # errstate for all, as a suspended run's own would restore stale state on exit
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(plan.epochs):
-            if epoch in plan.lr_decay_epochs:
-                lr /= 10.0
-            if mu > 0.0:
-                n_coded = schedule_n(method, epoch, plan.epochs, k)
-                module = coded.get_module(k, n_coded)
-            else:
-                n_coded = k
-                module = None
-
-            order = rng_shuffle.permutation(data.train_x.shape[0])
-            main_vals = []
-            coded_vals = []
-            for b in range(n_batches):
-                idx = order[b * k:(b + 1) * k]
-                xb = data.train_x[idx]
-                tb = train_targets[idx]
-                if isinstance(method, Mixup):
-                    xb, tb = mixup_batch(xb, tb, method.alpha, rng_mixup)
-                main, coded_loss, _ = dual_path_terms(model, module, xb, tb, mu, task, grad)
-                main_vals.append(main)
-                if coded_loss is not None:
-                    coded_vals.append(coded_loss)
-                for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded_loss, mu)):
-                    if weight > 0.0 and not math.isfinite(value):
-                        raise NumericError(f"non-finite {name} loss at epoch {epoch}, batch {b}")
-                autodiff.sgd_momentum_step(model.theta, grad, velocity, lr, plan.momentum)
-
-            metrics.records.append(EpochRecord(
-                epoch=epoch,
-                loss_main=float(np.mean(main_vals)),
-                loss_coded=float(np.mean(coded_vals)) if coded_vals else float("nan"),
-                test_metric=(evaluate_model(model, data.test_x, test_targets, task)
-                             if every_epoch or epoch == plan.epochs - 1 else float("nan")),
-                n_coded=n_coded,
-            ))
-
-    if model.input_dim == 2 and model.output_dim >= 2:
-        metrics.boundary_smoothness = boundary_smoothness(model, margin_grid())
-    return model, metrics
+        for _ in range(max(plan.epochs for plan in plans)):
+            for i, run in enumerate(runs):
+                try:
+                    results[i] = next(run, results[i])
+                except NumericError as err:
+                    err.index = i
+                    raise
+    for model, metrics in results:
+        if model.input_dim == 2 and model.output_dim >= 2:
+            metrics.boundary_smoothness = boundary_smoothness(model, margin_grid())
+    return results[0] if one else results

@@ -14,7 +14,7 @@ import pytest
 import codedsmooth
 from codedsmooth.cli import main
 from codedsmooth.coded import get_module
-from codedsmooth import datasets
+from codedsmooth import coded, datasets
 from codedsmooth.codedsim import BENCH_FUNCTIONS, sample_inputs
 from codedsmooth.config import KEYS, parse_config_text
 from codedsmooth.datasets import DatasetSpec, make_dataset
@@ -459,6 +459,108 @@ def test_sweep_n_param_requires_value_above_batch(tmp_path):
     out = str(tmp_path / "o")
     assert main(["sweep", "--config", cfg, "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+# ---------------------------------------------------------------- sweep lockstep
+
+RAMP = [(16, 16), (16, 20), (16, 24)]  # K = 16, gamma = 1.5 over 3 epochs
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The (K, N) of every CodedSmoothingModule built while the test runs."""
+    made = []
+    init = coded.CodedSmoothingModule.__init__
+
+    def counted(self, k, n, identity_mode=False):
+        made.append((k, n))
+        init(self, k, n, identity_mode)
+
+    monkeypatch.setattr(coded.CodedSmoothingModule, "__init__", counted)
+    return made
+
+
+def test_sweep_cells_on_one_ramp_build_each_module_once(tmp_path, builds):
+    # two coded cells train in lockstep and share each module of their ramp
+    cfg = _write(tmp_path, "s.cfg", SWEEP_CFG.replace("seeds = 0,1", "seeds = 0"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert builds == RAMP
+
+
+def test_threaded_sweep_builds_each_module_once_per_worker(tmp_path, builds, monkeypatch):
+    # each worker trains its round-robin group of cells in lockstep; the pool
+    # here runs each worker's task in this process, so the builds can be counted
+    import concurrent.futures
+    per_worker = []
+
+    class InlinePool:
+        def __init__(self, workers, mp_context):
+            assert workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, groups):
+            results = []
+            for group in groups:
+                start = len(builds)
+                results.append(fn(group))
+                per_worker.append(builds[start:])
+            return results
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = _write(tmp_path, "s.cfg", SWEEP_CFG)
+    out1, out2 = str(tmp_path / "par"), str(tmp_path / "ser")
+    assert main(["sweep", "--config", cfg, "--out", out1, "--threads", "2"]) == 0
+    assert per_worker == [RAMP, RAMP]
+    assert main(["sweep", "--config", cfg, "--out", out2]) == 0
+    assert _read(out1, "sweep.csv") == _read(out2, "sweep.csv")
+
+
+def test_attack_builds_its_module_once(tmp_path, builds):
+    # the command holds its (K', N') module, so the RCI evaluations of all
+    # three attacks share it
+    cfg = _write(tmp_path, "t.cfg", TRAIN_CFG.format(method="erm", mu=0.5) +
+                 "attack.k_prime = 16\nattack.n_prime = 24\nattack.trials = 2\n")
+    train_out = str(tmp_path / "tr")
+    assert main(["train", "--config", cfg, "--out", train_out]) == 0
+    assert builds == []
+    assert main(["attack", "--config", cfg, "--model", os.path.join(train_out, "model.bin"),
+                 "--out", str(tmp_path / "atk")]) == 0
+    assert builds == [(16, 24)]
+
+
+def test_sweep_leaves_numpy_error_state_alone(tmp_path):
+    cfg = _write(tmp_path, "s.cfg", SWEEP_CFG)
+    with np.errstate(over="warn", invalid="warn"):  # set here, so no earlier leak hides one
+        before = np.geterr()
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert np.geterr() == before
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_numeric_failure_names_the_cell(tmp_path, capsys, threads):
+    # runaway lr on a squared-error task overflows to inf within a few steps
+    diverging = {"two_moons": "sinusoid_regression", "2,8,2": "1,8,1", "lr = 0.1": "lr = 1e30"}
+    text = SWEEP_CFG
+    for old, new in diverging.items():
+        text = text.replace(old, new)
+    cfg = _write(tmp_path, "s.cfg", text)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"numeric failure: sweep cell mu = (0\.2|0\.8), seed ([01]): "
+                         r"(non-finite \w+ loss at epoch \d+, batch \d+)\n", err)
+    assert found, err
+    # the named cell, trained alone, fails with the same message
+    train_cfg = _write(tmp_path, "t.cfg", text.replace("mu = 0.5", f"mu = {found[1]}"))
+    assert main(["train", "--config", train_cfg, "--out", str(tmp_path / "t"),
+                 "--seed", found[2]]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {found[3]}\n"
 
 
 # ---------------------------------------------------------------- config.resolved

@@ -200,6 +200,55 @@ def test_training_deterministic():
     assert m1.to_csv() == m2.to_csv()
 
 
+def test_lockstep_runs_equal_separate_runs():
+    # a list of plans trains epoch by epoch in lockstep; each plan keeps the
+    # bits it has alone, and a plan with fewer epochs stops early
+    plans = [small_plan(Coded(mu=0.5, gamma=1.5)), small_plan(ERM(), seed=1),
+             small_plan(Coded(mu=0.5, gamma=1.5), seed=2, epochs=2),
+             small_plan(Mixup(alpha=1.0), seed=3)]
+    together = train(plans)
+    assert len(together) == len(plans)
+    for plan, (model, metrics) in zip(plans, together):
+        alone_model, alone = train(plan)
+        assert metrics.to_csv() == alone.to_csv()
+        assert metrics.boundary_smoothness == alone.boundary_smoothness
+        npt.assert_array_equal(model.theta, alone_model.theta)
+
+
+def _diverging_plan(noise):
+    # runaway lr on a squared-error task: inf at epoch 1 at noise 0, at once
+    # at noise 1e200
+    return TrainPlan(
+        dataset=DatasetSpec(kind="sinusoid_regression", n_train=64, n_test=32,
+                            noise=noise, seed=1),
+        model=MLPSpec(widths=(1, 8, 1), activation="tanh"),
+        epochs=5, batch_size=16, lr=1e30, momentum=0.9, seed=0, method=ERM())
+
+
+def test_lockstep_leaves_numpy_error_state_alone():
+    # one errstate spans the lockstep: one per suspended run would restore, on
+    # leaving, the state saved on entering, which a run before it had set; the
+    # state is set here so that no earlier leak can hide one
+    with np.errstate(over="warn", invalid="warn"):
+        before = np.geterr()
+        train([small_plan(Coded(mu=0.5, gamma=1.5), seed=s) for s in range(3)])
+        assert np.geterr() == before
+        with pytest.raises(NumericError):
+            train([small_plan(ERM()), _diverging_plan(0.0), _diverging_plan(1e200)])
+        assert np.geterr() == before
+
+
+def test_lockstep_numeric_failure_gives_the_plan_index():
+    # lockstep meets the earliest failing epoch first, not the first failing
+    # plan in the list
+    with pytest.raises(NumericError, match="at epoch 0, batch 0") as exc:
+        train([small_plan(ERM()), _diverging_plan(0.0), _diverging_plan(1e200)])
+    assert exc.value.index == 2
+    with pytest.raises(NumericError, match="at epoch 1, batch 1") as exc:
+        train([small_plan(ERM()), _diverging_plan(0.0)])
+    assert exc.value.index == 1
+
+
 @pytest.mark.filterwarnings("error")
 def test_nan_guard_aborts_with_diagnostic():
     # runaway lr on a squared-error task overflows to inf within a few steps
