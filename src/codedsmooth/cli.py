@@ -42,21 +42,6 @@ def cmd_points(cfg: Config, args) -> None:
 
 # ---------------------------------------------------------------- train
 
-def _dataset_spec(cfg: Config):
-    from .datasets import DatasetSpec
-    return DatasetSpec(**{f.name: cfg.get(f"data.{f.name}") for f in fields(DatasetSpec)})
-
-
-def _method(cfg: Config):
-    from .train import Coded, ERM, Mixup
-    name = cfg.get("train.method")
-    if name == "mixup":
-        return Mixup(alpha=cfg.get("train.mixup_alpha"))
-    if name == "coded":
-        return Coded(mu=cfg.get("train.mu"), gamma=cfg.get("train.gamma"))
-    return ERM()
-
-
 def _method_desc(method) -> str:
     """The model file's method line: the method's name, then its fields."""
     return " ".join([type(method).__name__.lower()]
@@ -64,14 +49,12 @@ def _method_desc(method) -> str:
 
 
 def _train_plan(cfg: Config):
+    from .datasets import DatasetSpec
     from .models import MLPSpec
-    from .train import TrainPlan
-    return TrainPlan(
-        dataset=_dataset_spec(cfg),
-        model=MLPSpec(widths=cfg.get("model.widths"), activation=cfg.get("model.activation")),
-        epochs=cfg.get("train.epochs"), batch_size=cfg.get("train.batch_size"),
-        lr=cfg.get("train.lr"), lr_decay_epochs=cfg.get("train.lr_decay_epochs"),
-        momentum=cfg.get("train.momentum"), seed=cfg.get("train.seed"), method=_method(cfg))
+    from .train import METHODS, TrainPlan
+    return cfg.spec(TrainPlan, "train.", dataset=cfg.spec(DatasetSpec, "data."),
+                    model=cfg.spec(MLPSpec, "model."),
+                    method=cfg.spec(*METHODS[cfg.get("train.method")]))
 
 
 def cmd_train(cfg: Config, args) -> dict:
@@ -89,53 +72,47 @@ def cmd_train(cfg: Config, args) -> dict:
 def cmd_attack(cfg: Config, args) -> dict:
     from . import coded
     from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
-    from .datasets import KINDS, make_dataset
+    from .datasets import KINDS, DatasetSpec, make_dataset
     from .modelio import csv_table, load_model
     model, header = load_model(args.model)
     # echoed from the model file, so a re-run from config.resolved checks it again
-    for key, have in (("model.widths", model.spec.widths),
-                      ("model.activation", model.spec.activation)):
+    for f in fields(model.spec):
+        key, have = f"model.{f.name}", getattr(model.spec, f.name)
         if key in cfg.raw and cfg.get(key) != have:
             raise ValidationError(f"model file has {key} = {have!r}, config has {cfg.read[key]!r}")
         cfg.read[key] = have
-    dspec = _dataset_spec(cfg)
+    dspec = cfg.spec(DatasetSpec, "data.")
     if KINDS[dspec.kind].task != "classification":
         raise ValidationError(f"data.kind = {dspec.kind}: attack needs a classification task")
     dspec.check_fits(model.spec.widths)
-    k_prime = cfg.get("attack.k_prime")
-    if k_prime > dspec.n_test:
-        raise ValidationError(f"attack.k_prime = {k_prime} exceeds data.n_test = "
+    rci = cfg.spec(RCI, "attack.")
+    if rci.k_prime > dspec.n_test:
+        raise ValidationError(f"attack.k_prime = {rci.k_prime} exceeds data.n_test = "
                               f"{dspec.n_test}; RCI scores whole K' batches of the test set")
 
-    epsilon, steps = cfg.get("attack.epsilon"), cfg.get("attack.steps")
-    seed, kind, trials = cfg.get("attack.seed"), cfg.get("attack.kind"), cfg.get("attack.trials")
+    fgsm, pgd = cfg.spec(FGSMSpec, "attack."), cfg.spec(PGDSpec, "attack.")
+    kind, trials = cfg.get("attack.kind"), cfg.get("attack.trials")
     # (name, attack, the epsilon and steps its rows report)
-    attacks = [("none", None, 0.0, 0),
-               ("fgsm", FGSMSpec(epsilon=epsilon), epsilon, 1),
-               (f"pgd{steps}", PGDSpec(epsilon=epsilon, steps=steps,
-                                       step_size=cfg.get("attack.step_size"),
-                                       random_start=cfg.get("attack.random_start")),
-                epsilon, steps)]
+    attacks = [("none", None, 0.0, 0), ("fgsm", fgsm, fgsm.epsilon, 1),
+               (f"pgd{pgd.steps}", pgd, pgd.epsilon, pgd.steps)]
     if kind != "all":
         attacks = [a for a in attacks if a[0].startswith(kind)]
     # (name, mode, the N' its rows report)
-    n_prime = cfg.get("attack.n_prime")
-    modes = [("standard", Standard(), 0),
-             ("rci", RCI(n_prime=n_prime, k_prime=k_prime, seed=seed), n_prime)]
-    held = coded.get_module(k_prime, n_prime)  # for the whole command: built once for RCI
+    modes = [("standard", Standard(), 0), ("rci", rci, rci.n_prime)]
+    held = coded.get_module(rci.k_prime, rci.n_prime)  # for the whole command: built once for RCI
 
     data = make_dataset(dspec)
     # both modes score the same rows: the whole K' batches RCI can use
-    used = dspec.n_test // k_prime * k_prime
+    used = dspec.n_test // rci.k_prime * rci.k_prime
     x, y = data.test_x[:used], data.test_y[:used]
     method = header.get("method", "unknown")
     rows = []
     for attack_name, attack, eps_out, n_steps in attacks:
         # crafted once against the standard pass, then scored under each mode
-        x_adv = craft(model, x, y, attack, seed)
+        x_adv = craft(model, x, y, attack, rci.seed)
         for mode_name, mode, npr in modes:
-            acc = robust_eval(model, x_adv, y, None, mode, trials=trials, seed=seed)
-            rows.append((method, mode_name, attack_name, eps_out, n_steps, npr, seed, acc))
+            acc = robust_eval(model, x_adv, y, None, mode, trials=trials, seed=rci.seed)
+            rows.append((method, mode_name, attack_name, eps_out, n_steps, npr, rci.seed, acc))
             print(f"{attack_name:>6s} | {mode_name:>8s} | accuracy {acc:.4f}")
     return {"results.csv": csv_table("method,inference_mode,attack,epsilon,steps,N_prime,"
                                      "seed,accuracy", rows)}

@@ -11,11 +11,13 @@ from that echo reproduces the outputs exactly.
 home of every default: the dataclasses the keys configure (``DatasetSpec``,
 ``TrainPlan``, ``StragglerScenario`` ...) read their field defaults from it,
 so reading a config loads none of the modules that run a command.
+``Config.spec`` is the one rule from key to field: the key ``prefix + name``
+sets the field ``name`` of the spec a command builds.
 """
 
 import math
 from collections import namedtuple
-from dataclasses import MISSING
+from dataclasses import MISSING, fields
 
 from .coded import MAX_POINTS, MIN_POINTS
 from .errors import ValidationError
@@ -198,6 +200,11 @@ class Config:
                                       f"{', '.join(spec.allowed)}")
         self.read[key] = value
         return value
+
+    def spec(self, cls, prefix: str, **given):
+        """``cls(**given)`` with every other field read from the key ``prefix + name``."""
+        return cls(**given, **{f.name: self.get(prefix + f.name)
+                               for f in fields(cls) if f.name not in given})
 
     # aliases of ``get`` (the key table already fixes the type); nothing in
     # src/ calls them, perfbench/probe.py does

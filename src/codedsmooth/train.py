@@ -56,6 +56,10 @@ class Coded:
             raise ValidationError(f"train.gamma = {self.gamma!r} must be >= 1")
 
 
+# train.method: (its class, the prefix of the keys that set the class's fields)
+METHODS = {"erm": (ERM, "train."), "mixup": (Mixup, "train.mixup_"), "coded": (Coded, "train.")}
+
+
 @dataclass(frozen=True)
 class TrainPlan:
     dataset: DatasetSpec
@@ -322,7 +326,7 @@ def train(plans, every_epoch: bool = True):
                 except NumericError as err:
                     err.index = i
                     raise
-    for model, metrics in results:
-        if model.input_dim == 2 and model.output_dim >= 2:
-            metrics.boundary_smoothness = boundary_smoothness(model, margin_grid())
+        for model, metrics in results:
+            if model.input_dim == 2 and model.output_dim >= 2:
+                metrics.boundary_smoothness = boundary_smoothness(model, margin_grid())
     return results[0] if one else results

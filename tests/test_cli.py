@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +18,12 @@ from codedsmooth.cli import main
 from codedsmooth.coded import get_module
 from codedsmooth import coded, datasets
 from codedsmooth.codedsim import BENCH_FUNCTIONS, sample_inputs
-from codedsmooth.config import KEYS, parse_config_text
+from codedsmooth.config import KEYS, Config, parse_config_text
 from codedsmooth.datasets import DatasetSpec, make_dataset
 from codedsmooth.errors import ValidationError
 from codedsmooth.modelio import load_model, model_bytes
 from codedsmooth.models import MLP, MLPSpec
+from codedsmooth.train import METHODS
 
 TRAIN_CFG = """
 # tiny smoke configuration
@@ -541,6 +544,31 @@ def test_sweep_leaves_numpy_error_state_alone(tmp_path):
         assert np.geterr() == before
 
 
+# a runaway but finite run: losses reach about 1e297, so no guard trips
+RUNAWAY_CFG = """
+data.kind = two_moons
+model.widths = 2,8,2
+train.method = coded
+train.epochs = 2
+train.batch_size = 16
+train.lr = 1e10
+sweep.param = mu
+sweep.values = 0,0.5
+sweep.seeds = 0
+"""
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_runaway_run_prints_no_numpy_warning(tmp_path, capsys, command):
+    # the smoothness pass after training overflows on such a model; its
+    # warnings are numpy's, not the run's, and stay off stderr
+    cfg = _write(tmp_path, "r.cfg", RUNAWAY_CFG)
+    with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_numeric_failure_names_the_cell(tmp_path, capsys, threads):
     # runaway lr on a squared-error task overflows to inf within a few steps
@@ -1040,6 +1068,37 @@ def test_allowed_names_match_the_code_that_runs_them():
     # KEYS holds the names, so reading a config loads no command module
     assert sorted(KEYS["sim.fn"].allowed) == sorted(BENCH_FUNCTIONS)
     assert sorted(KEYS["data.kind"].allowed) == sorted(datasets.KINDS)
+    assert sorted(KEYS["train.method"].allowed) == sorted(METHODS)
+    for name, (cls, _) in METHODS.items():  # the model file's method line names the class
+        assert cls.__name__.lower() == name
+
+
+def test_each_spec_field_is_set_by_its_key(tmp_path, monkeypatch):
+    # the key prefix + name sets field name of each spec a command builds, and
+    # a field's default is its key's, so a spec built in code runs as the CLI's
+    built = set()
+    spec = Config.spec
+
+    def recording(self, cls, prefix, **given):
+        built.add((cls, prefix, frozenset(given)))
+        return spec(self, cls, prefix, **given)
+
+    monkeypatch.setattr(Config, "spec", recording)
+    for method in METHODS:
+        cfg = _write(tmp_path, "t.cfg", TRAIN_CFG.format(method=method, mu=0.5))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / method)]) == 0
+    assert main(["attack", "--config", _write(tmp_path, "a.cfg", ATTACK_CFG),
+                 "--model", _model_file(tmp_path), "--out", str(tmp_path / "a")]) == 0
+    assert {(cls.__name__, prefix) for cls, prefix, _ in built} == {
+        ("DatasetSpec", "data."), ("MLPSpec", "model."), ("TrainPlan", "train."),
+        ("ERM", "train."), ("Mixup", "train.mixup_"), ("Coded", "train."),
+        ("FGSMSpec", "attack."), ("PGDSpec", "attack."), ("RCI", "attack.")}
+    for cls, prefix, given in built:
+        for f in fields(cls):
+            if f.name not in given:
+                key = prefix + f.name
+                assert key in KEYS, key
+                assert f.default is MISSING or f.default == KEYS[key].default, key
 
 
 def test_readme_key_table_matches_config_table():
