@@ -15,7 +15,7 @@ from . import coded
 from .autodiff import cross_entropy
 from .coded import MAX_POINTS, MIN_POINTS
 from .config import KEYS
-from .datasets import one_hot
+from .datasets import accuracy, one_hot
 from .errors import ShapeError, ValidationError
 from .models import MLP
 from .seeding import stream_rng
@@ -153,10 +153,6 @@ def rci_forward(model: MLP, module, x: np.ndarray, rng) -> np.ndarray:
     return perm.invert(decoded)
 
 
-def _accuracy(scores: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.argmax(scores, axis=1) == y))
-
-
 def craft(model: MLP, x: np.ndarray, y: np.ndarray, attack,
           seed: int = KEYS["attack.seed"].default) -> np.ndarray:
     """Adversarial inputs for ``attack`` (None: ``x`` itself), crafted
@@ -185,20 +181,16 @@ def robust_eval(model: MLP, x: np.ndarray, y: np.ndarray, attack, mode,
     """
     x_adv = craft(model, x, y, attack, seed)
     if isinstance(mode, Standard):
-        return _accuracy(model.predict(x_adv), y)
+        return accuracy(model.predict(x_adv), y)
 
     kp = mode.k_prime
     n_batches = x_adv.shape[0] // kp
     if n_batches == 0:
         raise ValidationError(f"test set smaller than one K'={kp} batch")
     module = coded.get_module(kp, mode.n_prime)
-    used = n_batches * kp
     acc = []
     for t in range(trials):
-        correct = 0
-        for b in range(n_batches):
-            sl = slice(b * kp, (b + 1) * kp)
-            out = rci_forward(model, module, x_adv[sl], stream_rng(mode.seed, "rci", t, b))
-            correct += int(np.sum(np.argmax(out, axis=1) == y[sl]))
-        acc.append(correct / used)
+        out = [rci_forward(model, module, x_adv[b * kp:(b + 1) * kp],
+                           stream_rng(mode.seed, "rci", t, b)) for b in range(n_batches)]
+        acc.append(accuracy(np.concatenate(out), y[:n_batches * kp]))
     return float(np.mean(acc))

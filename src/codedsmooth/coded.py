@@ -24,7 +24,7 @@ import weakref
 
 import numpy as np
 
-from .autodiff import Tensor, node
+from .autodiff import Tensor, mse, node
 from .errors import ShapeError, ValidationError
 from .spline import MIN_POINTS, Knots, build_operator, fit
 
@@ -116,9 +116,7 @@ class CodedSmoothingModule:
     def estimate_mse(self, x: np.ndarray, f) -> float:
         """Mean squared estimate error vs f(x), over samples and coordinates."""
         x = np.asarray(x, dtype=np.float64)
-        fhat = self.forward(x, f)
-        diff = fhat - f(x)
-        return float(np.mean(diff * diff))
+        return float(mse(self.forward(x, f), f(x))[0])
 
 
 _live = weakref.WeakValueDictionary()  # (K, N) -> the module callers hold

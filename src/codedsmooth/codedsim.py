@@ -85,19 +85,18 @@ def cell_means(rows) -> dict:
 
 
 def returned_indices(scenario: StragglerScenario, beta: np.ndarray) -> np.ndarray:
-    """Sorted indices of the workers whose results arrive."""
+    """Sorted indices of the workers whose results arrive; with S = 0 every
+    worker's, under either policy."""
     n, s = scenario.n_workers, scenario.max_stragglers
-    if s == 0:
-        return np.arange(n)
     keep = np.ones(n, dtype=bool)
     if scenario.policy == "uniform_random":
         keep[stream_rng(scenario.seed, "stragglers").choice(n, size=s, replace=False)] = False
-        return np.flatnonzero(keep)
-    # adversarial_contiguous: drop the first run whose removal leaves the
-    # widest gap between its kept neighbours (an end knot at either end)
-    padded = np.concatenate([beta[:1], beta, beta[-1:]])
-    start = int(np.argmax(padded[s + 1:] - padded[:n - s + 1]))
-    keep[start:start + s] = False
+    else:
+        # adversarial_contiguous: drop the first run whose removal leaves the
+        # widest gap between its kept neighbours (an end knot at either end)
+        padded = np.concatenate([beta[:1], beta, beta[-1:]])
+        start = int(np.argmax(padded[s + 1:] - padded[:n - s + 1]))
+        keep[start:start + s] = False
     return np.flatnonzero(keep)
 
 

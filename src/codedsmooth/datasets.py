@@ -175,3 +175,8 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
 
 def one_hot(labels: np.ndarray, width: int) -> np.ndarray:
     return np.eye(width, dtype=np.float64)[np.asarray(labels, dtype=np.int64)]
+
+
+def accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose highest score is at their label."""
+    return float(np.mean(np.argmax(scores, axis=1) == labels))

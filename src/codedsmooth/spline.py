@@ -7,7 +7,9 @@ the factorization shared across all d value columns. Evaluation anywhere in
 [-1, 1] is supported: inside the knot hull it is the usual piecewise cubic;
 beyond the end knots the spline continues linearly (the natural boundary
 makes the minimal-curvature extension linear), which is exactly what lets a
-spline with interior knots be evaluated at the domain endpoints.
+spline with interior knots be evaluated at the domain endpoints. Each rule
+is written once: no row of the sweep is special, and one formula continues
+the spline past either end.
 
 ``fit`` fits B knot sets of any lengths at once: each is padded to the
 longest, one Thomas sweep solves them all, and ``eval`` gathers along the
@@ -60,11 +62,14 @@ def _solve_moments(t: np.ndarray, values: np.ndarray, lengths: np.ndarray) -> np
     Interior rows satisfy
         h[i-1]*M[i-1] + 2*(h[i-1]+h[i])*M[i] + h[i]*M[i+1]
             = 6*((y[i+1]-y[i])/h[i] - (y[i]-y[i-1])/h[i-1]),
-    with M[0] = M[-1] = 0. One Thomas sweep; the elimination coefficients
-    are shared across all value columns. Knots (n,) and values (n, d) solve
-    one system with scalar coefficients; knots (n, B) and values (n, d, B)
-    solve one per batch index, each element by the scalar solve's float
-    operations. Set b's rows from ``lengths[b] - 1`` on are padding: the
+    with M[0] = M[-1] = 0. One Thomas sweep, one rule for every row: the
+    forward sweep starts from an eliminated zero row and the back-substitution
+    from the zero moment M[-1]; every gap is positive, so ``x - lower * 0.0``
+    and ``x - cp * 0.0`` are x to the bit, -0.0 included. The elimination
+    coefficients are shared across all value columns. Knots (n,) and values
+    (n, d) solve one system with scalar coefficients; knots (n, B) and values
+    (n, d, B) solve one per batch index, each element by the scalar solve's
+    float operations. Set b's rows from ``lengths[b] - 1`` on are padding: the
     forward sweep reaches them only after the set's real rows, and the
     back-substitution forces them to exact zeros.
     """
@@ -76,22 +81,18 @@ def _solve_moments(t: np.ndarray, values: np.ndarray, lengths: np.ndarray) -> np
     lower = h[:-1]
     diag = 2.0 * (h[:-1] + h[1:])
     upper = h[1:]
-    m = n - 2
     cp = np.empty(upper.shape)
     dp = np.empty(rhs.shape)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, m):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+    c = d = 0.0  # the eliminated zero row above the first
+    for i in range(n - 2):
+        denom = diag[i] - lower[i] * c
+        c = cp[i] = upper[i] / denom
+        d = dp[i] = (rhs[i] - lower[i] * d) / denom
     # row r pads set b when r >= lengths[b] - 1; no set pads a row below first_pad
     padded = np.arange(n)[:, None] >= lengths - 1
     first_pad = int(lengths.min()) - 1
-    moments[m] = dp[m - 1]
-    for r in range(m, 0, -1):
-        if r < m:
-            moments[r] = dp[r - 1] - cp[r - 1] * moments[r + 1]
+    for r in range(n - 2, 0, -1):
+        moments[r] = dp[r - 1] - cp[r - 1] * moments[r + 1]
         if r >= first_pad:
             np.copyto(moments[r], 0.0, where=padded[r])
     return moments
@@ -113,9 +114,13 @@ class NaturalCubicSplines(NamedTuple):
         """(B, m, d) values of every spline at m points in [-1, 1].
 
         Points beyond a set's end knots (but inside [-1, 1]) use the linear
-        natural extension; points outside [-1, 1] raise. One interval search
-        per set; every other step gathers along the batch axis, by the float
-        operations of the one-spline formula.
+        natural extension; points outside [-1, 1] raise. Past end knot e with
+        inner neighbour i the slope is (y[i] - y[e]) / g - (g / 6) * (2 M[e] +
+        M[i]), g = t[i] - t[e], at either end; at the upper one, exact IEEE
+        negations make it the one-sided (y[e] - y[i]) / h + (h / 6) * (M[i] +
+        2 M[e]), h = -g, to the bit (but for the sign of a zero slope). One
+        interval search per set; every other step gathers along the batch
+        axis, by the float operations of the one-spline formula.
         """
         t, y, mom, lengths = self
         q = np.asarray(points, dtype=np.float64)
@@ -138,23 +143,19 @@ class NaturalCubicSplines(NamedTuple):
         out = (a[..., None] * y[sets, idx] + b[..., None] * y[sets, idx + 1]
                + cc[..., None] * mom[sets, idx] + dd[..., None] * mom[sets, idx + 1])
 
-        # beyond the end knots: the linear extension, written only where needed
-        below = q < t[:, :1]
-        if np.any(below):
-            g = t[:, 1] - t[:, 0]
-            d0 = ((y[:, 1] - y[:, 0]) / g[:, None]
-                  - (g / 6.0)[:, None] * (2.0 * mom[:, 0] + mom[:, 1]))
-            rows, cols = np.nonzero(below)
-            out[rows, cols] = y[rows, 0] + (q[cols] - t[rows, 0])[:, None] * d0[rows]
-        every, end = sets[:, 0], lengths - 1
-        tn = t[every, end]
-        above = q > tn[:, None]
-        if np.any(above):
-            hn = tn - t[every, end - 1]
-            dn = ((y[every, end] - y[every, end - 1]) / hn[:, None]
-                  + (hn / 6.0)[:, None] * (mom[every, end - 1] + 2.0 * mom[every, end]))
-            rows, cols = np.nonzero(above)
-            out[rows, cols] = y[rows, end[rows]] + (q[cols] - tn[rows])[:, None] * dn[rows]
+        # beyond an end knot e with inner neighbour i: the linear extension,
+        # written only where needed
+        every, last = sets[:, 0], lengths - 1
+        first = np.zeros_like(last)
+        for e, i, beyond in ((first, first + 1, np.less), (last, last - 1, np.greater)):
+            te = t[every, e]
+            outside = beyond(q, te[:, None])
+            if np.any(outside):
+                g = t[every, i] - te
+                slope = ((y[every, i] - y[every, e]) / g[:, None]
+                         - (g / 6.0)[:, None] * (2.0 * mom[every, e] + mom[every, i]))
+                rows, cols = np.nonzero(outside)
+                out[rows, cols] = y[rows, e[rows]] + (q[cols] - te[rows])[:, None] * slope[rows]
         return out
 
 

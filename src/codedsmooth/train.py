@@ -23,7 +23,7 @@ from . import autodiff, coded
 from .autodiff import Tensor
 from .coded import MAX_POINTS, MIN_POINTS
 from .config import KEYS
-from .datasets import KINDS, DatasetSpec, make_dataset, one_hot
+from .datasets import KINDS, DatasetSpec, accuracy, make_dataset, one_hot
 from .errors import NumericError, ValidationError
 from .models import MLP, MLPSpec
 from .modelio import csv_table
@@ -221,11 +221,9 @@ def margin_grid(side: int = 25) -> np.ndarray:
 def evaluate_model(model: MLP, x: np.ndarray, y, task: str) -> float:
     """Test accuracy against labels for classification, mean squared error
     against the target rows ``y`` otherwise."""
-    out = model.predict(x)
     if task == "classification":
-        return float(np.mean(np.argmax(out, axis=1) == y))
-    diff = out - y
-    return float(np.mean(diff * diff))
+        return accuracy(model.predict(x), y)
+    return float(autodiff.mse(model.predict(x), y)[0])
 
 
 def _epochs(plan: TrainPlan, every_epoch: bool):

@@ -55,6 +55,14 @@ def test_exactly_s_workers_dropped():
         assert np.all(np.diff(got) > 0)
 
 
+@pytest.mark.parametrize("policy", ["uniform_random", "adversarial_contiguous"])
+def test_no_stragglers_returns_every_worker(policy):
+    for n in (4, 9, 16):
+        keep = returned_indices(StragglerScenario(n, 0, policy, seed=3), get_module(4, n).beta)
+        assert keep.dtype == np.arange(n).dtype
+        assert np.array_equal(keep, np.arange(n))
+
+
 def test_dropped_outputs_never_influence_estimates():
     x = sample_inputs(8, 2)
     scenario = StragglerScenario(16, 4, seed=9)

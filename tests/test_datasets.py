@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from codedsmooth.datasets import KINDS, DatasetSpec, make_dataset, one_hot
+from codedsmooth.datasets import KINDS, DatasetSpec, accuracy, make_dataset, one_hot
 from codedsmooth.errors import ValidationError
 
 
@@ -91,3 +91,8 @@ def test_unknown_kind_rejected():
 def test_one_hot():
     npt.assert_array_equal(one_hot(np.array([0, 2, 1]), 3),
                            [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+
+def test_accuracy():
+    scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
+    assert accuracy(scores, np.array([0, 1, 1, 1])) == 0.75

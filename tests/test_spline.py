@@ -162,6 +162,83 @@ def test_padded_batch_equals_each_set_alone(d):
         assert got[b].tobytes() == _former_eval(kn.values, y, alone.moments[0], pts).tobytes()
 
 
+def test_end_continuation_bytes_match_one_sided_formulas():
+    # one rule continues a spline past either end knot; below the first and
+    # above the last it keeps the bytes of _former_eval's per-end formulas,
+    # for one set alone and in a padded batch whose sets end at different
+    # lengths and places. Column 2 repeats each end value, so its end
+    # differences are exact zeros
+    rng = np.random.default_rng(31)
+    spans = [(-0.9, 0.8, 4), (-0.5, 0.3, 6), (-0.95, -0.1, 9), (0.1, 0.9, 13)]
+    knot_sets = [Knots(np.linspace(lo, hi, n)) for lo, hi, n in spans]
+    blocks = [rng.uniform(-3, 3, (n, 3)) for _, _, n in spans]
+    for y in blocks:
+        y[1, 2], y[-1, 2] = y[0, 2], y[-2, 2]
+    pts = np.concatenate([[-1.0, 1.0], [lo - 0.5 * (lo + 1.0) for lo, _, _ in spans],
+                          [hi + 0.5 * (1.0 - hi) for _, hi, _ in spans]])
+    batch = fit(knot_sets, blocks)
+    got = batch.eval(pts)
+    for b, (kn, y) in enumerate(zip(knot_sets, blocks)):
+        beyond = (pts < kn.values[0]) | (pts > kn.values[-1])
+        assert np.any(pts < kn.values[0]) and np.any(pts > kn.values[-1])
+        q = pts[beyond]
+        want = _former_eval(kn.values, y, batch.moments[b, :len(kn)], q).tobytes()
+        assert got[b, beyond].tobytes() == want
+        alone = fit([kn], [y])
+        assert alone.eval(q)[0].tobytes() == _former_eval(kn.values, y, alone.moments[0], q).tobytes()
+
+
+def _special_row_moments(t, values, lengths):
+    """The moment solve with its end rows written apart: the forward sweep
+    divides its first row through, and the back-substitution copies its last,
+    as the spline solved before one rule took every row."""
+    n = values.shape[0]
+    moments = np.zeros(values.shape)
+    h = np.diff(t, axis=0)
+    rhs = 6.0 * ((values[2:] - values[1:-1]) / h[1:, None]
+                 - (values[1:-1] - values[:-2]) / h[:-1, None])
+    lower = h[:-1]
+    diag = 2.0 * (h[:-1] + h[1:])
+    upper = h[1:]
+    m = n - 2
+    cp = np.empty(upper.shape)
+    dp = np.empty(rhs.shape)
+    cp[0] = upper[0] / diag[0]
+    dp[0] = rhs[0] / diag[0]
+    for i in range(1, m):
+        denom = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / denom
+        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+    padded = np.arange(n)[:, None] >= lengths - 1
+    first_pad = int(lengths.min()) - 1
+    moments[m] = dp[m - 1]
+    for r in range(m, 0, -1):
+        if r < m:
+            moments[r] = dp[r - 1] - cp[r - 1] * moments[r + 1]
+        if r >= first_pad:
+            np.copyto(moments[r], 0.0, where=padded[r])
+    return moments
+
+
+def test_moment_solve_bytes_match_special_end_rows():
+    # three knots: the one interior row is both the sweep's first and the
+    # back-substitution's last. Values (0, 0, -0.0) give a -0.0 right-hand
+    # side, which the single rule must keep
+    t = np.array([-1.0, 0.0, 1.0])
+    values = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, -0.0]])
+    lengths = np.array([3])
+    got = spline._solve_moments(t, values, lengths)
+    assert got.tobytes() == _special_row_moments(t, values, lengths).tobytes()
+    assert got[1, 0] == 3.0 and np.signbit(got[1, 1])
+    # a padded batch: every set's rows, real and padding, by the same bytes
+    rng = np.random.default_rng(32)
+    knot_sets = [random_knots(rng, n) for n in (4, 11, 7, 5)]
+    s = fit(knot_sets, [rng.uniform(-3, 3, (len(kn), 3)) for kn in knot_sets])
+    t, y = s.knots.T, np.moveaxis(s.values, 0, -1)
+    got = spline._solve_moments(t, y, s.lengths)
+    assert got.tobytes() == _special_row_moments(t, y, s.lengths).tobytes()
+
+
 def test_batched_fit_eval_shape_errors():
     rng = np.random.default_rng(6)
     knot_sets = [random_knots(rng, 6), random_knots(rng, 6)]

@@ -10,7 +10,7 @@ from codedsmooth.errors import NumericError, ShapeError, ValidationError
 from codedsmooth.modelio import load_model, model_bytes
 from codedsmooth.models import MLP, MLPSpec
 from codedsmooth.train import (Coded, ERM, Mixup, TrainPlan, boundary_smoothness,
-                               dual_path_terms, margin_grid, mixup_batch,
+                               dual_path_terms, evaluate_model, margin_grid, mixup_batch,
                                schedule_n, train)
 
 from conftest import add, loss_node, matmul, model_node, scale, tsum
@@ -387,3 +387,16 @@ def test_regression_and_autoencoder_paths():
         method=Coded(mu=0.5, gamma=1.5))
     _, metrics = train(auto_plan)
     assert np.isfinite(metrics.records[-1].test_metric)
+
+
+def test_evaluate_model_rejects_a_regression_target_of_another_shape():
+    # an (n,) target against the (n, 1) output would broadcast to an (n, n)
+    # difference; the loss's own MSE rule names both shapes instead
+    rng = np.random.default_rng(7)
+    model = MLP(MLPSpec(widths=(1, 8, 1), activation="tanh"), rng)
+    x = rng.uniform(-1, 1, (16, 1))
+    y = np.sin(np.pi * x)
+    diff = model.predict(x) - y
+    assert evaluate_model(model, x, y, "regression") == float(np.mean(diff * diff))
+    with pytest.raises(ShapeError, match=r"\(16, 1\) vs \(16,\)"):
+        evaluate_model(model, x, y[:, 0], "regression")
