@@ -5,6 +5,11 @@ pass. Evaluation then runs either that same standard pass or randomized
 coded inference (RCI): shuffle the batch with a fresh uniform permutation,
 push it through encode -> model -> decode, and unshuffle. The permutation
 the defender draws is unknown to the attacker, which is the entire defense.
+
+An attack is one class with the ``name``, ``epsilon`` and ``steps`` its rows
+report and ``craft(model, x, y, seed)``; an inference mode is one class with
+the ``name`` and ``n_prime`` its rows report and ``score(model, x, y,
+trials)``. ``robust_eval`` crafts with the one and scores with the other.
 """
 
 from dataclasses import dataclass
@@ -35,11 +40,24 @@ def _check_epsilon(epsilon: float):
 
 
 @dataclass(frozen=True)
+class Clean:
+    """No attack: the inputs themselves."""
+    name, epsilon, steps = "none", 0.0, 0
+
+    def craft(self, model: MLP, x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
+        return x
+
+
+@dataclass(frozen=True)
 class FGSMSpec:
     epsilon: float
+    name, steps = "fgsm", 1
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
+
+    def craft(self, model: MLP, x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
+        return fgsm(model, x, y, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -56,13 +74,25 @@ class PGDSpec:
         if self.step_size is not None and self.step_size <= 0:
             raise ValidationError(f"attack.step_size = {self.step_size!r} must be > 0")
 
+    @property
+    def name(self) -> str:
+        return f"pgd{self.steps}"
+
     def resolved_step(self) -> float:
         return self.epsilon / 4.0 if self.step_size is None else self.step_size
+
+    def craft(self, model: MLP, x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
+        """The random start draws from the ``pgd-start`` stream of ``seed``."""
+        return pgd(model, x, y, self, rng=stream_rng(seed, "pgd-start"))
 
 
 @dataclass(frozen=True)
 class Standard:
     """Deterministic forward pass."""
+    name, n_prime = "standard", 0
+
+    def score(self, model: MLP, x: np.ndarray, y: np.ndarray, trials: int) -> float:
+        return accuracy(model.predict(x), y)
 
 
 @dataclass(frozen=True)
@@ -70,6 +100,7 @@ class RCI:
     n_prime: int
     k_prime: int
     seed: int = KEYS["attack.seed"].default
+    name = "rci"
 
     def __post_init__(self):
         for key, value in (("attack.k_prime", self.k_prime), ("attack.n_prime", self.n_prime)):
@@ -78,6 +109,21 @@ class RCI:
         if self.n_prime < self.k_prime:
             raise ValidationError(f"attack.n_prime = {self.n_prime} must be >= "
                                   f"attack.k_prime = {self.k_prime}")
+
+    def score(self, model: MLP, x: np.ndarray, y: np.ndarray, trials: int) -> float:
+        """Scores the largest K'-multiple prefix (the module needs full
+        batches), averaged over ``trials`` permutation draws."""
+        kp = self.k_prime
+        n_batches = x.shape[0] // kp
+        if n_batches == 0:
+            raise ValidationError(f"test set smaller than one K'={kp} batch")
+        module = coded.get_module(kp, self.n_prime)
+        acc = []
+        for t in range(trials):
+            out = [rci_forward(model, module, x[b * kp:(b + 1) * kp],
+                               stream_rng(self.seed, "rci", t, b)) for b in range(n_batches)]
+            acc.append(accuracy(np.concatenate(out), y[:n_batches * kp]))
+        return float(np.mean(acc))
 
 
 class Permutation:
@@ -153,44 +199,9 @@ def rci_forward(model: MLP, module, x: np.ndarray, rng) -> np.ndarray:
     return perm.invert(decoded)
 
 
-def craft(model: MLP, x: np.ndarray, y: np.ndarray, attack,
-          seed: int = KEYS["attack.seed"].default) -> np.ndarray:
-    """Adversarial inputs for ``attack`` (None: ``x`` itself), crafted
-    white-box against the standard deterministic pass. PGD's random start
-    draws from the ``pgd-start`` stream of ``seed``."""
-    if attack is None:
-        return x
-    if isinstance(attack, FGSMSpec):
-        return fgsm(model, x, y, attack.epsilon)
-    if isinstance(attack, PGDSpec):
-        return pgd(model, x, y, attack, rng=stream_rng(seed, "pgd-start"))
-    raise ValidationError(f"unknown attack {attack!r}")
-
-
 def robust_eval(model: MLP, x: np.ndarray, y: np.ndarray, attack, mode,
                 trials: int = KEYS["attack.trials"].default,
                 seed: int = KEYS["attack.seed"].default) -> float:
-    """Accuracy under an attack (or clean, attack=None) and an inference mode.
-
-    Adversarial inputs come from ``craft``; the inference mode only changes
-    how they are then evaluated, so a caller scoring one attack under
-    several modes can craft once and pass the crafted inputs with
-    attack=None. Standard mode scores every row; RCI scores the largest
-    K'-multiple prefix (the module needs full batches) and averages over
-    ``trials`` permutation draws.
-    """
-    x_adv = craft(model, x, y, attack, seed)
-    if isinstance(mode, Standard):
-        return accuracy(model.predict(x_adv), y)
-
-    kp = mode.k_prime
-    n_batches = x_adv.shape[0] // kp
-    if n_batches == 0:
-        raise ValidationError(f"test set smaller than one K'={kp} batch")
-    module = coded.get_module(kp, mode.n_prime)
-    acc = []
-    for t in range(trials):
-        out = [rci_forward(model, module, x_adv[b * kp:(b + 1) * kp],
-                           stream_rng(mode.seed, "rci", t, b)) for b in range(n_batches)]
-        acc.append(accuracy(np.concatenate(out), y[:n_batches * kp]))
-    return float(np.mean(acc))
+    """Accuracy of ``mode`` on the inputs ``attack`` crafts from ``x``; a caller
+    scoring one attack under several modes crafts once and passes ``Clean()``."""
+    return mode.score(model, attack.craft(model, x, y, seed), y, trials)

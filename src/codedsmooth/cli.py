@@ -71,7 +71,7 @@ def cmd_train(cfg: Config, args) -> dict:
 
 def cmd_attack(cfg: Config, args) -> dict:
     from . import coded
-    from .attack import FGSMSpec, PGDSpec, RCI, Standard, craft, robust_eval
+    from .attack import Clean, FGSMSpec, PGDSpec, RCI, Standard, robust_eval
     from .datasets import KINDS, DatasetSpec, make_dataset
     from .modelio import csv_table, load_model
     model, header = load_model(args.model)
@@ -92,13 +92,8 @@ def cmd_attack(cfg: Config, args) -> dict:
 
     fgsm, pgd = cfg.spec(FGSMSpec, "attack."), cfg.spec(PGDSpec, "attack.")
     kind, trials = cfg.get("attack.kind"), cfg.get("attack.trials")
-    # (name, attack, the epsilon and steps its rows report)
-    attacks = [("none", None, 0.0, 0), ("fgsm", fgsm, fgsm.epsilon, 1),
-               (f"pgd{pgd.steps}", pgd, pgd.epsilon, pgd.steps)]
-    if kind != "all":
-        attacks = [a for a in attacks if a[0].startswith(kind)]
-    # (name, mode, the N' its rows report)
-    modes = [("standard", Standard(), 0), ("rci", rci, rci.n_prime)]
+    attacks = [a for a in [Clean(), fgsm, pgd] if kind == "all" or a.name.startswith(kind)]
+    modes = (Standard(), rci)
     held = coded.get_module(rci.k_prime, rci.n_prime)  # for the whole command: built once for RCI
 
     data = make_dataset(dspec)
@@ -107,13 +102,14 @@ def cmd_attack(cfg: Config, args) -> dict:
     x, y = data.test_x[:used], data.test_y[:used]
     method = header.get("method", "unknown")
     rows = []
-    for attack_name, attack, eps_out, n_steps in attacks:
+    for attack in attacks:
         # crafted once against the standard pass, then scored under each mode
-        x_adv = craft(model, x, y, attack, rci.seed)
-        for mode_name, mode, npr in modes:
-            acc = robust_eval(model, x_adv, y, None, mode, trials=trials, seed=rci.seed)
-            rows.append((method, mode_name, attack_name, eps_out, n_steps, npr, rci.seed, acc))
-            print(f"{attack_name:>6s} | {mode_name:>8s} | accuracy {acc:.4f}")
+        x_adv = attack.craft(model, x, y, rci.seed)
+        for mode in modes:
+            acc = robust_eval(model, x_adv, y, Clean(), mode, trials=trials, seed=rci.seed)
+            rows.append((method, mode.name, attack.name, attack.epsilon, attack.steps,
+                         mode.n_prime, rci.seed, acc))
+            print(f"{attack.name:>6s} | {mode.name:>8s} | accuracy {acc:.4f}")
     return {"results.csv": csv_table("method,inference_mode,attack,epsilon,steps,N_prime,"
                                      "seed,accuracy", rows)}
 

@@ -8,6 +8,9 @@ shared with the direct path) and mixes the two losses as
 (1 - mu) * direct + mu * smoothed. The number of coded samples ramps
 linearly from the batch size K up to gamma*K over training.
 
+A method is one ``ERM`` subclass: its ``mu`` (0 unless a field sets it) and
+``batch(x, t, rng)``, the batch the step sees (``rng`` is the mixup stream).
+
 Randomness is split into named streams (init / shuffle / mixup) so that
 methods consuming fewer streams stay bit-compatible: a mu=0 coded run
 replays the plain run exactly.
@@ -33,19 +36,33 @@ from .seeding import stream_rng
 @dataclass(frozen=True)
 class ERM:
     """Plain training on the task loss."""
+    mu = 0.0  # not a field: fields are config keys and the model file's method line
+
+    def batch(self, x: np.ndarray, t: np.ndarray, rng) -> tuple:
+        return x, t
 
 
 @dataclass(frozen=True)
-class Mixup:
+class Mixup(ERM):
     alpha: float = KEYS["train.mixup_alpha"].default
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValidationError(f"train.mixup_alpha = {self.alpha!r} must be > 0")
 
+    def batch(self, x: np.ndarray, t: np.ndarray, rng) -> tuple:
+        """Convex combination of the batch with a permuted partner batch.
+
+        One lambda ~ Beta(alpha, alpha) per batch; targets must be one-hot or
+        probability rows so the mixed targets stay rows summing to one.
+        """
+        lam = rng.beta(self.alpha, self.alpha)
+        part = rng.permutation(x.shape[0])
+        return lam * x + (1.0 - lam) * x[part], lam * t + (1.0 - lam) * t[part]
+
 
 @dataclass(frozen=True)
-class Coded:
+class Coded(ERM):
     mu: float = KEYS["train.mu"].default
     gamma: float = KEYS["train.gamma"].default
 
@@ -136,19 +153,6 @@ def schedule_n(method: Coded, epoch: int, total_epochs: int, k: int) -> int:
     frac = epoch / (total_epochs - 1)
     n = int(round(k + (method.gamma * k - k) * frac))
     return max(k, min(n, top))
-
-
-def mixup_batch(x: np.ndarray, y: np.ndarray, alpha: float, rng) -> tuple:
-    """Convex combination of the batch with a permuted partner batch.
-
-    One lambda ~ Beta(alpha, alpha) per batch; labels must be one-hot or
-    probability rows so the mixed labels stay rows summing to one.
-    """
-    lam = rng.beta(alpha, alpha)
-    part = rng.permutation(x.shape[0])
-    xbar = lam * x + (1.0 - lam) * x[part]
-    ybar = lam * y + (1.0 - lam) * y[part]
-    return xbar, ybar
 
 
 def dual_path_terms(model: MLP, module, x: np.ndarray, target: np.ndarray,
@@ -245,7 +249,7 @@ def _epochs(plan: TrainPlan, every_epoch: bool):
     rng_shuffle = stream_rng(plan.seed, "data-shuffle")
     rng_mixup = stream_rng(plan.seed, "mixup")
     method = plan.method
-    mu = method.mu if isinstance(method, Coded) else 0.0
+    mu = method.mu
 
     metrics = Metrics()
     lr = plan.lr
@@ -266,10 +270,7 @@ def _epochs(plan: TrainPlan, every_epoch: bool):
         coded_vals = []
         for b in range(n_batches):
             idx = order[b * k:(b + 1) * k]
-            xb = data.train_x[idx]
-            tb = train_targets[idx]
-            if isinstance(method, Mixup):
-                xb, tb = mixup_batch(xb, tb, method.alpha, rng_mixup)
+            xb, tb = method.batch(data.train_x[idx], train_targets[idx], rng_mixup)
             main, coded_loss, _ = dual_path_terms(model, module, xb, tb, mu, task, grad)
             main_vals.append(main)
             if coded_loss is not None:

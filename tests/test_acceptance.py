@@ -24,7 +24,7 @@ import numpy.testing as npt
 import pytest
 
 from codedsmooth import autodiff
-from codedsmooth.attack import (FGSMSpec, PGDSpec, Permutation, RCI, Standard,
+from codedsmooth.attack import (Clean, FGSMSpec, PGDSpec, Permutation, RCI, Standard,
                                 pgd, fgsm, rci_forward, robust_eval)
 from codedsmooth.autodiff import Tensor
 from codedsmooth.cli import main
@@ -218,8 +218,8 @@ def test_criterion_8_robustness(moons_runs, moons_data):
     for seed in range(5):
         model = moons_runs[seed].coded_model
         mode = RCI(n_prime=192, k_prime=128, seed=seed)
-        clean_std = robust_eval(model, x, y, None, Standard(), seed=seed)
-        clean_rci = robust_eval(model, x, y, None, mode, trials=20, seed=seed)
+        clean_std = robust_eval(model, x, y, Clean(), Standard(), seed=seed)
+        clean_rci = robust_eval(model, x, y, Clean(), mode, trials=20, seed=seed)
         rob_std = robust_eval(model, x, y, attack, Standard(), seed=seed)
         rob_rci = robust_eval(model, x, y, attack, mode, trials=20, seed=seed)
         per_seed.append((rob_rci - rob_std, abs(clean_std - clean_rci)))

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from codedsmooth.attack import (FGSMSpec, PGDSpec, Permutation, RCI, Standard,
+from codedsmooth.attack import (Clean, FGSMSpec, PGDSpec, Permutation, RCI, Standard,
                                 fgsm, pgd, rci_forward, robust_eval)
 from codedsmooth.autodiff import Tensor, cross_entropy
 from codedsmooth.coded import CodedSmoothingModule, get_module
@@ -183,7 +183,7 @@ def test_pgd_random_start_requires_rng():
 
 def test_clean_standard_equals_plain_accuracy(moons_runs, moons_data):
     model = moons_runs[0].coded_model
-    acc = robust_eval(model, moons_data.test_x, moons_data.test_y, None, Standard())
+    acc = robust_eval(model, moons_data.test_x, moons_data.test_y, Clean(), Standard())
     want = np.mean(np.argmax(model.predict(moons_data.test_x), 1) == moons_data.test_y)
     assert acc == want
 
@@ -191,8 +191,8 @@ def test_clean_standard_equals_plain_accuracy(moons_runs, moons_data):
 def test_rci_trials_variance_small(moons_runs, moons_data):
     model = moons_runs[0].coded_model
     mode = RCI(n_prime=192, k_prime=128, seed=0)
-    a1 = robust_eval(model, moons_data.test_x, moons_data.test_y, None, mode, trials=1)
-    a20 = robust_eval(model, moons_data.test_x, moons_data.test_y, None, mode, trials=20)
+    a1 = robust_eval(model, moons_data.test_x, moons_data.test_y, Clean(), mode, trials=1)
+    a20 = robust_eval(model, moons_data.test_x, moons_data.test_y, Clean(), mode, trials=20)
     assert abs(a1 - a20) <= 0.03
 
 
@@ -200,7 +200,7 @@ def test_attack_never_helps_standard_inference(moons_runs, moons_data):
     x, y = moons_data.test_x, moons_data.test_y
     for seed in range(5):
         model = moons_runs[seed].coded_model
-        clean = robust_eval(model, x, y, None, Standard())
+        clean = robust_eval(model, x, y, Clean(), Standard())
         for attack in (FGSMSpec(epsilon=0.1), PGDSpec(epsilon=0.1, steps=10)):
             assert robust_eval(model, x, y, attack, Standard(), seed=seed) <= clean
 

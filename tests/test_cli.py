@@ -16,7 +16,7 @@ import pytest
 import codedsmooth
 from codedsmooth.cli import main
 from codedsmooth.coded import get_module
-from codedsmooth import coded, datasets
+from codedsmooth import attack, coded, datasets
 from codedsmooth.codedsim import BENCH_FUNCTIONS, sample_inputs
 from codedsmooth.config import KEYS, Config, parse_config_text
 from codedsmooth.datasets import DatasetSpec, make_dataset
@@ -228,6 +228,47 @@ def test_attack_scores_both_modes_on_the_same_rows(tmp_path):
     hits = np.argmax(model.predict(data.test_x), axis=1) == data.test_y
     assert np.mean(hits[:32]) != np.mean(hits)  # the 8 rows RCI leaves out would show
     assert float(row.split(",")[-1]) == np.mean(hits[:32])
+
+
+@pytest.mark.parametrize("kind, name", [("none", "none"), ("fgsm", "fgsm"), ("pgd", "pgd10")])
+def test_attack_kind_selects_the_attack_by_its_name(tmp_path, capsys, kind, name):
+    # a kind writes the `all` run's two rows and stdout lines for its attack, byte for byte
+    model = _model_file(tmp_path)
+    runs = {}
+    for k in ("all", kind):
+        cfg = _write(tmp_path, f"{k}.cfg", ATTACK_CFG + f"attack.kind = {k}\n")
+        assert main(["attack", "--config", cfg, "--model", model,
+                     "--out", str(tmp_path / k)]) == 0
+        runs[k] = (_read(tmp_path / k, "results.csv"), capsys.readouterr().out)
+    all_rows, all_out = (text.splitlines(keepends=True) for text in runs["all"])
+    rows, out = (text.splitlines(keepends=True) for text in runs[kind])
+    mine = [r for r in all_rows[1:] if r.split(",")[2] == name]
+    assert len(mine) == 2 and rows == all_rows[:1] + mine
+    assert len(all_out) == 6 and out == [l for l in all_out if l.split(" | ")[0].strip() == name]
+
+
+def test_attack_looks_up_the_traced_functions_when_called(tmp_path, monkeypatch):
+    # perfbench's tracer replaces attack.fgsm, attack.pgd and attack.robust_eval by
+    # name and reads their positional arguments: x, y and the epsilon or spec of an
+    # attack, the mode of an evaluation (k_prime marks an RCI one)
+    calls = {"fgsm": [], "pgd": [], "robust_eval": []}
+    for name, log in calls.items():
+        def recording(*args, _original=getattr(attack, name), _log=log, **kwargs):
+            _log.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(attack, name, recording)
+    cfg = _write(tmp_path, "a.cfg", ATTACK_CFG + "attack.kind = all\n")
+    assert main(["attack", "--config", cfg, "--model", _model_file(tmp_path),
+                 "--out", str(tmp_path / "o")]) == 0
+    data = make_dataset(DatasetSpec(kind="two_moons", n_train=64, n_test=32, noise=0.1, seed=1))
+    for name, spec in (("fgsm", 0.1), ("pgd", attack.PGDSpec(0.1))):
+        (args,) = calls[name]
+        npt.assert_array_equal(args[1], data.test_x)
+        npt.assert_array_equal(args[2], data.test_y)
+        assert args[3] == spec
+    modes = [args[4] for args in calls["robust_eval"]]
+    assert [mode.name for mode in modes] == ["standard", "rci"] * 3
+    assert [getattr(mode, "k_prime", None) for mode in modes] == [None, 16] * 3
 
 
 def test_attack_architecture_mismatch(tmp_path, capsys):
@@ -1071,6 +1112,9 @@ def test_allowed_names_match_the_code_that_runs_them():
     assert sorted(KEYS["train.method"].allowed) == sorted(METHODS)
     for name, (cls, _) in METHODS.items():  # the model file's method line names the class
         assert cls.__name__.lower() == name
+    attacks = (attack.Clean(), attack.FGSMSpec(0.1), attack.PGDSpec(0.1))
+    assert set(KEYS["attack.kind"].allowed) == {"all"} | {
+        a.name.rstrip("0123456789") for a in attacks}
 
 
 def test_each_spec_field_is_set_by_its_key(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,8 +12,8 @@ from codedsmooth.errors import NumericError, ShapeError, ValidationError
 from codedsmooth.modelio import load_model, model_bytes
 from codedsmooth.models import MLP, MLPSpec
 from codedsmooth.train import (Coded, ERM, Mixup, TrainPlan, boundary_smoothness,
-                               dual_path_terms, evaluate_model, margin_grid, mixup_batch,
-                               schedule_n, train)
+                               dual_path_terms, evaluate_model, margin_grid, schedule_n,
+                               train)
 
 from conftest import add, loss_node, matmul, model_node, scale, tsum
 
@@ -59,7 +61,7 @@ class _FixedRng:
 def test_mixup_lambda_one_is_identity():
     x = np.arange(8.0).reshape(4, 2)
     y = one_hot(np.array([0, 1, 0, 1]), 2)
-    xb, yb = mixup_batch(x, y, 1.0, _FixedRng(1.0, [3, 2, 1, 0]))
+    xb, yb = Mixup(1.0).batch(x, y, _FixedRng(1.0, [3, 2, 1, 0]))
     npt.assert_array_equal(xb, x)
     npt.assert_array_equal(yb, y)
 
@@ -67,7 +69,7 @@ def test_mixup_lambda_one_is_identity():
 def test_mixup_halfway_point():
     x = np.array([[0.0], [2.0]])
     y = one_hot(np.array([0, 1]), 2)
-    xb, yb = mixup_batch(x, y, 1.0, _FixedRng(0.5, [1, 0]))
+    xb, yb = Mixup(1.0).batch(x, y, _FixedRng(0.5, [1, 0]))
     npt.assert_array_equal(xb, [[1.0], [1.0]])
     npt.assert_array_equal(yb, [[0.5, 0.5], [0.5, 0.5]])
 
@@ -76,7 +78,7 @@ def test_mixup_rows_remain_distributions():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, (32, 2))
     y = one_hot(rng.integers(0, 2, 32), 2)
-    _, yb = mixup_batch(x, y, 0.4, rng)
+    _, yb = Mixup(0.4).batch(x, y, rng)
     npt.assert_allclose(yb.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -192,6 +194,25 @@ def test_mu_zero_run_bit_identical_to_erm():
     model_c, metrics_c = train(small_plan(Coded(mu=0.0, gamma=1.5)))
     assert metrics_e.to_csv() == metrics_c.to_csv()
     npt.assert_array_equal(model_e.theta, model_c.theta)
+
+
+def test_a_method_trains_through_its_own_batch():
+    # a method defined here, not in train.py, trains with no edit there: its
+    # batch sees every step's K rows, and one that changes nothing trains as ERM
+    @dataclass(frozen=True)
+    class Counting(ERM):
+        rows: list = field(default_factory=list)
+
+        def batch(self, x, t, rng):
+            self.rows.append((len(x), len(t)))
+            return x, t
+
+    method = Counting()
+    model, metrics = train(small_plan(method))
+    model_e, metrics_e = train(small_plan(ERM()))
+    assert method.rows == [(16, 16)] * (3 * 64 // 16)
+    assert metrics.to_csv() == metrics_e.to_csv()
+    assert model.theta.tobytes() == model_e.theta.tobytes()
 
 
 def test_training_deterministic():
