@@ -78,9 +78,6 @@ class PGDSpec:
     def name(self) -> str:
         return f"pgd{self.steps}"
 
-    def resolved_step(self) -> float:
-        return self.epsilon / 4.0 if self.step_size is None else self.step_size
-
     def craft(self, model: MLP, x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
         """The random start draws from the ``pgd-start`` stream of ``seed``."""
         return pgd(model, x, y, self, rng=stream_rng(seed, "pgd-start"))
@@ -169,7 +166,7 @@ def pgd(model: MLP, x: np.ndarray, y: np.ndarray, spec: PGDSpec, rng=None) -> np
     ``rng`` is only consumed when spec.random_start is set.
     """
     target = one_hot(y, model.output_dim)
-    step = spec.resolved_step()
+    step = spec.epsilon / 4.0 if spec.step_size is None else spec.step_size
     lo, hi = x - spec.epsilon, x + spec.epsilon
     x_adv = x
     if spec.random_start:
@@ -178,9 +175,7 @@ def pgd(model: MLP, x: np.ndarray, y: np.ndarray, spec: PGDSpec, rng=None) -> np
         x_adv = np.clip(x + rng.uniform(-spec.epsilon, spec.epsilon, x.shape), *BOX)
     for _ in range(spec.steps):
         g = _input_grad(model, x_adv, target)
-        x_adv = x_adv + step * np.sign(g)
-        x_adv = np.clip(x_adv, lo, hi)
-        x_adv = np.clip(x_adv, *BOX)
+        x_adv = np.clip(np.clip(x_adv + step * np.sign(g), lo, hi), *BOX)
     return x_adv
 
 

@@ -21,7 +21,7 @@ The tape keeps only the ops something composes:
 
 A leaf that wants a gradient is a ``Tensor`` with ``requires_grad=True``;
 the tape holds no optimizer state. Tensors are always float64. Nothing
-checks the data for finiteness; the training loop's NaN guard does that.
+checks the data for finiteness; the training loop's loss guard does that.
 """
 
 import numpy as np

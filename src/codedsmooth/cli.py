@@ -10,7 +10,7 @@ and writes them all, so a failed run leaves no directory. Re-running from
 ``config.resolved`` reproduces every output file bit-exactly. An ``--out``
 that cannot be a directory is rejected before the command runs.
 
-Exit codes: 0 success, 2 validation error, 3 numeric failure (NaN guard).
+Exit codes: 0 success, 2 validation error, 3 numeric failure (a runaway or nan loss).
 
 Each command imports the modules it runs inside its own function, so a
 process loads only those: ``simulate`` loads no ``train``, ``attack``,
@@ -20,7 +20,7 @@ process loads only those: ``simulate`` loads no ``train``, ``attack``,
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .coded import chebyshev_first, chebyshev_second
 from .config import KEYS, Config, dump_config, load_config, parse_seed
@@ -140,26 +140,33 @@ def cmd_simulate(cfg: Config, args) -> dict:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_plan(base, param: str, value: float):
-    from .train import Coded
-    if param != "batch_size" and not isinstance(base.method, Coded):
-        raise ValidationError(f"sweep over {param!r} requires train.method=coded")
-    if param in ("batch_size", "N") and value != int(value):
-        raise ValidationError(f"sweep.values has {value!r}; sweep.param = {param} "
-                              f"takes whole numbers")
-    # the plan checks the swept setting, as a float before int(); its message names it
+_SHORT_NAMES = {"mu": "train.mu", "gamma": "train.gamma", "batch_size": "train.batch_size"}
+
+
+def _sweep_plan(cfg: Config, param: str, value: float, seed: int):
+    """``cfg``'s train plan at ``seed``, with the swept key's own parser reading ``value``."""
+    key, setting = _SHORT_NAMES.get(param, param), value
+    if key == "train.seed":
+        raise ValidationError("sweep.param = train.seed: sweep.seeds sets each cell's train.seed")
+    if param == "N":  # the one derived axis: the final coded-sample count
+        k = cfg.get("train.batch_size")
+        if value != int(value):
+            raise ValidationError(f"sweep.values has {value!r}; sweep.param = N "
+                                  "takes whole numbers")
+        if value < k:
+            raise ValidationError(f"sweep.values has {value!r}: N = {value:g} is below "
+                                  f"train.batch_size = {k}")
+        key, setting = "train.gamma", value / k  # the ramp ends at N = gamma * K
+    # 17 significant digits, as sweep.csv prints floats: 16.0 as 16, which an integer key reads
+    cell = Config({**cfg.raw, key: f"{setting:.17g}", "train.seed": str(seed)})
     try:
-        if param == "batch_size":
-            return replace(replace(base, batch_size=value), batch_size=int(value))
-        if param == "N":
-            # target final coded-sample count; reached by ramping gamma = N/K
-            if value < base.batch_size:
-                raise ValidationError(f"N = {value:g} is below train.batch_size = "
-                                      f"{base.batch_size}")
-            return replace(base, method=replace(base.method, gamma=value / base.batch_size))
-        return replace(base, method=replace(base.method, **{param: value}))
+        plan = _train_plan(cell)
     except ValidationError as err:
         raise ValidationError(f"sweep.values has {value!r}: {err}") from None
+    if key not in cell.read:
+        raise ValidationError(f"sweep.param = {param}: a train.method = "
+                              f"{cell.get('train.method')} run never reads {key}")
+    return plan
 
 
 def _sweep_rows(cells):
@@ -167,24 +174,20 @@ def _sweep_rows(cells):
     from .train import train
     try:
         # sweep.csv reports the last epoch only, so only it is evaluated
-        runs = train([replace(plan, seed=seed) for plan, _, _, seed in cells], every_epoch=False)
+        runs = train([plan for plan, _, _, _ in cells], every_epoch=False)
     except NumericError as err:
         _, param, value, seed = cells[err.index]
         raise NumericError(f"sweep cell {param} = {value:g}, seed {seed}: {err}") from None
-    rows = []
-    for (_, param, value, seed), (_, metrics) in zip(cells, runs):
-        last = metrics.records[-1]
-        rows.append((param, value, seed, last.test_metric, last.loss_main,
-                     last.loss_coded, last.n_coded))
-    return rows
+    lasts = [metrics.records[-1] for _, metrics in runs]
+    return [(param, value, seed, last.test_metric, last.loss_main, last.loss_coded, last.n_coded)
+            for (_, param, value, seed), last in zip(cells, lasts)]
 
 
 def cmd_sweep(cfg: Config, args) -> dict:
     from .modelio import csv_table
     param, values, seeds = cfg.get("sweep.param"), cfg.get("sweep.values"), cfg.get("sweep.seeds")
-    base = _train_plan(cfg)
-
-    cells = [(_sweep_plan(base, param, v), param, v, s) for v in values for s in seeds]
+    _train_plan(cfg)  # the config as written must run, and its echo holds what it read
+    cells = [(_sweep_plan(cfg, param, v, s), param, v, s) for v in values for s in seeds]
     workers = min(args.threads, len(cells))
     if workers > 1:
         # imported here, so that no other command loads multiprocessing

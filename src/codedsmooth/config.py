@@ -122,7 +122,7 @@ KEYS = {
     "sim.seeds": Key(_distinct(_list(parse_seed)), (0,)),
     "sim.policy": Key(str, "uniform_random", ("uniform_random", "adversarial_contiguous")),
     "sim.input_seed": Key(parse_seed, 0),
-    "sweep.param": Key(str, MISSING, ("mu", "N", "gamma", "batch_size")),
+    "sweep.param": Key(str, MISSING),
     "sweep.values": Key(_distinct(_list(_finite)), MISSING),
     "sweep.seeds": Key(_distinct(_list(parse_seed)), (0, 1, 2, 3, 4)),
 }

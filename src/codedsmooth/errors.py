@@ -10,6 +10,6 @@ class ShapeError(ValidationError):
 
 
 class NumericError(RuntimeError):
-    """Runtime numeric failure (NaN/Inf guard tripped)."""
+    """Runtime numeric failure (a training loss past ``train.LOSS_LIMIT``, or nan)."""
 
     index = None  # set by a lockstep ``train``: the failing plan's place in its list

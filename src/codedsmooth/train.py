@@ -16,7 +16,6 @@ methods consuming fewer streams stay bit-compatible: a mu=0 coded run
 replays the plain run exactly.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,6 +30,12 @@ from .errors import NumericError, ValidationError
 from .models import MLP, MLPSpec
 from .modelio import csv_table
 from .seeding import stream_rng
+
+
+# a weighted loss term above this, or nan, ends the run as a numeric failure. It is
+# far above any working run's loss, which is of order one (no batch of a canonical
+# run passes 1): a squared error of 1e30 means outputs off by 1e15, a runaway's
+LOSS_LIMIT = 1e30
 
 
 @dataclass(frozen=True)
@@ -236,8 +241,7 @@ def _epochs(plan: TrainPlan, every_epoch: bool):
     data = make_dataset(plan.dataset)
     task, _, outputs = KINDS[plan.dataset.kind]
     if task == "classification":
-        train_targets = one_hot(data.train_y, outputs)
-        test_targets = data.test_y
+        train_targets, test_targets = one_hot(data.train_y, outputs), data.test_y
     elif task == "autoencoder":
         train_targets, test_targets = data.train_x, data.test_x
     else:
@@ -258,16 +262,12 @@ def _epochs(plan: TrainPlan, every_epoch: bool):
     for epoch in range(plan.epochs):
         if epoch in plan.lr_decay_epochs:
             lr /= 10.0
-        if mu > 0.0:
-            n_coded = schedule_n(method, epoch, plan.epochs, k)
-            module = coded.get_module(k, n_coded)
-        else:
-            n_coded = k
-            module = None
+        # mu = 0 runs no smoothing path: no module, and N stays K
+        n_coded = schedule_n(method, epoch, plan.epochs, k) if mu > 0.0 else k
+        module = coded.get_module(k, n_coded) if mu > 0.0 else None
 
         order = rng_shuffle.permutation(data.train_x.shape[0])
-        main_vals = []
-        coded_vals = []
+        main_vals, coded_vals = [], []
         for b in range(n_batches):
             idx = order[b * k:(b + 1) * k]
             xb, tb = method.batch(data.train_x[idx], train_targets[idx], rng_mixup)
@@ -276,8 +276,9 @@ def _epochs(plan: TrainPlan, every_epoch: bool):
             if coded_loss is not None:
                 coded_vals.append(coded_loss)
             for name, value, weight in (("main", main, 1.0 - mu), ("coded", coded_loss, mu)):
-                if weight > 0.0 and not math.isfinite(value):
-                    raise NumericError(f"non-finite {name} loss at epoch {epoch}, batch {b}")
+                if weight > 0.0 and not value <= LOSS_LIMIT:  # nan compares False too
+                    raise NumericError(f"runaway {name} loss ({value:.3g}) at epoch {epoch}, "
+                                       f"batch {b}")
             autodiff.sgd_momentum_step(model.theta, grad, velocity, lr, plan.momentum)
 
         metrics.records.append(EpochRecord(
@@ -299,7 +300,7 @@ def train(plans, every_epoch: bool = True):
 
     Epochs shuffle the training set; a trailing partial batch (< K rows) is
     dropped since the smoothing module needs exactly K rows. Every loss term
-    that carries weight is guarded against NaN/Inf every step. With mu = 0
+    that carries weight is checked against ``LOSS_LIMIT`` every step. With mu = 0
     the smoothing path is never instantiated, so the run (and its metrics
     CSV) is identical to plain training.
 

@@ -4,6 +4,7 @@ attack tests and the acceptance suite."""
 
 from types import SimpleNamespace
 
+import codedsmooth  # noqa: F401  first: its one-BLAS-thread default applies before numpy loads
 import numpy as np
 import pytest
 

@@ -127,9 +127,9 @@ def test_train_seed_override_changes_run(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_train_numeric_failure_exit_code(tmp_path):
-    # squared-error loss on a runaway-lr regression overflows to inf within a
-    # few steps, or at once on targets this noisy; the per-step guard must
-    # abort with exit code 3, and no numpy warning comes before its line
+    # squared-error loss on a runaway-lr regression passes the loss limit
+    # within a few steps, or is inf at once on targets this noisy; the per-step
+    # guard must abort with exit code 3, and no numpy warning comes before its line
     for i, noise in enumerate(("", "data.noise = 1e150\n", "data.noise = 1e200\n")):
         cfg = _write(tmp_path, f"bad{i}.cfg", noise + """
 data.kind = sinusoid_regression
@@ -420,17 +420,33 @@ def test_sweep_seed_flag_sets_the_cells_seed(tmp_path):
     assert "sweep.seeds = 7\n" in _read(str(tmp_path / "flag"), "config.resolved")
 
 
-def test_sweep_row_equals_train_final_row(tmp_path):
+# sweep.param, a swept value other than the config's own, train.method, and
+# the key and value a train run sets for it
+ROW_CASES = [
+    ("mu", "0.25", "coded", "train.mu", "0.25"),
+    ("gamma", "2", "coded", "train.gamma", "2"),
+    ("N", "20", "coded", "train.gamma", "1.25"),
+    ("batch_size", "8", "coded", "train.batch_size", "8"),
+    ("data.n_train", "48", "coded", "data.n_train", "48"),
+    ("train.mixup_alpha", "0.4", "mixup", "train.mixup_alpha", "0.4"),
+]
+
+
+@pytest.mark.parametrize("param, value, method, key, setting", ROW_CASES,
+                         ids=[case[0] for case in ROW_CASES])
+def test_sweep_row_equals_train_final_row(tmp_path, param, value, method, key, setting):
     # a sweep cell evaluates the test set after its last epoch only; its row
-    # must still be the last metrics.csv row of the same training run
-    cfg = _write(tmp_path, "s.cfg", SWEEP_CFG.replace("0.2,0.8", "0.5"))
+    # must still be the last metrics.csv row of the train run with its key set
+    text = TRAIN_CFG.format(method=method, mu=0.5)
+    cfg = _write(tmp_path, "s.cfg", text + f"sweep.param = {param}\nsweep.values = {value}\n"
+                 "sweep.seeds = 0,1\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
     rows = _read(str(tmp_path / "sweep"), "sweep.csv").strip().splitlines()[1:]
     assert len(rows) == 2
-    train_cfg = _write(tmp_path, "t.cfg", TRAIN_CFG.format(method="coded", mu=0.5))
+    train_cfg = _write(tmp_path, "t.cfg", _set_key(text, key, setting))
     for row in rows:
-        _, value, seed, metric, loss_main, loss_coded, n_final = row.split(",")
-        assert value == "0.5"
+        swept, value_column, seed, metric, loss_main, loss_coded, n_final = row.split(",")
+        assert (swept, float(value_column)) == (param, float(value))
         out = str(tmp_path / f"train{seed}")
         assert main(["train", "--config", train_cfg, "--out", out, "--seed", seed]) == 0
         last = _read(out, "metrics.csv").strip().splitlines()[-1].split(",")
@@ -585,9 +601,11 @@ def test_sweep_leaves_numpy_error_state_alone(tmp_path):
         assert np.geterr() == before
 
 
-# a runaway but finite run: losses reach about 1e297, so no guard trips
+# a runaway but finite run: its losses pass 1e30 at the third step; unguarded,
+# they reached about 1e102 by the last, with no loss ever inf or nan
 RUNAWAY_CFG = """
 data.kind = two_moons
+data.n_train = 64
 model.widths = 2,8,2
 train.method = coded
 train.epochs = 2
@@ -601,18 +619,23 @@ sweep.seeds = 0
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_runaway_run_prints_no_numpy_warning(tmp_path, capsys, command):
-    # the smoothness pass after training overflows on such a model; its
-    # warnings are numpy's, not the run's, and stay off stderr
+    # the loss guard stops the run with its one line, naming the epoch, the
+    # batch and the term (and in a sweep the cell); numpy's overflow warnings
+    # on the way stay off stderr
+    cell = "sweep cell mu = 0, seed 0: " if command == "sweep" else ""
     cfg = _write(tmp_path, "r.cfg", RUNAWAY_CFG)
+    out = tmp_path / "o"
     with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert capsys.readouterr().err == ""
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert re.fullmatch(rf"numeric failure: {cell}runaway main loss \(\S+\) at epoch 0, "
+                        r"batch \d+\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_numeric_failure_names_the_cell(tmp_path, capsys, threads):
-    # runaway lr on a squared-error task overflows to inf within a few steps
+    # runaway lr on a squared-error task passes the loss limit within a few steps
     diverging = {"two_moons": "sinusoid_regression", "2,8,2": "1,8,1", "lr = 0.1": "lr = 1e30"}
     text = SWEEP_CFG
     for old, new in diverging.items():
@@ -623,7 +646,7 @@ def test_sweep_numeric_failure_names_the_cell(tmp_path, capsys, threads):
     assert not out.exists()
     err = capsys.readouterr().err
     found = re.fullmatch(r"numeric failure: sweep cell mu = (0\.2|0\.8), seed ([01]): "
-                         r"(non-finite \w+ loss at epoch \d+, batch \d+)\n", err)
+                         r"(runaway \w+ loss \(\S+\) at epoch \d+, batch \d+)\n", err)
     assert found, err
     # the named cell, trained alone, fails with the same message
     train_cfg = _write(tmp_path, "t.cfg", text.replace("mu = 0.5", f"mu = {found[1]}"))
@@ -641,13 +664,16 @@ attack.n_prime = 24
 attack.trials = 5
 """
 
-# command: (config text, contract files, the key --seed overrides)
+# case: (command, config text, contract files, the key --seed overrides)
 RERUN_CASES = {
-    "train": (TRAIN_CFG.format(method="coded", mu=0.5), ("metrics.csv", "model.bin"),
+    "train": ("train", TRAIN_CFG.format(method="coded", mu=0.5), ("metrics.csv", "model.bin"),
               "train.seed"),
-    "attack": (ATTACK_CFG, ("results.csv",), "attack.seed"),
-    "simulate": (SIM_CFG, ("sim_sweep.csv", "report.json"), "sim.input_seed"),
-    "sweep": (SWEEP_CFG, ("sweep.csv",), "sweep.seeds"),
+    "attack": ("attack", ATTACK_CFG, ("results.csv",), "attack.seed"),
+    "simulate": ("simulate", SIM_CFG, ("sim_sweep.csv", "report.json"), "sim.input_seed"),
+    "sweep": ("sweep", SWEEP_CFG, ("sweep.csv",), "sweep.seeds"),
+    # echoed as sweep.values = 8.0,16.0, which an integer key must still read
+    "sweep-batch_size": ("sweep", SWEEP_CFG.replace("param = mu", "param = batch_size")
+                         .replace("0.2,0.8", "8,16"), ("sweep.csv",), "sweep.seeds"),
 }
 
 
@@ -658,9 +684,9 @@ def _model_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", sorted(RERUN_CASES))
-def test_rerun_from_echoed_config(tmp_path, command):
-    text, contract, seed_key = RERUN_CASES[command]
+@pytest.mark.parametrize("case", sorted(RERUN_CASES))
+def test_rerun_from_echoed_config(tmp_path, case):
+    command, text, contract, seed_key = RERUN_CASES[case]
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main([command, "--config", _write(tmp_path, "c.cfg", text),
@@ -781,7 +807,7 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
      "train.momentum", "= 1.0"),
     # integer sweep parameters take whole numbers only
     ("sweep", SWEEP_CFG.replace("param = mu", "param = batch_size")
-     .replace("0.2,0.8", "16,32.5"), "sweep.values has 32.5", "sweep.param = batch_size"),
+     .replace("0.2,0.8", "16,32.5"), "sweep.values has 32.5", "config key 'train.batch_size'"),
     ("sweep", SWEEP_CFG.replace("param = mu", "param = N").replace("0.2,0.8", "20.5"),
      "sweep.values has 20.5", "sweep.param = N"),
     # every spline point count is bounded, so no operator outgrows memory;
@@ -829,12 +855,12 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
     ("attack", ATTACK_CFG.replace("attack.k_prime = 16", "attack.k_prime = 4096")
      .replace("attack.n_prime = 24\n", "").replace("n_test = 32", "n_test = 5000"),
      "attack.k_prime", "4096"),
-    # a whole sweep value is range-checked before it becomes an int, so the
-    # message quotes it as a float, not as hundreds of digits
+    # a swept value is handed to its key as 17 significant digits, so the
+    # message quotes a huge one as an exponent, not as hundreds of digits
     ("sweep", SWEEP_CFG.replace("param = mu", "param = batch_size").replace("0.2,0.8", "1e300"),
-     "sweep.values has 1e+300", "train.batch_size (2e+300)"),
+     "sweep.values has 1e+300", "config key 'train.batch_size'"),
     ("sweep", SWEEP_CFG.replace("param = mu", "param = batch_size").replace("0.2,0.8", "-1e300"),
-     "sweep.values has -1e+300", "train.batch_size = -1e+300"),
+     "sweep.values has -1e+300", "config key 'train.batch_size'"),
     ("sweep", SWEEP_CFG.replace("param = mu", "param = N").replace("0.2,0.8", "-1e300"),
      "sweep.values has -1e+300", "N = -1e+300"),
     # noise that overflows the inputs is named before they are scaled
@@ -851,6 +877,16 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
     ("sweep", SWEEP_CFG.replace("0.2,0.8", "0.5,0.50"), "sweep.values", "0.5 more than once"),
     ("sweep", SWEEP_CFG.replace("sweep.seeds = 0,1", "sweep.seeds = 0,0"), "sweep.seeds",
      "0 more than once"),
+    # a cell sets train.seed from sweep.seeds, and its run must read the swept key
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = train.seed"),
+     "sweep.param = train.seed", "sweep.seeds"),
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = attack.epsilon"),
+     "sweep.param = attack.epsilon", "train.method = coded"),
+    ("sweep", SWEEP_CFG.replace("method = coded", "method = erm")
+     .replace("param = mu", "param = N").replace("0.2,0.8", "24"),
+     "sweep.param = N", "train.method = erm"),
+    ("sweep", SWEEP_CFG.replace("param = mu", "param = train.mixup_alpha"),
+     "sweep.param = train.mixup_alpha", "train.method = coded"),
     # a network that does not fit the data kind is refused before any data is made
     ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("widths = 2,8,2", "widths = 3,8,2"),
      "model.widths = (3, 8, 2)", "data.kind = two_moons"),
@@ -873,6 +909,8 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
         "sweep.values-batch_size-negative-huge", "sweep.values-N-negative-huge",
         "data.noise-huge", "sim.N_list-repeated", "sim.S_list-repeated",
         "sim.seeds-repeated", "sweep.values-repeated", "sweep.seeds-repeated",
+        "sweep.param-train.seed", "sweep.param-attack.epsilon", "sweep.param-N-erm",
+        "sweep.param-train.mixup_alpha-coded",
         "model.widths-input-misfit", "model.widths-output-misfit"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")

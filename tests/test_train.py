@@ -236,14 +236,14 @@ def test_lockstep_runs_equal_separate_runs():
         npt.assert_array_equal(model.theta, alone_model.theta)
 
 
-def _diverging_plan(noise):
-    # runaway lr on a squared-error task: inf at epoch 1 at noise 0, at once
-    # at noise 1e200
+def _diverging_plan(noise, lr=1e30):
+    # runaway lr on a squared-error task: past the loss limit at the second
+    # step at noise 0, at once at noise 1e200; at lr = 100 only at epoch 1, batch 2
     return TrainPlan(
         dataset=DatasetSpec(kind="sinusoid_regression", n_train=64, n_test=32,
                             noise=noise, seed=1),
         model=MLPSpec(widths=(1, 8, 1), activation="tanh"),
-        epochs=5, batch_size=16, lr=1e30, momentum=0.9, seed=0, method=ERM())
+        epochs=5, batch_size=16, lr=lr, momentum=0.9, seed=0, method=ERM())
 
 
 def test_lockstep_leaves_numpy_error_state_alone():
@@ -263,18 +263,18 @@ def test_lockstep_numeric_failure_gives_the_plan_index():
     # lockstep meets the earliest failing epoch first, not the first failing
     # plan in the list
     with pytest.raises(NumericError, match="at epoch 0, batch 0") as exc:
-        train([small_plan(ERM()), _diverging_plan(0.0), _diverging_plan(1e200)])
+        train([small_plan(ERM()), _diverging_plan(0.0, lr=100.0), _diverging_plan(1e200)])
     assert exc.value.index == 2
-    with pytest.raises(NumericError, match="at epoch 1, batch 1") as exc:
-        train([small_plan(ERM()), _diverging_plan(0.0)])
+    with pytest.raises(NumericError, match="at epoch 1, batch 2") as exc:
+        train([small_plan(ERM()), _diverging_plan(0.0, lr=100.0)])
     assert exc.value.index == 1
 
 
 @pytest.mark.filterwarnings("error")
 def test_nan_guard_aborts_with_diagnostic():
-    # runaway lr on a squared-error task overflows to inf within a few steps
-    # (at once on targets this noisy), with no numpy warning on the way; the
-    # message names the loss term that carries weight and went bad
+    # runaway lr on a squared-error task passes the loss limit within a few
+    # steps (and is inf at once on targets this noisy), with no numpy warning
+    # on the way; the message names the loss term that carries weight and went bad
     for noise in (0.0, 1e150, 1e200):
         for method, term in ((ERM(), "main"), (Coded(mu=1.0), "coded")):
             plan = TrainPlan(
@@ -283,7 +283,7 @@ def test_nan_guard_aborts_with_diagnostic():
                 model=MLPSpec(widths=(1, 8, 1), activation="tanh"),
                 epochs=5, batch_size=16, lr=1e30, momentum=0.9, seed=0, method=method)
             with pytest.raises(NumericError,
-                               match=rf"non-finite {term} loss at epoch \d+, batch \d+"):
+                               match=rf"runaway {term} loss \(\S+\) at epoch \d+, batch \d+"):
                 train(plan)
 
 
