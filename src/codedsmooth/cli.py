@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields
 
 from .coded import chebyshev_first, chebyshev_second
-from .config import KEYS, Config, dump_config, load_config, parse_seed
+from .config import KEYS, Config, dump_config, int_in, load_config, parse_seed
 from .errors import NumericError, ValidationError
 
 # ---------------------------------------------------------------- points
@@ -54,7 +54,7 @@ def _train_plan(cfg: Config):
     from .train import METHODS, TrainPlan
     return cfg.spec(TrainPlan, "train.", dataset=cfg.spec(DatasetSpec, "data."),
                     model=cfg.spec(MLPSpec, "model."),
-                    method=cfg.spec(*METHODS[cfg.get("train.method")]))
+                    method=cfg.spec(*cfg.choose("train.method", METHODS)))
 
 
 def cmd_train(cfg: Config, args) -> dict:
@@ -90,9 +90,10 @@ def cmd_attack(cfg: Config, args) -> dict:
         raise ValidationError(f"attack.k_prime = {rci.k_prime} exceeds data.n_test = "
                               f"{dspec.n_test}; RCI scores whole K' batches of the test set")
 
-    fgsm, pgd = cfg.spec(FGSMSpec, "attack."), cfg.spec(PGDSpec, "attack.")
-    kind, trials = cfg.get("attack.kind"), cfg.get("attack.trials")
-    attacks = [a for a in [Clean(), fgsm, pgd] if kind == "all" or a.name.startswith(kind)]
+    attacks = [Clean(), cfg.spec(FGSMSpec, "attack."), cfg.spec(PGDSpec, "attack.")]
+    # attack.kind: all of them, or one by its name without a step count
+    kinds = {"all": attacks, **{a.name.rstrip("0123456789"): [a] for a in attacks}}
+    attacks, trials = cfg.choose("attack.kind", kinds), cfg.get("attack.trials")
     modes = (Standard(), rci)
     held = coded.get_module(rci.k_prime, rci.n_prime)  # for the whole command: built once for RCI
 
@@ -120,11 +121,11 @@ def cmd_simulate(cfg: Config, args) -> dict:
     import json
     from .codedsim import BENCH_FUNCTIONS, fit_scaling_exponent, sample_inputs, sweep
     from .modelio import csv_table
-    fn_name, k, policy = cfg.get("sim.fn"), cfg.get("sim.K"), cfg.get("sim.policy")
+    f, k, policy = cfg.choose("sim.fn", BENCH_FUNCTIONS), cfg.get("sim.K"), cfg.get("sim.policy")
     n_list, s_list, seeds = cfg.get("sim.N_list"), cfg.get("sim.S_list"), cfg.get("sim.seeds")
 
     x = sample_inputs(k, cfg.get("sim.input_seed"))
-    rows = sweep(BENCH_FUNCTIONS[fn_name], x, n_list, s_list, seeds, policy)
+    rows = sweep(f, x, n_list, s_list, seeds, policy)
     try:
         exponent = fit_scaling_exponent(rows)
         print(f"fitted exponent: {exponent:.3f}")
@@ -132,7 +133,7 @@ def cmd_simulate(cfg: Config, args) -> dict:
         exponent = None
         print(f"fitted exponent: unavailable ({err})")
 
-    summary = {"fn": fn_name, "K": k, "policy": policy,
+    summary = {"fn": cfg.get("sim.fn"), "K": k, "policy": policy,
                "cells": len(n_list) * len(s_list), "runs": len(rows), "exponent": exponent}
     return {"sim_sweep.csv": csv_table("N,S,policy,seed,mse", rows),
             "report.json": json.dumps(summary, indent=2, sort_keys=True) + "\n"}
@@ -223,18 +224,13 @@ _COMMANDS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        return parse_seed(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad value {text!r} ({err})") from None
+def _flag(parse):
+    def parse_flag(text: str):  # a config parser as an argparse type
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"bad value {text!r} ({err})") from None
+    return parse_flag
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,11 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
             continue
         sp.add_argument("--config")
         sp.add_argument("--out", default=f"runs/{name}")
-        sp.add_argument("--seed", type=_seed)
+        sp.add_argument("--seed", type=_flag(parse_seed))
         if name == "attack":
             sp.add_argument("--model", required=True)
         if name == "sweep":
-            sp.add_argument("--threads", type=_positive_int, default=1,
+            sp.add_argument("--threads", type=_flag(int_in(1)), default=1,
                             help="processes; process i trains cells i, i + N, ... in lockstep")
     return p
 

@@ -39,6 +39,10 @@ BENCH_FUNCTIONS = {
 }
 
 
+# sim.policy: how the S stragglers are chosen (``returned_indices``)
+POLICIES = ("uniform_random", "adversarial_contiguous")
+
+
 def sample_inputs(k: int, seed: int) -> np.ndarray:
     """The shared uniform(-1, 1) scalar-column batch used by rate experiments."""
     return stream_rng(seed, "inputs").uniform(-1.0, 1.0, (k, 1))
@@ -53,6 +57,9 @@ class StragglerScenario:
 
     def __post_init__(self):
         n, s = self.n_workers, self.max_stragglers
+        if self.policy not in POLICIES:
+            raise ValidationError(f"sim.policy = {self.policy!r} must be one of "
+                                  f"{', '.join(POLICIES)}")
         if n < MIN_POINTS:
             raise ValidationError(f"sim.N_list has N = {n}; need at least {MIN_POINTS} workers")
         if n > MAX_POINTS:
@@ -62,8 +69,6 @@ class StragglerScenario:
         if s >= n - (MIN_POINTS - 1):
             raise ValidationError(f"sim.S_list has S = {s} and sim.N_list has N = {n}; "
                                   f"need S < N - {MIN_POINTS - 1}")
-        if self.policy not in KEYS["sim.policy"].allowed:
-            raise ValidationError(f"unknown policy {self.policy!r}")
 
 
 class SweepRow(NamedTuple):

@@ -7,12 +7,14 @@ checks a key when a command first reads it, and keeps every key read so far
 with its value; a command's echo holds exactly those keys, and re-running
 from that echo reproduces the outputs exactly.
 
-``KEYS`` holds each key's parser, default and allowed values. It is the one
-home of every default: the dataclasses the keys configure (``DatasetSpec``,
-``TrainPlan``, ``StragglerScenario`` ...) read their field defaults from it,
-so reading a config loads none of the modules that run a command.
-``Config.spec`` is the one rule from key to field: the key ``prefix + name``
-sets the field ``name`` of the spec a command builds.
+``KEYS`` holds each key's parser and default. It is the one home of every
+default: the dataclasses the keys configure (``DatasetSpec``, ``TrainPlan``,
+``StragglerScenario`` ...) read their field defaults from it, so reading a
+config loads none of the modules that run a command. ``Config.spec`` is the
+one rule from key to field: the key ``prefix + name`` sets the field
+``name`` of the spec a command builds. A name a key takes (a data kind, a
+method, an attack ...) is written once, in the table that runs it, and is
+checked there: by the spec that holds it, or by ``Config.choose``.
 """
 
 import math
@@ -23,7 +25,7 @@ from .coded import MAX_POINTS, MIN_POINTS
 from .errors import ValidationError
 
 
-def _int_in(low, high=None):
+def int_in(low, high=None):
     def parse(text):
         value = int(text)
         if value < low:
@@ -35,7 +37,7 @@ def _int_in(low, high=None):
 
 
 # a seed is one 64-bit word of numpy's SeedSequence entropy
-parse_seed = _int_in(0, 2 ** 64 - 1)
+parse_seed = int_in(0, 2 ** 64 - 1)
 
 
 def _finite(text):
@@ -55,10 +57,9 @@ def _bool(text):
 
 def _list(item, may_be_empty=False):
     def parse(text):
-        values = tuple(item(p) for p in text.split(",") if p.strip())
-        if not values and not may_be_empty:
-            raise ValueError("must not be empty")
-        return values
+        if may_be_empty and not text.strip():
+            return ()
+        return tuple(item(p) for p in text.split(","))  # item refuses an empty entry
     return parse
 
 
@@ -83,20 +84,19 @@ def _default_n_prime(cfg):
 
 
 # default: MISSING marks a required key; a callable derives it from the config
-Key = namedtuple("Key", "parse default allowed", defaults=((),))
+Key = namedtuple("Key", "parse default")
 
 # every key any subcommand understands; one config file may drive several
 # commands (e.g. a train followed by an attack on its model file)
 KEYS = {
-    "data.kind": Key(str, MISSING, ("two_moons", "concentric_circles", "spirals",
-                                    "sinusoid_regression", "gaussian8_autoencoder")),
+    "data.kind": Key(str, MISSING),
     "data.n_train": Key(int, 1000),
     "data.n_test": Key(int, 1000),
     "data.noise": Key(_finite, 0.0),
     "data.seed": Key(parse_seed, 0),
     "model.widths": Key(_list(int), MISSING),
-    "model.activation": Key(str, "relu", ("relu", "tanh")),
-    "train.method": Key(str.lower, "erm", ("erm", "mixup", "coded")),
+    "model.activation": Key(str, "relu"),
+    "train.method": Key(str.lower, "erm"),
     "train.mu": Key(_finite, 0.5),
     "train.gamma": Key(_finite, 1.5),
     "train.mixup_alpha": Key(_finite, 1.0),
@@ -106,21 +106,21 @@ KEYS = {
     "train.lr_decay_epochs": Key(_list(int, may_be_empty=True), ()),
     "train.momentum": Key(_finite, 0.9),
     "train.seed": Key(parse_seed, 0),
-    "attack.kind": Key(str.lower, "all", ("all", "none", "fgsm", "pgd")),
+    "attack.kind": Key(str.lower, "all"),
     "attack.epsilon": Key(_finite, 0.1),
     "attack.steps": Key(int, 10),
     "attack.step_size": Key(_finite, None),  # None: attack.epsilon / 4
     "attack.random_start": Key(_bool, True),
-    "attack.trials": Key(_int_in(1), 20),
-    "attack.k_prime": Key(_int_in(MIN_POINTS, MAX_POINTS), 128),
+    "attack.trials": Key(int_in(1), 20),
+    "attack.k_prime": Key(int_in(MIN_POINTS, MAX_POINTS), 128),
     "attack.n_prime": Key(int, _default_n_prime),
     "attack.seed": Key(parse_seed, 0),
-    "sim.fn": Key(str, "sin", ("sin", "gauss_bump", "cubic", "const")),
-    "sim.K": Key(_int_in(MIN_POINTS, MAX_POINTS), 16),
+    "sim.fn": Key(str, "sin"),
+    "sim.K": Key(int_in(MIN_POINTS, MAX_POINTS), 16),
     "sim.N_list": Key(_distinct(_list(int)), (32, 64, 128, 256)),
     "sim.S_list": Key(_distinct(_list(int)), (0,)),
     "sim.seeds": Key(_distinct(_list(parse_seed)), (0,)),
-    "sim.policy": Key(str, "uniform_random", ("uniform_random", "adversarial_contiguous")),
+    "sim.policy": Key(str, "uniform_random"),
     "sim.input_seed": Key(parse_seed, 0),
     "sweep.param": Key(str, MISSING),
     "sweep.values": Key(_distinct(_list(_finite)), MISSING),
@@ -195,11 +195,15 @@ class Config:
                 value = spec.parse(text)
             except ValueError as err:
                 raise ValidationError(f"config key {key!r}: bad value {text!r} ({err})") from None
-            if spec.allowed and value not in spec.allowed:
-                raise ValidationError(f"config key {key!r}: {value!r} is not one of "
-                                      f"{', '.join(spec.allowed)}")
         self.read[key] = value
         return value
+
+    def choose(self, key, table):
+        """``table[name]`` for the name ``key`` holds; ValidationError unless the table has it."""
+        name = self.get(key)
+        if name not in table:
+            raise ValidationError(f"config key {key!r}: {name!r} is not one of {', '.join(table)}")
+        return table[name]
 
     def spec(self, cls, prefix: str, **given):
         """``cls(**given)`` with every other field read from the key ``prefix + name``."""

@@ -85,7 +85,7 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class Dataset:
     train_x: np.ndarray
-    train_y: np.ndarray  # int labels, float targets, or None (autoencoder)
+    train_y: np.ndarray  # int labels, float targets, or the inputs (autoencoder)
     test_x: np.ndarray
     test_y: np.ndarray
 
@@ -162,13 +162,11 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
         modes = rng.integers(0, 8, nt + ne)
         x = _noisy(centers[modes], spec.noise, rng)
         x = _minmax_scale(x)
-        y = None
+        y = x  # an autoencoder's targets are its inputs
 
     ptr = rng.permutation(nt)
     pte = rng.permutation(ne)
     xtr, xte = x[:nt][ptr], x[nt:][pte]
-    if y is None:
-        return Dataset(xtr, None, xte, None)
     ytr, yte = y[:nt][ptr], y[nt:][pte]
     return Dataset(xtr, ytr, xte, yte)
 

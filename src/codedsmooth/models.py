@@ -22,18 +22,23 @@ from .config import KEYS
 from .errors import ShapeError, ValidationError
 
 
+# model.activation: the gain of its weights' init variance, gain / fan-in
+ACTIVATIONS = {"relu": 2.0, "tanh": 1.0}
+
+
 @dataclass(frozen=True)
 class MLPSpec:
     widths: tuple  # (input, hidden..., output)
     activation: str = KEYS["model.activation"].default
 
     def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise ValidationError(f"model.activation = {self.activation!r} must be one of "
+                                  f"{', '.join(ACTIVATIONS)}")
         # a MAX_POINTS-square float64 weight is 128 MiB
         if len(self.widths) < 2 or not all(1 <= w <= MAX_POINTS for w in self.widths):
             raise ValidationError(f"model.widths = {self.widths} needs at least 2 widths, "
                                   f"each in [1, {MAX_POINTS}]")
-        if self.activation not in KEYS["model.activation"].allowed:
-            raise ValidationError(f"unknown activation {self.activation!r}")
 
     def layout(self) -> list:
         """(stretch of ``theta``, shape) per parameter: W1 (w0, w1), b1, W2, b2, ..."""
@@ -64,9 +69,8 @@ class MLP:
         params = self.split(self.theta)
         self.weights, self.biases = params[0::2], params[1::2]
         if rng is not None:
-            act_gain = {"relu": 2.0, "tanh": 1.0}[spec.activation]
             for w in self.weights:
-                w[...] = rng.normal(0.0, np.sqrt(act_gain / len(w)), w.shape)
+                w[...] = rng.normal(0.0, np.sqrt(ACTIVATIONS[spec.activation] / len(w)), w.shape)
 
     def __reduce__(self):
         # copied one by one, the parameter views would stop sharing theta

@@ -240,12 +240,7 @@ def _epochs(plan: TrainPlan, every_epoch: bool):
     holding that epoch's coded module until the next."""
     data = make_dataset(plan.dataset)
     task, _, outputs = KINDS[plan.dataset.kind]
-    if task == "classification":
-        train_targets, test_targets = one_hot(data.train_y, outputs), data.test_y
-    elif task == "autoencoder":
-        train_targets, test_targets = data.train_x, data.test_x
-    else:
-        train_targets, test_targets = data.train_y, data.test_y
+    train_targets = one_hot(data.train_y, outputs) if task == "classification" else data.train_y
 
     model = MLP(plan.model, stream_rng(plan.seed, "init"))
     grad = np.empty_like(model.theta)
@@ -285,7 +280,7 @@ def _epochs(plan: TrainPlan, every_epoch: bool):
             epoch=epoch,
             loss_main=float(np.mean(main_vals)),
             loss_coded=float(np.mean(coded_vals)) if coded_vals else float("nan"),
-            test_metric=(evaluate_model(model, data.test_x, test_targets, task)
+            test_metric=(evaluate_model(model, data.test_x, data.test_y, task)
                          if every_epoch or epoch == plan.epochs - 1 else float("nan")),
             n_coded=n_coded,
         ))

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +16,14 @@ import pytest
 import codedsmooth
 from codedsmooth.cli import main
 from codedsmooth.coded import get_module
-from codedsmooth import attack, coded, datasets
-from codedsmooth.codedsim import BENCH_FUNCTIONS, sample_inputs
+from codedsmooth import attack, coded, datasets, models
+from codedsmooth.codedsim import BENCH_FUNCTIONS, POLICIES, sample_inputs
 from codedsmooth.config import KEYS, Config, parse_config_text
 from codedsmooth.datasets import DatasetSpec, make_dataset
 from codedsmooth.errors import ValidationError
 from codedsmooth.modelio import load_model, model_bytes
 from codedsmooth.models import MLP, MLPSpec
-from codedsmooth.train import METHODS
+from codedsmooth.train import ERM, METHODS
 
 TRAIN_CFG = """
 # tiny smoke configuration
@@ -361,11 +361,6 @@ def test_simulate_cubic_function_decays_fast(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     printed = capsys.readouterr().out
     assert float(printed.split("fitted exponent:")[1].split()[0]) >= 2.2
-
-
-def test_simulate_unknown_function(tmp_path):
-    cfg = _write(tmp_path, "u.cfg", "sim.fn = cosh\n")
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("value", ["-1", "18446744073709551616", "x"])
@@ -892,6 +887,11 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
      "model.widths = (3, 8, 2)", "data.kind = two_moons"),
     ("sweep", SWEEP_CFG.replace("widths = 2,8,2", "widths = 2,8,3"),
      "model.widths = (2, 8, 3)", "data.kind = two_moons"),
+    # an empty entry of a list is refused, not dropped
+    ("train", TRAIN_CFG.format(method="erm", mu=0.5).replace("widths = 2,8,2", "widths = 2,,8,2"),
+     "model.widths", "'2,,8,2'"),
+    ("simulate", SIM_CFG.replace("32,64,128,256", "32,64,"), "sim.N_list", "'32,64,'"),
+    ("sweep", SWEEP_CFG.replace("0.2,0.8", "0.5,,1"), "sweep.values", "'0.5,,1'"),
 ], ids=[f"{key}-{value}" for _, _, key, value in SEED_CASES] + [
     "sim.seeds", "sweep.seeds", "attack.trials", "attack.kind", "attack.n_prime",
         "attack.k_prime", "sim.K", "train.mu", "train.batch_size", "train.n_schedule",
@@ -911,7 +911,8 @@ SEED_CASES = [(command, _set_key(text, key, value), key, value)
         "sim.seeds-repeated", "sweep.values-repeated", "sweep.seeds-repeated",
         "sweep.param-train.seed", "sweep.param-attack.epsilon", "sweep.param-N-erm",
         "sweep.param-train.mixup_alpha-coded",
-        "model.widths-input-misfit", "model.widths-output-misfit"])
+        "model.widths-input-misfit", "model.widths-output-misfit",
+        "model.widths-empty-entry", "sim.N_list-empty-entry", "sweep.values-empty-entry"])
 def test_degenerate_config_rejected(tmp_path, capsys, command, text, key, value):
     out = str(tmp_path / "o")
     extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
@@ -1144,15 +1145,70 @@ def test_readme_library_use_runs_as_written():
 
 
 def test_allowed_names_match_the_code_that_runs_them():
-    # KEYS holds the names, so reading a config loads no command module
-    assert sorted(KEYS["sim.fn"].allowed) == sorted(BENCH_FUNCTIONS)
-    assert sorted(KEYS["data.kind"].allowed) == sorted(datasets.KINDS)
-    assert sorted(KEYS["train.method"].allowed) == sorted(METHODS)
-    for name, (cls, _) in METHODS.items():  # the model file's method line names the class
+    # train.method takes the names of METHODS, and the model file's method
+    # line names the class, so the two must be the same name
+    for name, (cls, _) in METHODS.items():
         assert cls.__name__.lower() == name
-    attacks = (attack.Clean(), attack.FGSMSpec(0.1), attack.PGDSpec(0.1))
-    assert set(KEYS["attack.kind"].allowed) == {"all"} | {
-        a.name.rstrip("0123456789") for a in attacks}
+
+
+# each key that names a table entry: the names of its table, in order
+TABLE_NAMES = {
+    "data.kind": list(datasets.KINDS),
+    "model.activation": list(models.ACTIVATIONS),
+    "train.method": list(METHODS),
+    # cmd_attack's: all attacks, or one by its name without a step count
+    "attack.kind": ["all"] + [a.name.rstrip("0123456789") for a in (
+        attack.Clean(), attack.FGSMSpec(0.1), attack.PGDSpec(0.1))],
+    "sim.fn": list(BENCH_FUNCTIONS),
+    "sim.policy": list(POLICIES),
+}
+
+
+@pytest.mark.parametrize("key, command, text, value", [
+    ("data.kind", "train", TRAIN_CFG.format(method="erm", mu=0.5), "mnist"),
+    ("model.activation", "train", TRAIN_CFG.format(method="erm", mu=0.5), "gelu"),
+    ("train.method", "train", TRAIN_CFG.format(method="erm", mu=0.5), "sgd"),
+    ("attack.kind", "attack", ATTACK_CFG, "p"),  # not a prefix of pgd10
+    ("attack.kind", "attack", ATTACK_CFG, ""),  # not all
+    ("sim.fn", "simulate", SIM_CFG, "cosh"),
+    ("sim.policy", "simulate", SIM_CFG, "random"),
+], ids=["data.kind", "model.activation", "train.method", "attack.kind", "attack.kind-empty",
+        "sim.fn", "sim.policy"])
+def test_unknown_name_rejected(tmp_path, capsys, key, command, text, value):
+    text = "".join(line + "\n" for line in text.splitlines()
+                   if not line.startswith(key + " ")) + f"{key} = {value}\n"
+    extra = ["--model", _model_file(tmp_path)] if command == "attack" else []
+    out = str(tmp_path / "o")
+    assert main([command, "--config", _write(tmp_path, "u.cfg", text), "--out", out] + extra) == 2
+    names = ", ".join(TABLE_NAMES[key])
+    if key in ("data.kind", "model.activation", "sim.policy"):  # checked by the spec holding it
+        want = f"{key} = {value!r} must be one of {names}"
+    else:  # checked by Config.choose, in the words of the former allowed lists
+        want = f"config key {key!r}: {value!r} is not one of {names}"
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not os.path.exists(out)
+
+
+def test_a_name_added_to_its_table_runs(tmp_path, monkeypatch):
+    # a name is written once, in the table that runs it, so adding it there is enough
+    monkeypatch.setitem(BENCH_FUNCTIONS, "square", np.square)
+    sim_out = str(tmp_path / "sim")
+    cfg = _write(tmp_path, "s.cfg", SIM_CFG.replace("sim.fn = sin", "sim.fn = square"))
+    assert main(["simulate", "--config", cfg, "--out", sim_out]) == 0
+    assert json.loads(_read(sim_out, "report.json"))["fn"] == "square"
+
+    @dataclass(frozen=True)
+    class Plain(ERM):
+        """ERM under another name."""
+
+    monkeypatch.setitem(METHODS, "plain", (Plain, "train."))
+    for method in ("plain", "erm"):
+        cfg = _write(tmp_path, "t.cfg", TRAIN_CFG.format(method=method, mu=0.5))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / method)]) == 0
+    _, header = load_model(str(tmp_path / "plain" / "model.bin"))
+    assert header["method"] == "plain"
+    assert _read(str(tmp_path / "plain"), "metrics.csv") == _read(str(tmp_path / "erm"),
+                                                                  "metrics.csv")
 
 
 def test_each_spec_field_is_set_by_its_key(tmp_path, monkeypatch):
@@ -1192,6 +1248,5 @@ def test_readme_key_table_matches_config_table():
         for name, note in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", names):
             listed[prefix + name] = note
     assert sorted(listed) == sorted(KEYS)
-    for key, spec in KEYS.items():
-        if spec.allowed:
-            assert sorted(listed[key].split(", ")) == sorted(spec.allowed), key
+    for key, names in TABLE_NAMES.items():
+        assert listed[key].split(", ") == names, key

@@ -63,7 +63,9 @@ def test_labels_and_tasks():
     assert set(spirals.train_y) == {0, 1, 2}
     auto = make_dataset(DatasetSpec(kind="gaussian8_autoencoder", n_train=30,
                                     n_test=10, noise=0.05, seed=0))
-    assert auto.train_y is None and auto.test_y is None
+    # an autoencoder's targets are its inputs
+    assert auto.train_y.tobytes() == auto.train_x.tobytes()
+    assert auto.test_y.tobytes() == auto.test_x.tobytes()
     assert KINDS["two_moons"].task == "classification"
     assert KINDS["sinusoid_regression"].task == "regression"
     assert KINDS["gaussian8_autoencoder"].task == "autoencoder"
@@ -80,7 +82,9 @@ def test_kind_table_matches_the_generators(kind):
     elif task == "regression":
         assert data.train_y.shape == (12, outputs) and data.test_y.shape == (6, outputs)
     else:
-        assert task == "autoencoder" and data.train_y is None and outputs == inputs
+        assert task == "autoencoder" and outputs == inputs
+        assert data.train_y.tobytes() == data.train_x.tobytes()
+        assert data.test_y.tobytes() == data.test_x.tobytes()
 
 
 def test_unknown_kind_rejected():
