@@ -15,8 +15,8 @@ N. A round trip is two matrix products and is differentiable end to end.
 Operands are 2-D: one row per sample. The straggler decoder builds no
 operator: its surviving worker set changes from job to job, so a cached
 operator would serve one job only.
-``codedsim`` instead fits the survivors of a whole grid in one ``spline.fit``
-call and evaluates them at alpha, O((N+K)*d) per job.
+``codedsim`` instead fits the survivors of each N's jobs in one
+``spline.fit`` call and evaluates them at alpha, O((N+K)*d) per job.
 """
 
 import functools

@@ -6,14 +6,16 @@ them never return. The decoder spline is fitted only on the surviving
 Straggling is simulated by omission, not latency: which results return is
 the only thing the estimate depends on, so the scenarios of one N, whatever
 their S, policy and seed, share one worker evaluation, and the survivors of
-every scenario with S > 0 are decoded together in one batched decode.
+its scenarios with S > 0 are decoded together: one batched decode per N, so
+no set is padded past its own N.
 ``sweep`` returns one ``SweepRow`` per scenario of its grid, the rows
 ``sim_sweep.csv`` holds.
 
-Drop policies: ``uniform_random`` removes exactly S uniformly chosen
-workers; ``adversarial_contiguous`` removes the contiguous run of S workers
-whose loss widens the decoder's knot gap the most, a heuristic: the worst
-contiguous run costs 4x to 19,000x its MSE at K = 16, f = sin, N <= 128.
+Drop policies, each a rule in ``POLICIES``: ``uniform_random`` removes
+exactly S uniformly chosen workers; ``adversarial_contiguous`` removes the
+contiguous run of S workers whose loss widens the decoder's knot gap the
+most, a heuristic: the worst contiguous run costs 4x to 19,000x its MSE at
+K = 16, f = sin, N <= 128. A name added to the table runs its own rule.
 """
 
 from dataclasses import dataclass
@@ -39,8 +41,24 @@ BENCH_FUNCTIONS = {
 }
 
 
-# sim.policy: how the S stragglers are chosen (``returned_indices``)
-POLICIES = ("uniform_random", "adversarial_contiguous")
+def _uniform_random(scenario, beta):
+    """S workers drawn without replacement from the scenario's seed."""
+    rng = stream_rng(scenario.seed, "stragglers")
+    return rng.choice(scenario.n_workers, size=scenario.max_stragglers, replace=False)
+
+
+def _adversarial_contiguous(scenario, beta):
+    """The first run of S workers whose removal leaves the widest gap between
+    its kept neighbours (an end knot at either end)."""
+    n, s = scenario.n_workers, scenario.max_stragglers
+    padded = np.concatenate([beta[:1], beta, beta[-1:]])
+    start = int(np.argmax(padded[s + 1:] - padded[:n - s + 1]))
+    return np.arange(start, start + s)
+
+
+# sim.policy: each name's drop rule, (scenario, beta) -> the S workers that never return
+POLICIES = {"uniform_random": _uniform_random,
+            "adversarial_contiguous": _adversarial_contiguous}
 
 
 def sample_inputs(k: int, seed: int) -> np.ndarray:
@@ -90,18 +108,10 @@ def cell_means(rows) -> dict:
 
 
 def returned_indices(scenario: StragglerScenario, beta: np.ndarray) -> np.ndarray:
-    """Sorted indices of the workers whose results arrive; with S = 0 every
-    worker's, under either policy."""
-    n, s = scenario.n_workers, scenario.max_stragglers
-    keep = np.ones(n, dtype=bool)
-    if scenario.policy == "uniform_random":
-        keep[stream_rng(scenario.seed, "stragglers").choice(n, size=s, replace=False)] = False
-    else:
-        # adversarial_contiguous: drop the first run whose removal leaves the
-        # widest gap between its kept neighbours (an end knot at either end)
-        padded = np.concatenate([beta[:1], beta, beta[-1:]])
-        start = int(np.argmax(padded[s + 1:] - padded[:n - s + 1]))
-        keep[start:start + s] = False
+    """Sorted indices of the workers whose results arrive, by the scenario's
+    policy in ``POLICIES``; with S = 0 every worker's, under any policy."""
+    keep = np.ones(scenario.n_workers, dtype=bool)
+    keep[POLICIES[scenario.policy](scenario, beta)] = False
     return np.flatnonzero(keep)
 
 
@@ -110,11 +120,11 @@ def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
 
     Each N looks its module up once and its workers compute once; each S = 0
     scenario is decoded by ``module.decode``, bit-identical to
-    ``module.forward``. The survivors of every S > 0 scenario are decoded in
-    one batched tridiagonal sweep, bit-identical to fitting and evaluating
-    each alone. Returns (estimates, mses) in input order: a (B, K, d) array
-    and a list of B floats, each the mean over batch rows of the squared
-    output-vector error.
+    ``module.forward``. The survivors of each N's S > 0 scenarios are decoded
+    in one batched tridiagonal sweep per N, bit-identical to fitting and
+    evaluating each alone. Returns (estimates, mses) in input order: a
+    (B, K, d) array and a list of B floats, each the mean over batch rows of
+    the squared output-vector error.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < MIN_POINTS:
@@ -122,10 +132,10 @@ def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
     if not scenarios:
         raise ValidationError("need at least one straggler scenario")
     estimates = [None] * len(scenarios)
-    batched, survivors, blocks = [], [], []  # the S > 0 scenarios, decoded together
     for n in dict.fromkeys(sc.n_workers for sc in scenarios):
         module = coded.get_module(x.shape[0], n)
         outputs = f(module.encode(x))
+        batched, survivors, blocks = [], [], []  # this N's S > 0 scenarios, decoded together
         for i, sc in enumerate(scenarios):
             if sc.n_workers != n:
                 continue
@@ -137,9 +147,9 @@ def run_coded_jobs(f, x: np.ndarray, scenarios) -> tuple:
                 batched.append(i)
                 survivors.append(Knots(module.beta[keep]))
                 blocks.append(outputs[keep])
-    if batched:  # every module shares the batch abscissas alpha, which depend on K only
-        for i, est in zip(batched, fit(survivors, blocks).eval(module.alpha)):
-            estimates[i] = est
+        if batched:
+            for i, est in zip(batched, fit(survivors, blocks).eval(module.alpha)):
+                estimates[i] = est
     estimates = np.stack(estimates)
     return estimates, [float(np.mean(np.sum(d * d, axis=1))) for d in estimates - f(x)]
 

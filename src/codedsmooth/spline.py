@@ -15,6 +15,9 @@ the spline past either end.
 longest, one Thomas sweep solves them all, and ``eval`` gathers along the
 batch axis. Every element takes the float operations of fitting and
 evaluating its set alone, so a set's bytes do not depend on its batch.
+Both work in place: besides its inputs, the solve holds the moments it
+returns and one temporary of their interior size, and the evaluation holds
+its output and one gathered term.
 
 Fit-then-eval is linear in the values, so it is also a dense (n, m) matrix:
 ``build_operator(t, v).T @ Y == fit([t], [Y]).eval(v)[0]`` up to roundoff.
@@ -72,27 +75,37 @@ def _solve_moments(t: np.ndarray, values: np.ndarray, lengths: np.ndarray) -> np
     float operations. Set b's rows from ``lengths[b] - 1`` on are padding: the
     forward sweep reaches them only after the set's real rows, and the
     back-substitution forces them to exact zeros.
+
+    The right-hand side is built in the moments' interior rows, the forward
+    sweep overwrites it row by row and the back-substitution works in the
+    same rows. Its working arrays are the moments it returns, one (n - 2, d)
+    temporary for the right-hand side, freed before the sweep, and per-row
+    coefficients.
     """
     n = values.shape[0]
     moments = np.zeros(values.shape)
     h = np.diff(t, axis=0)
-    rhs = 6.0 * ((values[2:] - values[1:-1]) / h[1:, None]
-                 - (values[1:-1] - values[:-2]) / h[:-1, None])
+    rhs = np.subtract(values[2:], values[1:-1], out=moments[1:-1])
+    rhs /= h[1:, None]
+    left = values[1:-1] - values[:-2]  # the one temporary
+    left /= h[:-1, None]
+    rhs -= left
+    del left
+    rhs *= 6.0
     lower = h[:-1]
     diag = 2.0 * (h[:-1] + h[1:])
     upper = h[1:]
     cp = np.empty(upper.shape)
-    dp = np.empty(rhs.shape)
     c = d = 0.0  # the eliminated zero row above the first
     for i in range(n - 2):
         denom = diag[i] - lower[i] * c
         c = cp[i] = upper[i] / denom
-        d = dp[i] = (rhs[i] - lower[i] * d) / denom
+        d = np.divide(rhs[i] - lower[i] * d, denom, out=rhs[i])
     # row r pads set b when r >= lengths[b] - 1; no set pads a row below first_pad
     padded = np.arange(n)[:, None] >= lengths - 1
     first_pad = int(lengths.min()) - 1
     for r in range(n - 2, 0, -1):
-        moments[r] = dp[r - 1] - cp[r - 1] * moments[r + 1]
+        np.subtract(moments[r], cp[r - 1] * moments[r + 1], out=moments[r])
         if r >= first_pad:
             np.copyto(moments[r], 0.0, where=padded[r])
     return moments
@@ -120,7 +133,9 @@ class NaturalCubicSplines(NamedTuple):
         negations make it the one-sided (y[e] - y[i]) / h + (h / 6) * (M[i] +
         2 M[e]), h = -g, to the bit (but for the sign of a zero slope). One
         interval search per set; every other step gathers along the batch
-        axis, by the float operations of the one-spline formula.
+        axis, by the float operations of the one-spline formula. The four
+        terms are summed left to right into the first gathered one, with one
+        working term alive at a time.
         """
         t, y, mom, lengths = self
         q = np.asarray(points, dtype=np.float64)
@@ -140,8 +155,14 @@ class NaturalCubicSplines(NamedTuple):
         b = (q - tl) / h
         cc = (a * a * a - a) * (h * h) / 6.0
         dd = (b * b * b - b) * (h * h) / 6.0
-        out = (a[..., None] * y[sets, idx] + b[..., None] * y[sets, idx + 1]
-               + cc[..., None] * mom[sets, idx] + dd[..., None] * mom[sets, idx + 1])
+        # a y[i] + b y[i+1] + cc M[i] + dd M[i+1], left to right
+        out = y[sets, idx]
+        out *= a[..., None]
+        for w, v, j in ((b, y, idx + 1), (cc, mom, idx), (dd, mom, idx + 1)):
+            term = v[sets, j]
+            term *= w[..., None]
+            out += term
+            del term  # freed before the next gather
 
         # beyond an end knot e with inner neighbour i: the linear extension,
         # written only where needed
@@ -166,6 +187,8 @@ def fit(knot_sets, values) -> NaturalCubicSplines:
     Each set is padded to the longest, with knots that continue past 1 and
     zero values, and one Thomas sweep fits them all. A single set is not
     padded and solves with scalar coefficients: the same bytes, sooner.
+    The result holds the padded knots and values and the moments; the solve
+    adds one temporary of the moments' interior size, freed before the sweep.
     """
     blocks = [np.asarray(v, dtype=np.float64) for v in values]
     lengths = np.array([len(k) for k in knot_sets], dtype=np.intp)

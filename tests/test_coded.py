@@ -263,6 +263,21 @@ def test_module_cache_holds_the_operators_and_little_else():
     assert all(get_module(128, n) is m for n, m in zip(ns, held))
 
 
+def test_module_build_peak_memory():
+    # the N = 256 build of simulate_stragglers.cfg holds a 64 KiB module; the
+    # in-place fit keeps its peak near three (256, 256) arrays, the identity,
+    # the moments and the solve's one temporary (2.63 MiB out of place)
+    coded._encoder_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        module = CodedSmoothingModule(16, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert module.dec_op.shape == (256, 16)
+    assert peak <= 1.8 * 2 ** 20, peak
+
+
 def test_operator_application_identity_and_sum_column():
     y = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     out = coded._apply(np.eye(3), Tensor(y))

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +199,7 @@ def test_only_scenarios_with_stragglers_draw_survivors(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("policy", ["uniform_random", "adversarial_contiguous"])
 def test_grid_decode_equals_per_cell_jobs(policy):
-    # the sweep decodes the survivors of every cell together, padded to the
+    # the sweep decodes each N's survivors together, padded to that N's
     # longest set; each row keeps the mse of its cell decoded alone
     x = sample_inputs(8, 3)
     n_list, s_list, seeds = [16, 24, 40], [0, 1, 4], [0, 1, 2]
@@ -210,6 +211,43 @@ def test_grid_decode_equals_per_cell_jobs(policy):
                                                  for seed in seeds])
             want += [SweepRow(n, s, policy, seed, mse) for seed, mse in zip(seeds, mses)]
     assert rows == want
+
+
+def test_grid_decode_peak_memory():
+    # simulate_stragglers.cfg's grid with its four modules held: each N's
+    # survivors are fitted apart, so no set is padded to N = 256 (2.31 MiB
+    # when the whole grid was one padded fit)
+    x = sample_inputs(16, 0)
+    n_list = [32, 64, 128, 256]
+    held = [get_module(16, n) for n in n_list]
+    tracemalloc.start()
+    try:
+        rows = sweep(np.sin, x, n_list, [0, 1, 3, 7], list(range(10)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 160 and all(get_module(16, n) is m for n, m in zip(n_list, held))
+    assert peak <= 2 ** 20, peak
+
+
+def test_policy_added_to_the_table_runs_its_own_rule(monkeypatch):
+    # a name found only in POLICIES drops the workers its own rule names,
+    # here the first S, in returned_indices and through a whole sweep
+    def fastest(scenario, beta):
+        return np.arange(scenario.max_stragglers)
+
+    monkeypatch.setitem(codedsim.POLICIES, "fastest", fastest)
+    module = get_module(8, 32)
+    scenario = StragglerScenario(32, 4, "fastest", 0)
+    assert np.array_equal(returned_indices(scenario, module.beta), np.arange(4, 32))
+    adversarial = StragglerScenario(32, 4, "adversarial_contiguous", 0)
+    assert not np.array_equal(returned_indices(adversarial, module.beta), np.arange(4, 32))
+    x = sample_inputs(8, 0)
+    outputs = np.sin(module.encode(x))
+    want = fit([Knots(module.beta[4:])], [outputs[4:]]).eval(module.alpha)
+    estimates, _ = run_coded_jobs(np.sin, x, [scenario])
+    assert estimates.tobytes() == want.tobytes()
+    assert [r.policy for r in sweep(np.sin, x, [32], [4], [0], "fastest")] == ["fastest"]
 
 
 def test_batched_jobs_take_any_mix_of_scenarios(monkeypatch):

@@ -239,6 +239,112 @@ def test_moment_solve_bytes_match_special_end_rows():
     assert got.tobytes() == _special_row_moments(t, y, s.lengths).tobytes()
 
 
+def _out_of_place_moments(t, values, lengths):
+    """The moment solve before it worked in place: a separate right-hand side
+    and forward-sweep array, each expression allocating its result."""
+    n = values.shape[0]
+    moments = np.zeros(values.shape)
+    h = np.diff(t, axis=0)
+    rhs = 6.0 * ((values[2:] - values[1:-1]) / h[1:, None]
+                 - (values[1:-1] - values[:-2]) / h[:-1, None])
+    lower = h[:-1]
+    diag = 2.0 * (h[:-1] + h[1:])
+    upper = h[1:]
+    cp = np.empty(upper.shape)
+    dp = np.empty(rhs.shape)
+    c = d = 0.0
+    for i in range(n - 2):
+        denom = diag[i] - lower[i] * c
+        c = cp[i] = upper[i] / denom
+        d = dp[i] = (rhs[i] - lower[i] * d) / denom
+    padded = np.arange(n)[:, None] >= lengths - 1
+    first_pad = int(lengths.min()) - 1
+    for r in range(n - 2, 0, -1):
+        moments[r] = dp[r - 1] - cp[r - 1] * moments[r + 1]
+        if r >= first_pad:
+            np.copyto(moments[r], 0.0, where=padded[r])
+    return moments
+
+
+def _out_of_place_eval(t, y, mom, lengths, points):
+    """The batched evaluation before it summed in place: the four terms as one
+    out-of-place expression, on knots (B, n), values and moments (B, n, d)."""
+    q = np.asarray(points, dtype=np.float64)
+    sets = np.arange(len(t))[:, None]
+    idx = np.stack([np.searchsorted(t[b, :lengths[b]], q, side="right")
+                    for b in range(len(t))]) - 1
+    idx = np.clip(idx, 0, (lengths - 2)[:, None])
+    tl, tr = t[sets, idx], t[sets, idx + 1]
+    h = tr - tl
+    a = (tr - q) / h
+    b = (q - tl) / h
+    cc = (a * a * a - a) * (h * h) / 6.0
+    dd = (b * b * b - b) * (h * h) / 6.0
+    out = (a[..., None] * y[sets, idx] + b[..., None] * y[sets, idx + 1]
+           + cc[..., None] * mom[sets, idx] + dd[..., None] * mom[sets, idx + 1])
+    every, last = sets[:, 0], lengths - 1
+    first = np.zeros_like(last)
+    for e, i, beyond in ((first, first + 1, np.less), (last, last - 1, np.greater)):
+        te = t[every, e]
+        outside = beyond(q, te[:, None])
+        if np.any(outside):
+            g = t[every, i] - te
+            slope = ((y[every, i] - y[every, e]) / g[:, None]
+                     - (g / 6.0)[:, None] * (2.0 * mom[every, e] + mom[every, i]))
+            rows, cols = np.nonzero(outside)
+            out[rows, cols] = y[rows, e[rows]] + (q[cols] - te[rows])[:, None] * slope[rows]
+    return out
+
+
+def _padded_sets_with_negative_zero():
+    # unequal lengths, spans inside [-1, 1] so both ends continue; column 1 of
+    # the first set is zeros but for y[2] = -0.0, a -0.0 right-hand side
+    rng = np.random.default_rng(33)
+    spans = [(-0.9, 0.8, 5), (-0.5, 0.3, 9), (-0.95, -0.1, 4), (0.1, 0.9, 12)]
+    knot_sets = [Knots(np.linspace(lo, hi, n)) for lo, hi, n in spans]
+    blocks = [rng.uniform(-3, 3, (n, 2)) for _, _, n in spans]
+    blocks[0][:, 1] = 0.0
+    blocks[0][2, 1] = -0.0
+    pts = np.concatenate([[-1.0, -0.97, 0.95, 1.0], rng.uniform(-1, 1, 12)])
+    return knot_sets, blocks, pts
+
+
+def _identity_sets(k, n):
+    # the two fits of a (K, N) module build: the encoder's and the decoder's
+    alpha, beta = chebyshev_first(k), chebyshev_second(n)
+    return [([Knots(alpha)], [np.eye(k)], beta), ([Knots(beta)], [np.eye(n)], alpha)]
+
+
+@pytest.mark.parametrize("case", ["single", "single-beyond-ends", "padded-negative-zero",
+                                  "identity-16-256", "identity-128-192"])
+def test_in_place_fit_and_eval_bytes_match_out_of_place(case):
+    rng = np.random.default_rng(34)
+    if case == "single":
+        fits = [([random_knots(rng, 11)], [rng.uniform(-3, 3, (11, 3))], rng.uniform(-1, 1, 20))]
+    elif case == "single-beyond-ends":
+        kn = Knots(np.linspace(-0.9, 0.8, 7))
+        fits = [([kn], [rng.uniform(-3, 3, (7, 2))], [-1.0, -0.95, 0.0, 0.9, 1.0])]
+    elif case == "padded-negative-zero":
+        fits = [_padded_sets_with_negative_zero()]
+    else:
+        fits = _identity_sets(*map(int, case.split("-")[1:]))
+    for knot_sets, blocks, pts in fits:
+        s = fit(knot_sets, blocks)
+        if len(knot_sets) == 1:
+            want = _out_of_place_moments(s.knots[0], s.values[0], s.lengths)[None]
+        else:
+            want = np.moveaxis(_out_of_place_moments(s.knots.T, np.moveaxis(s.values, 0, -1),
+                                                     s.lengths), -1, 0)
+        assert s.moments.tobytes() == want.tobytes()
+        got = s.eval(pts)
+        assert got.tobytes() == _out_of_place_eval(s.knots, s.values, want, s.lengths,
+                                                   pts).tobytes()
+    if case == "padded-negative-zero":
+        assert np.signbit(s.moments[0, 1, 1]) and s.moments[0, 1, 1] == 0.0
+    if case in ("single-beyond-ends", "padded-negative-zero"):
+        assert all(min(pts) < kn.values[0] and max(pts) > kn.values[-1] for kn in knot_sets)
+
+
 def test_batched_fit_eval_shape_errors():
     rng = np.random.default_rng(6)
     knot_sets = [random_knots(rng, 6), random_knots(rng, 6)]
